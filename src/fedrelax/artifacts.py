@@ -119,7 +119,6 @@ def restore_simulation(
     hp,
     payload: dict,
     *,
-    client_workers: int = 1,
     expect_config_hash: str | None = None,
 ):
     """Rebuild a Simulation mid-run from a checkpoint payload."""
@@ -131,7 +130,7 @@ def restore_simulation(
             f"checkpoint belongs to a different configuration "
             f"(saved {saved_hash[:12]}…, expected {expect_config_hash[:12]}…)"
         )
-    sim = Simulation(problem, spec, hp, payload["seed"], client_workers=client_workers)
+    sim = Simulation(problem, spec, hp, payload["seed"])
     if len(payload["clients"]) != problem.n_clients:
         raise ValueError(
             f"checkpoint has {len(payload['clients'])} clients, problem has {problem.n_clients}"

@@ -9,12 +9,10 @@ mean in ascending client-id order, then apply the strategy's server rule.
 Determinism contract: all arithmetic is float64; every client owns a private
 generator seeded from (seed, client id) that only advances when that client
 trains; client sampling uses its own server stream; aggregation order is
-always ascending id, so parallel and serial client execution are identical and
-reruns are bit-for-bit reproducible.
+always ascending id, so reruns are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -155,16 +153,12 @@ class Simulation:
         seed: int,
         *,
         w0: np.ndarray | None = None,
-        client_workers: int = 1,
     ):
         hp.validate(problem.n_clients)
-        if spec.ri and spec.kind == "fedavg" and spec.beta == 0.0:
-            pass  # beta = 0 relaxed init is exactly plain averaging; allowed
         self.problem = problem
         self.spec = spec
         self.hp = hp
         self.seed = int(seed)
-        self.client_workers = client_workers
         dim = problem.dim
         if w0 is None:
             init_rng = np.random.default_rng(
@@ -243,12 +237,7 @@ class Simulation:
         div = self.current_divergence()
 
         active = sample_clients(self.server.rng, self.problem.n_clients, self.hp.n_active)
-        if self.client_workers > 1:
-            with ThreadPoolExecutor(max_workers=self.client_workers) as pool:
-                results = list(pool.map(lambda cid: self._train_one(cid, eta), active))
-        else:
-            results = [self._train_one(cid, eta) for cid in active]
-        results.sort(key=lambda r: r[0])
+        results = [self._train_one(cid, eta) for cid in active]  # ascending ids
 
         control_deltas = []
         uploads = []
@@ -344,10 +333,9 @@ def run_experiment(
     seed: int,
     *,
     w0: np.ndarray | None = None,
-    client_workers: int = 1,
     checkpoint_every: int = 0,
     checkpoint_path=None,
 ) -> RunResult:
     """Build a Simulation and run it to completion."""
-    sim = Simulation(problem, spec, hp, seed, w0=w0, client_workers=client_workers)
+    sim = Simulation(problem, spec, hp, seed, w0=w0)
     return sim.run(checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path)

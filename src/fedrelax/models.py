@@ -2,12 +2,16 @@
 
 Every model exposes the same small surface: ``dim`` (parameter count),
 ``loss(w, batch)``, ``grad(w, batch)``, and for classifiers ``predict``.
-Parameters are always 1-D ``float64`` arrays; nothing in the engine ever
-reshapes them except inside a model's own forward pass.
+Dataset models also have ``evaluate(w, batch, weights)``, which serves
+evaluation with one forward pass (per-sample losses and predictions) and,
+when sample weights are given, one backward pass (the gradient of the
+weighted loss sum). Parameters are always 1-D ``float64`` arrays; nothing in
+the engine ever reshapes them except inside a model's own forward pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +39,14 @@ class Batch:
         return len(self.x)
 
 
+class Evaluation(NamedTuple):
+    """What one evaluation pass over a batch yields."""
+
+    losses: np.ndarray  # per-sample losses, shape (n,)
+    grad: np.ndarray | None  # gradient of sum_j weights[j] * losses[j]; None without weights
+    pred: np.ndarray | None  # predicted class ids; None for regression
+
+
 def as_params(w) -> np.ndarray:
     """Validate and return a parameter vector: 1-D, float64, all entries finite."""
     w = np.asarray(w, dtype=np.float64)
@@ -59,6 +71,10 @@ def combine(coeffs, vectors) -> np.ndarray:
             raise ValueError(f"dimension mismatch: expected ({dim},), got {v.shape}")
         out += float(c) * v
     return out
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * z))  # stable for large |z|
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -116,8 +132,12 @@ class LinearRegression:
         return batch.x.T @ r / len(batch)
 
     def per_sample_losses(self, w: np.ndarray, batch: Batch) -> np.ndarray:
+        return self.evaluate(w, batch).losses
+
+    def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         r = batch.x @ w - batch.y
-        return 0.5 * r * r
+        grad = None if weights is None else batch.x.T @ (weights * r)
+        return Evaluation(0.5 * r * r, grad, None)
 
     def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.zeros(self.dim)
@@ -140,14 +160,18 @@ class LogisticRegression:
         return float(np.mean(self.per_sample_losses(w, batch)))
 
     def per_sample_losses(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        z = batch.x @ w
-        # log(1 + e^-|z|) + max(z, 0) - z*y is the overflow-safe cross entropy
-        return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - z * batch.y
+        return self.evaluate(w, batch).losses
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
         z = batch.x @ w
-        p = 0.5 * (1.0 + np.tanh(0.5 * z))  # stable sigmoid
-        return batch.x.T @ (p - batch.y) / len(batch)
+        return batch.x.T @ (_sigmoid(z) - batch.y) / len(batch)
+
+    def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
+        z = batch.x @ w
+        # log(1 + e^-|z|) + max(z, 0) - z*y is the overflow-safe cross entropy
+        losses = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - z * batch.y
+        grad = None if weights is None else batch.x.T @ (weights * (_sigmoid(z) - batch.y))
+        return Evaluation(losses, grad, (z >= 0.0).astype(np.int64))
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (x @ w >= 0.0).astype(np.int64)
@@ -185,38 +209,40 @@ class MLPClassifier:
         return w1, b1, w2, b2
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
+        """Hidden activations and logits, plus W2 for a backward pass."""
         w1, b1, w2, b2 = self.unpack(w)
         a1 = np.tanh(x @ w1.T + b1)
         logits = a1 @ w2.T + b2
-        return a1, logits
+        return a1, logits, w2
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.per_sample_losses(w, batch)))
 
     def per_sample_losses(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        _, logits = self._forward(w, batch.x)
-        logp = _log_softmax(logits)
-        return -logp[np.arange(len(batch)), batch.y.astype(np.int64)]
+        return self.evaluate(w, batch).losses
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
         n = len(batch)
         y = batch.y.astype(np.int64)
-        w1, b1, w2, b2 = self.unpack(w)
-        a1 = np.tanh(batch.x @ w1.T + b1)
-        logits = a1 @ w2.T + b2
+        a1, logits, w2 = self._forward(w, batch.x)
         p = np.exp(_log_softmax(logits))
         p[np.arange(n), y] -= 1.0
-        dlogits = p / n
-        dw2 = dlogits.T @ a1
-        db2 = dlogits.sum(axis=0)
-        da1 = dlogits @ w2
-        dz1 = da1 * (1.0 - a1 * a1)
-        dw1 = dz1.T @ batch.x
-        db1 = dz1.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        return _mlp_backward(batch.x, a1, w2, p / n)
+
+    def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
+        rows = np.arange(len(batch))
+        y = batch.y.astype(np.int64)
+        a1, logits, w2 = self._forward(w, batch.x)
+        logp = _log_softmax(logits)
+        grad = None
+        if weights is not None:
+            p = np.exp(logp)
+            p[rows, y] -= 1.0
+            grad = _mlp_backward(batch.x, a1, w2, p * weights[:, None])
+        return Evaluation(-logp[rows, y], grad, logits.argmax(axis=1).astype(np.int64))
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(w, x)
+        _, logits, _ = self._forward(w, x)
         return logits.argmax(axis=1).astype(np.int64)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -225,6 +251,17 @@ class MLPClassifier:
         w1 = rng.normal(0.0, 1.0 / np.sqrt(p), size=(h, p))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(m, h))
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(m)])
+
+
+def _mlp_backward(x: np.ndarray, a1: np.ndarray, w2: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """MLP parameter gradient from the forward activations and d(loss)/d(logits)."""
+    dw2 = dlogits.T @ a1
+    db2 = dlogits.sum(axis=0)
+    da1 = dlogits @ w2
+    dz1 = da1 * (1.0 - a1 * a1)
+    dw1 = dz1.T @ x
+    db1 = dz1.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
 
 def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-6) -> np.ndarray:

@@ -1,27 +1,35 @@
 """Federated objectives: what a client computes gradients of, and how.
 
 A problem owns the per-client objectives and evaluation sets.  The engine only
-asks it for (a) one batch-gradient function per local step, (b) exact
-full-shard losses/gradients for metrics, and (c) round-level evaluation.
+asks it for (a) one batch-gradient function per local step and (b) round-level
+evaluation of the global model: the federated objective f(w) = (1/C) sum_i f_i(w),
+its gradient, and test-set metrics.
 
 Two concrete kinds:
 
 * QuadraticProblem -- each client is a quadratic from a QuadraticFamily.
   "Stochastic batches" are modeled as additive gaussian gradient noise with
-  known standard deviation, so the local-noise level sigma_l is exact.
+  known standard deviation, so the local-noise level sigma_l is exact.  The
+  global objective is evaluated in closed form (see quadratics.py).
 * DatasetProblem -- a model plus per-client data shards.  Mini-batches are
   drawn without replacement within an epoch and reshuffled each epoch from the
   client's own random stream; batch_size None (or >= shard) means full batch
-  and consumes no randomness.
+  and consumes no randomness.  For evaluation the shards are pooled once, on
+  first use, with per-sample weights 1/(C n_i) for a sample of client i, so
+  that the weighted sum of per-sample losses is the unweighted mean of client
+  means.  One forward and one backward pass over the pooled set then give the
+  train loss, the gradient of f and (from the same logits) the train
+  accuracy; one forward pass over the test set gives test loss and accuracy.
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .datasets import Dataset
-from .models import Batch, accuracy
+from .models import Batch
 from .quadratics import QuadraticFamily
 
 
@@ -58,10 +66,6 @@ class QuadraticProblem:
         return self.family.dim
 
     @property
-    def is_stochastic(self) -> bool:
-        return self.grad_noise > 0.0
-
-    @property
     def sigma_l(self) -> float:
         """Exact bound on the per-step gradient noise norm scale (std per coordinate)."""
         return self.grad_noise
@@ -84,12 +88,6 @@ class QuadraticProblem:
 
     def steps_per_epoch(self, i: int, batch_size) -> int:
         raise ValueError("quadratic problems have no epochs; use local_iters")
-
-    def client_full_grad(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.family.client_grad(i, w)
-
-    def client_loss(self, i: int, w: np.ndarray) -> float:
-        return self.family.client_loss(i, w)
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         return self.family.global_grad(w)
@@ -147,6 +145,8 @@ class DatasetProblem:
                 raise ValueError(
                     f"shard has {s.n_features} features but model expects {model.n_features}"
                 )
+            if len(s) == 0:
+                raise ValueError("every client shard needs at least one sample")
         self.model = model
         self.shards = shards
         self.test = test
@@ -158,10 +158,6 @@ class DatasetProblem:
     @property
     def dim(self) -> int:
         return self.model.dim
-
-    @property
-    def is_stochastic(self) -> bool:
-        return True  # resolved per run by batch_size; see Simulation
 
     def shard_size(self, i: int) -> int:
         return len(self.shards[i])
@@ -178,23 +174,26 @@ class DatasetProblem:
             return 1
         return math.ceil(n / batch_size)
 
-    def client_full_grad(self, i: int, w: np.ndarray) -> np.ndarray:
-        s = self.shards[i]
-        return self.model.grad(w, Batch(s.x, s.y))
+    @cached_property
+    def _pooled(self) -> tuple[Batch, np.ndarray]:
+        """All shards as one batch, built on first evaluation, with sample weights.
 
-    def client_loss(self, i: int, w: np.ndarray) -> float:
-        s = self.shards[i]
-        return self.model.loss(w, Batch(s.x, s.y))
+        Sample j of client i weighs 1/(C n_i), so the weighted sum over the
+        pooled set is the unweighted mean over clients of client means.
+        """
+        c = len(self.shards)
+        batch = Batch(np.concatenate([s.x for s in self.shards]),
+                      np.concatenate([s.y for s in self.shards]))
+        weights = np.concatenate([np.full(len(s), 1.0 / (c * len(s))) for s in self.shards])
+        return batch, weights
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dim)
-        for i in range(self.n_clients):
-            g += self.client_full_grad(i, w)
-        return g / self.n_clients
+        batch, weights = self._pooled
+        return self.model.evaluate(w, batch, weights).grad
 
     def global_loss(self, w: np.ndarray) -> float:
-        # the federated objective is the unweighted mean of client means
-        return sum(self.client_loss(i, w) for i in range(self.n_clients)) / self.n_clients
+        batch, weights = self._pooled
+        return float(weights @ self.model.evaluate(w, batch).losses)
 
     def per_sample_test_losses(self, w: np.ndarray) -> np.ndarray | None:
         if self.test is None:
@@ -202,21 +201,24 @@ class DatasetProblem:
         return self.model.per_sample_losses(w, Batch(self.test.x, self.test.y))
 
     def eval_metrics(self, w: np.ndarray) -> dict:
-        g = self.global_grad(w)
+        batch, weights = self._pooled
+        train = self.model.evaluate(w, batch, weights)
         out = {
-            "train_loss": self.global_loss(w),
-            "grad_norm_sq": float(g @ g),
+            "train_loss": float(weights @ train.losses),
+            "grad_norm_sq": float(train.grad @ train.grad),
             "test_loss": None,
-            "train_acc": None,
+            "train_acc": _accuracy(train.pred, batch.y),
             "test_acc": None,
         }
-        if hasattr(self.model, "predict"):
-            pooled_x = np.concatenate([s.x for s in self.shards])
-            pooled_y = np.concatenate([s.y for s in self.shards])
-            out["train_acc"] = accuracy(self.model, w, Batch(pooled_x, pooled_y))
         if self.test is not None:
-            batch = Batch(self.test.x, self.test.y)
-            out["test_loss"] = self.model.loss(w, batch)
-            if hasattr(self.model, "predict"):
-                out["test_acc"] = accuracy(self.model, w, batch)
+            test = self.model.evaluate(w, Batch(self.test.x, self.test.y))
+            out["test_loss"] = float(np.mean(test.losses))
+            out["test_acc"] = _accuracy(test.pred, self.test.y)
         return out
+
+
+def _accuracy(pred: np.ndarray | None, y: np.ndarray) -> float | None:
+    """Fraction of correct predictions; None for models that predict no classes."""
+    if pred is None:
+        return None
+    return float(np.mean(pred == y.astype(np.int64)))

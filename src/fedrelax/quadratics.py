@@ -4,6 +4,14 @@ Client i owns f_i(w) = 0.5 (w - b_i)^T A_i (w - b_i); the global objective is
 the unweighted mean of the f_i. These families are the test bed for the
 numerical bound checks because every constant the theory needs (smoothness,
 strong-convexity/PL modulus, optimum, heterogeneity) is exact.
+
+The global objective is evaluated in closed form, in the gap form around its
+optimum: f(w) = f* + 0.5 (w - w*)^T A_bar (w - w*) and grad f(w) = A_bar (w - w*),
+with A_bar the mean curvature matrix. A_bar, w* and f* are computed once per
+family (f* as the mean of the client losses at w*), so an evaluation costs one
+d x d product instead of a pass over the C clients. The quadratic is kept in
+gap form rather than expanded into w^T A_bar w - 2 ..., which would cancel away
+the small loss gaps near w* that the convergence checks look at.
 """
 from __future__ import annotations
 
@@ -19,6 +27,8 @@ class QuadraticFamily:
     a_matrices: np.ndarray
     b_vectors: np.ndarray
     _w_star: np.ndarray | None = field(default=None, repr=False)
+    _a_bar: np.ndarray | None = field(default=None, repr=False)
+    _f_star: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.a_matrices = np.asarray(self.a_matrices, dtype=np.float64)
@@ -47,13 +57,20 @@ class QuadraticFamily:
         return 0.5 * float(r @ (self.a_matrices[i] @ r))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dim)
-        for i in range(self.n_clients):  # ascending-id summation, same as aggregation
-            g += self.client_grad(i, w)
-        return g / self.n_clients
+        """A_bar (w - w*); exactly zero at w*."""
+        return self.a_bar @ (w - self.w_star)
 
     def global_loss(self, w: np.ndarray) -> float:
-        return sum(self.client_loss(i, w) for i in range(self.n_clients)) / self.n_clients
+        """f* + 0.5 (w - w*)^T A_bar (w - w*)."""
+        r = w - self.w_star
+        return self.f_star + 0.5 * float(r @ (self.a_bar @ r))
+
+    @property
+    def a_bar(self) -> np.ndarray:
+        """Mean curvature matrix (1/C) sum A_i, the Hessian of the global objective."""
+        if self._a_bar is None:
+            self._a_bar = self.a_matrices.mean(axis=0)
+        return self._a_bar
 
     @property
     def w_star(self) -> np.ndarray:
@@ -66,7 +83,11 @@ class QuadraticFamily:
 
     @property
     def f_star(self) -> float:
-        return self.global_loss(self.w_star)
+        """Mean client loss at w*, summed once over the clients in ascending id."""
+        if self._f_star is None:
+            w = self.w_star
+            self._f_star = sum(self.client_loss(i, w) for i in range(self.n_clients)) / self.n_clients
+        return self._f_star
 
     @property
     def smoothness(self) -> float:
@@ -76,12 +97,12 @@ class QuadraticFamily:
     @property
     def mean_smoothness(self) -> float:
         """lambda_max of the averaged matrix (global curvature upper bound)."""
-        return float(np.linalg.eigvalsh(self.a_matrices.mean(axis=0))[-1])
+        return float(np.linalg.eigvalsh(self.a_bar)[-1])
 
     @property
     def pl_constant(self) -> float:
         """lambda_min of the averaged matrix; the global PL modulus mu."""
-        return float(np.linalg.eigvalsh(self.a_matrices.mean(axis=0))[0])
+        return float(np.linalg.eigvalsh(self.a_bar)[0])
 
     def heterogeneity_bound(self) -> float | None:
         """Exact sup_w max_i ||grad f_i(w) - grad f(w)|| when all A_i coincide, else None.

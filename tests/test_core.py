@@ -130,16 +130,6 @@ def blob_problem(seed=0, n_clients=6):
     return DatasetProblem(LogisticRegression(4), shards, test)
 
 
-def test_parallel_equals_serial_bitwise():
-    prob = blob_problem()
-    spec = make_strategy("scaffold", beta=0.1)
-    hp = HyperParams(eta=0.2, rounds=6, n_active=3, k_local=4, batch_size=8)
-    serial = run_experiment(prob, spec, hp, seed=5, client_workers=1)
-    parallel = run_experiment(prob, spec, hp, seed=5, client_workers=4)
-    assert np.array_equal(serial.final_global, parallel.final_global)
-    assert [r.to_dict() for r in serial.records] == [r.to_dict() for r in parallel.records]
-
-
 def test_same_seed_bitwise_reproducible():
     prob = blob_problem()
     spec = make_strategy("fedinit", beta=0.1)
