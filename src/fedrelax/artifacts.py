@@ -4,6 +4,14 @@ Every writer goes through an atomic temp-file + rename so a crash mid-write
 never leaves a truncated artifact.  Checkpoints are JSON: parameter vectors as
 base64 little-endian float64, generator states as their native state dicts,
 so a resumed run continues bit-for-bit where the original would have gone.
+
+Checkpoint layout (version 2): ``seed``, ``round``, ``config_hash``,
+``global_params`` and the server's ``server_aux`` vectors and ``server_rng``
+state; the client population as whole matrices, ``last_local`` (C, d) and
+``client_aux`` with one (C, d) matrix per auxiliary key; ``client_rngs``
+mapping a client id to its generator state, for the generators created so far
+only (a client that never drew is at its seeded start and needs no entry);
+and ``records``, the rounds run so far.  Files of another version are refused.
 """
 from __future__ import annotations
 
@@ -14,9 +22,10 @@ import tempfile
 
 import numpy as np
 
+from . import strategies as strat
 from .metrics import RoundRecord, rounds_csv_text
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # -- low-level helpers --------------------------------------------------------
@@ -90,15 +99,9 @@ def save_checkpoint(path, sim, config_hash: str | None = None) -> None:
         "global_params": encode_array(sim.server.global_params),
         "server_aux": {k: encode_array(v) for k, v in sim.server.aux.items()},
         "server_rng": rng_state(sim.server.rng),
-        "clients": [
-            {
-                "id": c.client_id,
-                "last_local": encode_array(c.last_local),
-                "aux": {k: encode_array(v) for k, v in c.aux.items()},
-                "rng": rng_state(c.rng),
-            }
-            for c in sim.clients
-        ],
+        "last_local": encode_array(sim.last_local),
+        "client_aux": {k: encode_array(v) for k, v in sim.client_aux.items()},
+        "client_rngs": {str(i): rng_state(g) for i, g in enumerate(sim.client_rngs) if g is not None},
         "records": [r.to_dict() for r in sim.records],
     }
     atomic_write_text(path, json.dumps(payload, sort_keys=True, default=_json_default))
@@ -113,6 +116,28 @@ def load_checkpoint(path) -> dict:
     return payload
 
 
+_PAYLOAD_FIELDS = ("seed", "round", "global_params", "server_aux", "server_rng",
+                   "last_local", "client_aux", "client_rngs", "records")
+
+
+def _check_shape(field: str, a: np.ndarray, shape: tuple, what: str) -> None:
+    if a.shape != shape:
+        raise ValueError(f"checkpoint {field} has shape {a.shape}, expected {shape} ({what})")
+
+
+def _decode_aux(field: str, saved: dict, expected: dict, spec, shape: tuple, what: str) -> dict:
+    """Decode a checkpoint's aux arrays after checking them against the strategy's."""
+    if set(saved) != set(expected):
+        raise ValueError(
+            f"checkpoint {field} keys {sorted(saved)} do not match strategy "
+            f"{spec.name!r}, which keeps {sorted(expected)}"
+        )
+    out = {k: decode_array(v) for k, v in saved.items()}
+    for k, v in out.items():
+        _check_shape(f"{field}[{k!r}]", v, shape, what)
+    return out
+
+
 def restore_simulation(
     problem,
     spec,
@@ -121,7 +146,11 @@ def restore_simulation(
     *,
     expect_config_hash: str | None = None,
 ):
-    """Rebuild a Simulation mid-run from a checkpoint payload."""
+    """Rebuild a Simulation mid-run from a checkpoint payload.
+
+    Raises ValueError naming the field when the payload does not fit the
+    problem, strategy or hyperparameters it is restored into.
+    """
     from .core import Simulation
 
     saved_hash = payload.get("config_hash")
@@ -130,20 +159,37 @@ def restore_simulation(
             f"checkpoint belongs to a different configuration "
             f"(saved {saved_hash[:12]}…, expected {expect_config_hash[:12]}…)"
         )
+    missing = [k for k in _PAYLOAD_FIELDS if k not in payload]
+    if missing:
+        raise ValueError(f"checkpoint lacks the fields {missing}")
+    c, d = problem.n_clients, problem.dim
+    population = f"{c} clients of dimension {d}"
+    global_params = decode_array(payload["global_params"])
+    _check_shape("global_params", global_params, (d,), f"dimension {d}")
+    last_local = decode_array(payload["last_local"])
+    _check_shape("last_local", last_local, (c, d), population)
+    server_aux = _decode_aux("server_aux", payload["server_aux"], strat.init_server_aux(spec, d),
+                             spec, (d,), f"dimension {d}")
+    client_aux = _decode_aux("client_aux", payload["client_aux"], strat.init_client_aux(spec, d),
+                             spec, (c, d), population)
+    rnd = int(payload["round"])
+    if not 0 <= rnd <= hp.rounds:
+        raise ValueError(f"checkpoint round {rnd} lies outside [0, {hp.rounds}]")
+    if len(payload["records"]) != rnd:
+        raise ValueError(f"checkpoint has {len(payload['records'])} records for round {rnd}")
+    bad = [k for k in payload["client_rngs"] if not (k.isdecimal() and int(k) < c)]
+    if bad:
+        raise ValueError(f"checkpoint client_rngs ids {bad} lie outside [0, {c})")
+
     sim = Simulation(problem, spec, hp, payload["seed"])
-    if len(payload["clients"]) != problem.n_clients:
-        raise ValueError(
-            f"checkpoint has {len(payload['clients'])} clients, problem has {problem.n_clients}"
-        )
-    sim.server.round = int(payload["round"])
-    sim.server.global_params = decode_array(payload["global_params"])
-    sim.server.aux = {k: decode_array(v) for k, v in payload["server_aux"].items()}
+    sim.server.round = rnd
+    sim.server.global_params = global_params
+    sim.server.aux = server_aux
     sim.server.rng = restore_rng(payload["server_rng"])
-    for entry in payload["clients"]:
-        c = sim.clients[entry["id"]]
-        c.last_local = decode_array(entry["last_local"])
-        c.aux = {k: decode_array(v) for k, v in entry["aux"].items()}
-        c.rng = restore_rng(entry["rng"])
+    sim.last_local = last_local
+    sim.client_aux = client_aux
+    for k, state in payload["client_rngs"].items():
+        sim.client_rngs[int(k)] = restore_rng(state)
     sim.records = [RoundRecord.from_dict(r) for r in payload["records"]]
     if saved_hash is not None:
         sim.config_hash = saved_hash

@@ -8,12 +8,15 @@ mean in ascending client-id order, then apply the strategy's server rule.
 
 Determinism contract: all arithmetic is float64; every client owns a private
 generator seeded from (seed, client id) that only advances when that client
-trains; client sampling uses its own server stream; aggregation order is
-always ascending id, so reruns are bit-for-bit reproducible.
+trains. The generator is created the first time the client's sampler draws
+from it; until then the stream sits at its seeded start, so creating it later
+changes no draw. Client sampling uses its own server stream; aggregation order
+is always ascending id, so reruns are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,14 +71,6 @@ class HyperParams:
 
 
 @dataclass
-class ClientState:
-    client_id: int
-    last_local: np.ndarray
-    aux: dict[str, np.ndarray]
-    rng: np.random.Generator
-
-
-@dataclass
 class ServerState:
     round: int
     global_params: np.ndarray
@@ -123,7 +118,10 @@ def aggregate(updates: list[tuple[int, np.ndarray]], weights: dict[int, float] |
 
 
 def local_train(problem, spec: StrategySpec, i: int, ctx: LocalCtx, rng, batch_size) -> np.ndarray:
-    """Run ctx.k_steps local updates from ctx.start on client i's objective."""
+    """Run ctx.k_steps local updates from ctx.start on client i's objective.
+
+    rng is a zero-argument accessor returning client i's generator.
+    """
     sampler = problem.start_local_pass(i, rng, batch_size)
     w = ctx.start
     for _ in range(ctx.k_steps):
@@ -143,7 +141,13 @@ class RunResult:
 
 
 class Simulation:
-    """A running experiment: server + client states advancing one round per step()."""
+    """A running experiment: server + client states advancing one round per step().
+
+    last_local is the (C, d) matrix of client end models (row i: client i);
+    client_aux maps each auxiliary key of the strategy (SCAFFOLD's control
+    variates, FedDyn's duals) to a (C, d) matrix; client_rngs[i] is client i's
+    generator, or None until its first draw (see client_rng).
+    """
 
     def __init__(
         self,
@@ -176,28 +180,27 @@ class Simulation:
                 np.random.SeedSequence(entropy=self.seed, spawn_key=(_KEY_SAMPLING,))
             ),
         )
+        c = problem.n_clients
         # every client's "previous end model" starts at w0, so round 0's
         # relaxed init is a no-op and the initial divergence is exactly zero
-        self.clients = [
-            ClientState(
-                client_id=i,
-                last_local=w0.copy(),
-                aux=strat.init_client_aux(spec, dim),
-                rng=np.random.default_rng(
-                    np.random.SeedSequence(entropy=self.seed, spawn_key=(_KEY_CLIENT, i))
-                ),
-            )
-            for i in range(problem.n_clients)
-        ]
+        self.last_local = np.tile(w0, (c, 1))
+        self.client_aux = {k: np.tile(v, (c, 1)) for k, v in strat.init_client_aux(spec, dim).items()}
+        self.client_rngs: list[np.random.Generator | None] = [None] * c
         self.records: list[RoundRecord] = []
+
+    def client_rng(self, i: int) -> np.random.Generator:
+        """Client i's private generator, created from (seed, i) on first use."""
+        gen = self.client_rngs[i]
+        if gen is None:
+            gen = self.client_rngs[i] = np.random.default_rng(
+                np.random.SeedSequence(entropy=self.seed, spawn_key=(_KEY_CLIENT, i))
+            )
+        return gen
 
     # -- inspection helpers -------------------------------------------------
 
-    def client_last_locals(self) -> np.ndarray:
-        return np.stack([c.last_local for c in self.clients])
-
     def current_divergence(self) -> float:
-        return divergence(self.server.global_params, self.client_last_locals())
+        return divergence(self.server.global_params, self.last_local)
 
     def steps_for(self, i: int) -> int:
         if self.hp.k_local is not None:
@@ -215,18 +218,18 @@ class Simulation:
     # -- the round ----------------------------------------------------------
 
     def _train_one(self, cid: int, eta: float):
-        client = self.clients[cid]
         beta = self.spec.beta if self.spec.ri else 0.0
-        start = relaxed_init(self.server.global_params, client.last_local, beta)
+        start = relaxed_init(self.server.global_params, self.last_local[cid], beta)
         ctx = LocalCtx(
             anchor=self.server.global_params,
             start=start,
             eta=eta,
             k_steps=self.steps_for(cid),
-            client_aux=client.aux,
+            client_aux={k: m[cid] for k, m in self.client_aux.items()},
             server_aux=self.server.aux,
         )
-        w_end = local_train(self.problem, self.spec, cid, ctx, client.rng, self.hp.batch_size)
+        w_end = local_train(self.problem, self.spec, cid, ctx, partial(self.client_rng, cid),
+                            self.hp.batch_size)
         aux_updates = strat.finish_local(self.spec, ctx, w_end)
         return cid, w_end, aux_updates, ctx.k_steps
 
@@ -243,11 +246,11 @@ class Simulation:
         uploads = []
         step_counts = []
         for cid, w_end, aux_updates, k_i in results:
-            client = self.clients[cid]
             if self.spec.kind == "scaffold":
-                control_deltas.append(aux_updates["control"] - client.aux["control"])
-            client.aux.update(aux_updates)
-            client.last_local = w_end
+                control_deltas.append(aux_updates["control"] - self.client_aux["control"][cid])
+            for k, v in aux_updates.items():
+                self.client_aux[k][cid] = v
+            self.last_local[cid] = w_end
             uploads.append((cid, w_end))
             step_counts.append(k_i)
 

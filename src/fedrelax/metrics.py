@@ -1,7 +1,7 @@
 """Round instrumentation: divergence, gaps, cost accounting, smoothing."""
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class RoundRecord:
     lr: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)  # every field is a scalar, so a shallow copy suffices
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoundRecord":

@@ -57,22 +57,6 @@ def as_params(w) -> np.ndarray:
     return w
 
 
-def combine(coeffs, vectors) -> np.ndarray:
-    """Linear combination sum_i coeffs[i] * vectors[i] of same-dimension parameter vectors."""
-    if len(coeffs) != len(vectors):
-        raise ValueError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-    if not vectors:
-        raise ValueError("combine needs at least one vector")
-    dim = len(vectors[0])
-    out = np.zeros(dim, dtype=np.float64)
-    for c, v in zip(coeffs, vectors):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (dim,):
-            raise ValueError(f"dimension mismatch: expected ({dim},), got {v.shape}")
-        out += float(c) * v
-    return out
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # stable for large |z|
 

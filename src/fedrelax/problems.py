@@ -34,6 +34,9 @@ from .quadratics import QuadraticFamily
 
 
 class _QuadSampler:
+    """Noisy quadratic gradients; rng is a zero-argument accessor of the client's
+    generator, called only when there is noise to draw."""
+
     def __init__(self, family: QuadraticFamily, i: int, rng, noise: float):
         self.family = family
         self.i = i
@@ -44,7 +47,7 @@ class _QuadSampler:
         fam, i = self.family, self.i
         if self.noise == 0.0:
             return lambda w: fam.client_grad(i, w)
-        eps = self.rng.normal(0.0, self.noise, size=fam.dim)
+        eps = self.rng().normal(0.0, self.noise, size=fam.dim)
         # one noise draw per step, shared by every evaluation within the step
         # (the two-point lookahead rule sees the same "batch")
         return lambda w: fam.client_grad(i, w) + eps
@@ -107,6 +110,9 @@ class QuadraticProblem:
 
 
 class _BatchSampler:
+    """Epoch-wise mini-batches; rng is a zero-argument accessor of the client's
+    generator, called only at a reshuffle (never for full batches)."""
+
     def __init__(self, model, shard: Dataset, rng, batch_size):
         self.model = model
         self.shard = shard
@@ -128,7 +134,7 @@ class _BatchSampler:
         else:
             n = len(self.shard)
             if self._perm is None or self._cursor >= n:
-                self._perm = self.rng.permutation(n)
+                self._perm = self.rng().permutation(n)
                 self._cursor = 0
             idx = self._perm[self._cursor:self._cursor + self.batch_size]
             self._cursor += self.batch_size

@@ -215,8 +215,8 @@ def paired_run(
         sim_a.step()
         sim_b.step()
         gap = 0.0
-        for ca, cb in zip(sim_a.clients, sim_b.clients):
-            gap += float(np.linalg.norm(ca.last_local - cb.last_local))
+        for la, lb in zip(sim_a.last_local, sim_b.last_local):
+            gap += float(np.linalg.norm(la - lb))
         deltas.append(gap / problem_a.n_clients)
         global_dists.append(
             float(np.linalg.norm(sim_a.server.global_params - sim_b.server.global_params))

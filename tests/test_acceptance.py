@@ -55,7 +55,7 @@ def test_criterion_01_beta_zero_matches_fedavg_exactly():
         a = run_experiment(prob, make_strategy("fedinit", beta=0.0), hp_run, seed=0)
         b = run_experiment(prob, make_strategy("fedavg"), hp_run, seed=0)
         ok = ok and np.array_equal(a.final_global, b.final_global)
-        ok = ok and np.array_equal(a.sim.client_last_locals(), b.sim.client_last_locals())
+        ok = ok and np.array_equal(a.sim.last_local, b.sim.last_local)
         ok = ok and _records_equal(a.records, b.records)
     _report(1, "beta=0 trajectory identical to plain averaging", ok)
 

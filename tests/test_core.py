@@ -37,7 +37,7 @@ def test_two_rounds_traced_by_hand():
     assert res.records[0].divergence == 0.0
     assert res.records[1].divergence == pytest.approx(0.009025, abs=1e-15)
     assert res.final_global[0] == pytest.approx(0.17195, abs=1e-15)
-    locs = res.sim.client_last_locals()
+    locs = res.sim.last_local
     assert locs[0, 0] == pytest.approx(0.115425, abs=1e-15)
     assert locs[1, 0] == pytest.approx(0.228475, abs=1e-15)
 
@@ -58,10 +58,10 @@ def test_straggler_state_frozen():
     sim = Simulation(prob, spec, hp, seed=0, w0=np.array([0.0]))
     w0 = sim.server.global_params.copy()
     sim.step()
-    active = [i for i, c in enumerate(sim.clients) if not np.array_equal(c.last_local, w0)]
+    active = [i for i, row in enumerate(sim.last_local) if not np.array_equal(row, w0)]
     assert len(active) == 1  # with these targets the trained client always moves
     idle = 1 - active[0]
-    assert np.array_equal(sim.clients[idle].last_local, w0)
+    assert np.array_equal(sim.last_local[idle], w0)
 
 
 def test_straggler_keeps_old_model_across_rounds():
@@ -71,9 +71,9 @@ def test_straggler_keeps_old_model_across_rounds():
     spec = make_strategy("fedavg")
     hp = HyperParams(eta=0.05, rounds=1, n_active=2, k_local=3)
     sim = Simulation(prob, spec, hp, seed=3)
-    before = sim.client_last_locals().copy()
+    before = sim.last_local.copy()
     rec = sim.step()
-    after = sim.client_last_locals()
+    after = sim.last_local
     moved = [i for i in range(5) if not np.array_equal(before[i], after[i])]
     assert len(moved) == hp.n_active
     del rng_probe, rec
@@ -147,12 +147,16 @@ def test_client_batch_streams_independent_of_participation():
     spec = make_strategy("fedavg")
     hp = HyperParams(eta=0.1, rounds=3, n_active=2, k_local=2, batch_size=8)
     sim = Simulation(prob, spec, hp, seed=11)
-    states = {i: sim.clients[i].rng.bit_generator.state["state"]["state"] for i in range(6)}
+    states = {i: sim.client_rng(i).bit_generator.state["state"]["state"] for i in range(6)}
     sim.step()
     # exactly the sampled clients' generators advanced
     moved = {i for i in range(6)
-             if sim.clients[i].rng.bit_generator.state["state"]["state"] != states[i]}
+             if sim.client_rng(i).bit_generator.state["state"]["state"] != states[i]}
     assert len(moved) == hp.n_active
+    # generators are created on first draw: a fresh run creates only the sampled ones
+    lazy = Simulation(prob, spec, hp, seed=11)
+    lazy.step()
+    assert {i for i, g in enumerate(lazy.client_rngs) if g is not None} == moved
 
 
 def test_lr_schedules():
@@ -253,7 +257,7 @@ def test_weighted_aggregation_matches_hand_mean():
     sim_u = Simulation(prob, spec, hp_u, 0)
     sim_w.step()
     sim_u.step()
-    la_w = sim_w.client_last_locals()
+    la_w = sim_w.last_local
     expected = (40.0 * la_w[0] + 20.0 * la_w[1]) / 60.0
     np.testing.assert_allclose(sim_w.server.global_params, expected, atol=1e-15)
     assert not np.array_equal(sim_w.server.global_params, sim_u.server.global_params)

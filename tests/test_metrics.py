@@ -28,6 +28,18 @@ def brute_force_divergence(global_w, last_locals):
     return total / len(last_locals)
 
 
+@settings(max_examples=100, deadline=None)
+@given(c=st.integers(1, 40), d=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_divergence_invariant_under_client_permutation(c, d, seed):
+    # the per-client terms are the same numbers in another order; only the
+    # summation order of their mean changes, which moves at most a few ulps
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=d)
+    locals_ = rng.normal(scale=rng.uniform(0.1, 10.0), size=(c, d))
+    perm = rng.permutation(c)
+    assert divergence(g, locals_[perm]) == pytest.approx(divergence(g, locals_), rel=1e-13)
+
+
 def test_divergence_matches_brute_force_100_instances():
     rng = np.random.default_rng(0)
     for _ in range(100):

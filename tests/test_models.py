@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedrelax.models import (
     Batch,
@@ -14,7 +12,6 @@ from fedrelax.models import (
     QuadraticModel,
     accuracy,
     as_params,
-    combine,
     finite_diff_grad,
 )
 
@@ -217,24 +214,6 @@ def test_as_params_validates():
         as_params(np.ones((2, 2)))
     with pytest.raises(ValueError):
         as_params(np.array([1.0, np.nan]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    c1=st.floats(-5, 5, allow_nan=False),
-    c2=st.floats(-5, 5, allow_nan=False),
-    seed=st.integers(0, 2**16),
-)
-def test_combine_is_linear(c1, c2, seed):
-    rng = np.random.default_rng(seed)
-    v1, v2 = rng.normal(size=4), rng.normal(size=4)
-    out = combine([c1, c2], [v1, v2])
-    np.testing.assert_allclose(out, c1 * v1 + c2 * v2, atol=1e-12)
-
-
-def test_combine_rejects_mismatched_dims():
-    with pytest.raises(ValueError):
-        combine([1.0, 1.0], [np.zeros(3), np.zeros(4)])
 
 
 def test_batch_validation():

@@ -165,9 +165,9 @@ def test_partial_participation_zero_until_first_draw():
     sim = Simulation(prob_a, spec, hp, seed=7)
     first = None
     for t in range(hp.rounds):
-        before = sim.clients[1].last_local.copy()
+        before = sim.last_local[1].copy()
         sim.step()
-        if first is None and not np.array_equal(before, sim.clients[1].last_local):
+        if first is None and not np.array_equal(before, sim.last_local[1]):
             first = t
     tr = paired_run(prob_a, prob_b, spec, hp, seed=7)
     assert tr.t0 == first
