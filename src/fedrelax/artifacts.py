@@ -110,6 +110,8 @@ def save_checkpoint(path, sim, config_hash: str | None = None) -> None:
 def load_checkpoint(path) -> dict:
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

@@ -1,10 +1,11 @@
 """Command-line runner.
 
 Subcommands: run, sweep, verify-bounds, stability, partition-report.
-Config is a flat JSON file (--config); --seed/--out/--jobs override file
-values; FEDRELAX_OUT and FEDRELAX_JOBS may override output directory and
-parallelism only.  Every artifact embeds the config hash, and reruns of the
-same config + seed are byte-identical.
+Config is a flat JSON file (--config); --seed/--out (and --jobs on sweep)
+override file values; FEDRELAX_OUT and FEDRELAX_JOBS may override output
+directory and parallelism only.  --resume belongs to run, --allow-negative-beta
+to run, sweep and verify-bounds.  Every artifact embeds the config hash, and
+reruns of the same config + seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .config import (
 from .core import Simulation
 from .datasets import load_csv, make_blobs, partition_statistics
 from .stability import make_paired_blob_problems, stability_experiment, summarize_traces
-from .theory import TheoryAssumptionError, verify_convergence_bound
+from .theory import verify_convergence_bound
 
 CHECKPOINT_NAME = "checkpoint.json"
 
@@ -60,8 +61,11 @@ def _load_and_resolve(args, mode: str) -> dict:
 
 
 def _run_once(cfg: dict, *, allow_negative_beta: bool, out_dir: str | None,
-              resume: bool = False, write: bool = True):
-    """Build everything from a resolved config and run to completion."""
+              resume: bool = False):
+    """Build everything from a resolved config and run to completion.
+
+    Only with an out_dir does it checkpoint and write rounds.csv + summary.json.
+    """
     h = config_hash(cfg)
     problem, plan = build_problem(cfg)
     spec = build_strategy(cfg, allow_negative_beta=allow_negative_beta)
@@ -79,7 +83,7 @@ def _run_once(cfg: dict, *, allow_negative_beta: bool, out_dir: str | None,
         checkpoint_every=cfg["checkpoint_every"] if ckpt_path else 0,
         checkpoint_path=ckpt_path,
     )
-    if write and out_dir:
+    if out_dir:
         artifacts.write_rounds_csv(os.path.join(out_dir, "rounds.csv"), result.records, h)
         artifacts.write_summary(
             os.path.join(out_dir, "summary.json"),
@@ -111,7 +115,7 @@ def _sweep_cell(payload: str):
     job = json.loads(payload)
     cfg = job["cfg"]
     result, _, _, _ = _run_once(
-        cfg, allow_negative_beta=job["allow_negative_beta"], out_dir=None, write=False,
+        cfg, allow_negative_beta=job["allow_negative_beta"], out_dir=None,
     )
     final = result.summary["final"]
     row = {
@@ -198,7 +202,7 @@ def cmd_verify_bounds(args) -> int:
     h = config_hash(cfg)
     out_dir = _effective_out(cfg, args.out, f"bounds-{h[:12]}")
     result, problem, spec, _ = _run_once(
-        cfg, allow_negative_beta=args.allow_negative_beta, out_dir=None, write=False,
+        cfg, allow_negative_beta=args.allow_negative_beta, out_dir=None,
     )
     report = verify_convergence_bound(cfg["theorem"], result, problem)
     artifacts.write_json(
@@ -297,17 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
         "stability": ("paired-run uniform-stability experiment", cmd_stability),
         "partition-report": ("report per-client label statistics for a partition", cmd_partition_report),
     }
+    parsers = {}
     for name, (help_text, fn) in handlers.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to flat JSON config")
         p.add_argument("--seed", type=int, help="overrides the config seed")
         p.add_argument("--out", help="output directory (also FEDRELAX_OUT)")
-        p.add_argument("--resume", action="store_true",
-                       help="continue from the checkpoint in the output directory")
-        p.add_argument("--allow-negative-beta", action="store_true",
-                       help="permit beta < 0 (reversed relaxation)")
-        p.add_argument("--jobs", type=int, help="parallel jobs for sweeps (also FEDRELAX_JOBS)")
         p.set_defaults(handler=fn)
+    # each flag only where its subcommand honors it
+    parsers["run"].add_argument("--resume", action="store_true",
+                                help="continue from the checkpoint in the output directory")
+    parsers["sweep"].add_argument("--jobs", type=int, help="parallel jobs (also FEDRELAX_JOBS)")
+    for name in ("run", "sweep", "verify-bounds"):
+        parsers[name].add_argument("--allow-negative-beta", action="store_true",
+                                   help="permit beta < 0 (reversed relaxation)")
     return parser
 
 
@@ -315,10 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, TheoryAssumptionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ConfigError and TheoryAssumptionError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -187,6 +187,9 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
         if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in cfg["betas"]):
             raise ConfigError("betas must be a list of numbers")
         cfg["betas"] = [float(b) for b in cfg["betas"]]
+        if mode == "stability" and min(cfg["betas"], default=0.0) < 0.0:
+            raise ConfigError("config key 'betas' must be >= 0 in stability mode: "
+                              "the stability factor is stated for beta >= 0")
     if cfg["sweep"] is not None:
         _validate_sweep(cfg["sweep"])
     cfg["schema_version"] = SCHEMA_VERSION

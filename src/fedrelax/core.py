@@ -2,9 +2,12 @@
 
 One round: sample N of C clients, initialize each participant at
 start = w + beta * (w - last_local)  (beta = 0 without relaxed init), run K
-local steps of the strategy's update rule, carry non-participants' last local
-models forward unchanged, aggregate participants' end models by unweighted
-mean in ascending client-id order, then apply the strategy's server rule.
+local steps of the strategy's update rule, and let each participant write its
+own rows of the population matrices (its end model into last_local, its
+strategy state into client_aux); non-participants' rows stay as they were.
+The server then averages the participants' last_local rows, summed row by row
+in ascending client id, and applies the strategy's server rule to that mean
+and to the participants' aux change.
 
 Determinism contract: all arithmetic is float64; every client owns a private
 generator seeded from (seed, client id) that only advances when that client
@@ -93,27 +96,26 @@ def sample_clients(rng: np.random.Generator, n_clients: int, n_active: int) -> n
     return np.sort(picked)
 
 
-def aggregate(updates: list[tuple[int, np.ndarray]], weights: dict[int, float] | None = None) -> np.ndarray:
-    """Mean of participant models, summed in ascending client-id order.
+def aggregate(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Mean of the (N, d) participant rows, summed one row at a time in row order.
 
-    Unweighted by default; optional weights are normalized over participants.
+    Unweighted by default; optional (N,) weights are normalized over the rows.
+    The row loop fixes the rounding: NumPy's pairwise sum(axis=0) rounds
+    differently when d = 1 and N > 8.
     """
-    if not updates:
+    if len(rows) == 0:
         raise ValueError("nothing to aggregate")
-    ordered = sorted(updates, key=lambda cw: cw[0])
-    dim = len(ordered[0][1])
-    out = np.zeros(dim)
+    out = np.zeros(rows.shape[1])
     if weights is None:
-        for _, w in ordered:
-            if len(w) != dim:
-                raise ValueError("mismatched parameter dimensions in aggregation")
+        for w in rows:
             out += w
-        return out / len(ordered)
-    total = sum(weights[cid] for cid, _ in ordered)
+        return out / len(rows)
+    weights = weights.tolist()
+    total = sum(weights)
     if total <= 0.0:
         raise ValueError("aggregation weights must sum to a positive value")
-    for cid, w in ordered:
-        out += (weights[cid] / total) * w
+    for wi, w in zip(weights, rows):
+        out += (wi / total) * w
     return out
 
 
@@ -144,9 +146,10 @@ class Simulation:
     """A running experiment: server + client states advancing one round per step().
 
     last_local is the (C, d) matrix of client end models (row i: client i);
-    client_aux maps each auxiliary key of the strategy (SCAFFOLD's control
-    variates, FedDyn's duals) to a (C, d) matrix; client_rngs[i] is client i's
-    generator, or None until its first draw (see client_rng).
+    client_aux maps each auxiliary key of the strategy (control variates,
+    duals) to a (C, d) matrix; client_rngs[i] is client i's generator, or None
+    until its first draw (see client_rng). agg_weights holds each client's
+    sample count when aggregation is weighted, else None.
     """
 
     def __init__(
@@ -187,6 +190,11 @@ class Simulation:
         self.client_aux = {k: np.tile(v, (c, 1)) for k, v in strat.init_client_aux(spec, dim).items()}
         self.client_rngs: list[np.random.Generator | None] = [None] * c
         self.records: list[RoundRecord] = []
+        self.agg_weights = None
+        if hp.weighted_aggregation:
+            if not hasattr(problem, "shard_size"):
+                raise ValueError("weighted aggregation needs per-client sample counts")
+            self.agg_weights = np.array([float(problem.shard_size(i)) for i in range(c)])
 
     def client_rng(self, i: int) -> np.random.Generator:
         """Client i's private generator, created from (seed, i) on first use."""
@@ -217,12 +225,11 @@ class Simulation:
 
     # -- the round ----------------------------------------------------------
 
-    def _train_one(self, cid: int, eta: float):
-        beta = self.spec.beta if self.spec.ri else 0.0
-        start = relaxed_init(self.server.global_params, self.last_local[cid], beta)
+    def _train_one(self, cid: int, eta: float) -> int:
+        """Train client cid from its relaxed start, write its rows, return its step count."""
         ctx = LocalCtx(
             anchor=self.server.global_params,
-            start=start,
+            start=relaxed_init(self.server.global_params, self.last_local[cid], self.spec.beta),
             eta=eta,
             k_steps=self.steps_for(cid),
             client_aux={k: m[cid] for k, m in self.client_aux.items()},
@@ -230,8 +237,10 @@ class Simulation:
         )
         w_end = local_train(self.problem, self.spec, cid, ctx, partial(self.client_rng, cid),
                             self.hp.batch_size)
-        aux_updates = strat.finish_local(self.spec, ctx, w_end)
-        return cid, w_end, aux_updates, ctx.k_steps
+        for k, v in strat.finish_local(self.spec, ctx, w_end).items():
+            self.client_aux[k][cid] = v
+        self.last_local[cid] = w_end
+        return ctx.k_steps
 
     def step(self) -> RoundRecord:
         t = self.server.round
@@ -240,36 +249,19 @@ class Simulation:
         div = self.current_divergence()
 
         active = sample_clients(self.server.rng, self.problem.n_clients, self.hp.n_active)
-        results = [self._train_one(cid, eta) for cid in active]  # ascending ids
-
-        control_deltas = []
-        uploads = []
-        step_counts = []
-        for cid, w_end, aux_updates, k_i in results:
-            if self.spec.kind == "scaffold":
-                control_deltas.append(aux_updates["control"] - self.client_aux["control"][cid])
-            for k, v in aux_updates.items():
-                self.client_aux[k][cid] = v
-            self.last_local[cid] = w_end
-            uploads.append((cid, w_end))
-            step_counts.append(k_i)
-
-        weights = None
-        if self.hp.weighted_aggregation:
-            if not hasattr(self.problem, "shard_size"):
-                raise ValueError("weighted aggregation needs per-client sample counts")
-            weights = {cid: float(self.problem.shard_size(cid)) for cid, _ in uploads}
-        agg = aggregate(uploads, weights)
+        aux_before = {k: m[active] for k, m in self.client_aux.items()}
+        steps = [self._train_one(cid, eta) for cid in active]  # ascending ids
+        weights = None if self.agg_weights is None else self.agg_weights[active]
         self.server.global_params = strat.server_step(
             self.spec,
             self.server.global_params,
-            agg,
+            aggregate(self.last_local[active], weights),
             self.server.aux,
             eta=eta,
-            mean_k=float(np.mean(step_counts)),
+            mean_k=float(np.mean(steps)),
             round_idx=t,
-            control_deltas=control_deltas,
-            n_total_clients=self.problem.n_clients,
+            aux_change={k: self.client_aux[k][active] - v for k, v in aux_before.items()},
+            n_clients=self.problem.n_clients,
         )
         self.server.round = t + 1
 

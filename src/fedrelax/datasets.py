@@ -97,9 +97,6 @@ class PartitionPlan:
     def n_clients(self) -> int:
         return len(self.assignments)
 
-    def sizes(self) -> np.ndarray:
-        return np.array([len(a) for a in self.assignments])
-
     def counts_matrix(self, labels: np.ndarray) -> np.ndarray:
         """Per-client label histogram, shape (C, n_classes)."""
         labels = np.asarray(labels)
@@ -197,7 +194,6 @@ def dirichlet_partition(
         raise ValueError("need at least one client")
     if concentration <= 0.0:
         raise ValueError(f"Dirichlet concentration must be positive, got {concentration}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A,))
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A, attempt)))
         assignments, props = _draw_partition(labels, n_clients, concentration, rng, with_replacement)

@@ -9,7 +9,8 @@ Two concrete kinds:
 
 * QuadraticProblem -- each client is a quadratic from a QuadraticFamily.
   "Stochastic batches" are modeled as additive gaussian gradient noise with
-  known standard deviation, so the local-noise level sigma_l is exact.  The
+  known per-coordinate standard deviation grad_noise, so the local-noise level
+  sigma_l = grad_noise * sqrt(d) used by theory.py is exact.  The
   global objective is evaluated in closed form (see quadratics.py).
 * DatasetProblem -- a model plus per-client data shards.  Mini-batches are
   drawn without replacement within an epoch and reshuffled each epoch from the
@@ -67,11 +68,6 @@ class QuadraticProblem:
     @property
     def dim(self) -> int:
         return self.family.dim
-
-    @property
-    def sigma_l(self) -> float:
-        """Exact bound on the per-step gradient noise norm scale (std per coordinate)."""
-        return self.grad_noise
 
     @property
     def w_star(self) -> np.ndarray:

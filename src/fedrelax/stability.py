@@ -228,9 +228,8 @@ def paired_run(
         lb = problem_a.per_sample_test_losses(sim_b.server.global_params)
         loss_gap = float(np.max(np.abs(la - lb)))
         u_bound = 1.1 * float(max(np.max(la), np.max(lb)))
-    beta = spec.beta if spec.ri else 0.0
     return StabilityTrace(
-        beta=beta,
+        beta=spec.beta,
         seed=seed,
         k_local=hp.k_local,
         c=hp.eta,

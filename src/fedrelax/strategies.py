@@ -39,6 +39,16 @@ class StrategySpec:
             return "fedinit"
         return self.kind + "+ri" if self.ri else self.kind
 
+    def __post_init__(self):
+        if self.kind not in BASE_KINDS:
+            raise ValueError(f"unknown base kind {self.kind!r}; known: {', '.join(BASE_KINDS)}")
+        if self.beta != 0.0 and not self.ri:
+            raise ValueError("beta is set but relaxed initialization is disabled")
+        if self.rho < 0.0:
+            raise ValueError("rho must be >= 0")
+        if not 0.0 <= self.cm_alpha <= 1.0:
+            raise ValueError("cm_alpha must lie in [0, 1]")
+
 
 def make_strategy(name: str, *, beta: float | None = None,
                   allow_negative_beta: bool = False, **overrides) -> StrategySpec:
@@ -58,31 +68,22 @@ def make_strategy(name: str, *, beta: float | None = None,
         kind, ri = name, beta is not None
     if kind == "fedadam" and "server_lr" not in overrides:
         overrides["server_lr"] = 0.1
-    spec = StrategySpec(kind=kind, ri=ri, beta=float(beta or 0.0), **overrides)
-    _validate(spec, allow_negative_beta)
-    return spec
+    beta = float(beta or 0.0)
+    _check_beta_sign(beta, allow_negative_beta)
+    return StrategySpec(kind=kind, ri=ri, beta=beta, **overrides)
 
 
 def compose_ri(spec: StrategySpec, beta: float, *, allow_negative_beta: bool = False) -> StrategySpec:
     """Enable relaxed initialization on an existing strategy; nothing else changes."""
-    out = replace(spec, ri=True, beta=float(beta))
-    _validate(out, allow_negative_beta)
-    return out
+    _check_beta_sign(float(beta), allow_negative_beta)
+    return replace(spec, ri=True, beta=float(beta))
 
 
-def _validate(spec: StrategySpec, allow_negative_beta: bool) -> None:
-    if spec.kind not in BASE_KINDS:
-        raise ValueError(f"unknown base kind {spec.kind!r}")
-    if spec.beta != 0.0 and not spec.ri:
-        raise ValueError("beta is set but relaxed initialization is disabled")
-    if spec.beta < 0.0 and not allow_negative_beta:
+def _check_beta_sign(beta: float, allow_negative_beta: bool) -> None:
+    if beta < 0.0 and not allow_negative_beta:
         raise ValueError(
-            f"negative beta ({spec.beta}) is simulation-only; pass allow_negative_beta/--allow-negative-beta"
+            f"negative beta ({beta}) is simulation-only; pass allow_negative_beta/--allow-negative-beta"
         )
-    if spec.rho < 0.0:
-        raise ValueError("rho must be >= 0")
-    if not 0.0 <= spec.cm_alpha <= 1.0:
-        raise ValueError("cm_alpha must lie in [0, 1]")
 
 
 def init_client_aux(spec: StrategySpec, dim: int) -> dict[str, np.ndarray]:
@@ -133,14 +134,12 @@ def client_step(spec: StrategySpec, w: np.ndarray, grad_fn, ctx: LocalCtx) -> np
         d = grad_fn(w) - ctx.client_aux["dual"]
         if spec.dyn_alpha != 0.0:
             d = d + spec.dyn_alpha * (w - ctx.anchor)
-    elif kind == "fedcm":
+    else:  # fedcm; StrategySpec admits no other kind
         g = grad_fn(w)
         if spec.cm_alpha == 0.0:
             d = g
         else:
             d = spec.cm_alpha * ctx.server_aux["momentum"] + (1.0 - spec.cm_alpha) * g
-    else:
-        raise ValueError(f"unknown base kind {kind!r}")
     return w - ctx.eta * d
 
 
@@ -166,10 +165,17 @@ def server_step(
     eta: float,
     mean_k: float,
     round_idx: int,
-    control_deltas: list[np.ndarray] | None = None,
-    n_total_clients: int | None = None,
+    n_clients: int,
+    aux_change: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Produce w^{t+1} from the aggregated client mean; mutates server_aux in place."""
+    """Produce w^{t+1} from the aggregated client mean; mutates server_aux in place.
+
+    aux_change maps each client aux key to the (N, d) change of the
+    participants' rows this round, in ascending client id; SCAFFOLD needs it.
+    n_clients is the population size C. SCAFFOLD's server control moves by
+    (1/C) * sum of the participants' control changes, summed row by row, so it
+    stays the mean of all C client controls.
+    """
     if spec.kind == "fedadam":
         pseudo = global_w - aggregated
         b1, b2 = spec.adam_beta1, spec.adam_beta2
@@ -185,8 +191,7 @@ def server_step(
         new_global = global_w + spec.server_lr * (aggregated - global_w)
 
     if spec.kind == "scaffold":
-        if control_deltas and n_total_clients:
-            server_aux["control"] = server_aux["control"] + sum(control_deltas) / n_total_clients
+        server_aux["control"] = server_aux["control"] + sum(aux_change["control"]) / n_clients
     elif spec.kind == "fedcm":
         server_aux["momentum"] = (global_w - new_global) / (eta * mean_k)
     return new_global

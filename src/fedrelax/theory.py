@@ -195,7 +195,7 @@ def verify_convergence_bound(
     eta, k = _check_trace(result, problem)
     spec: StrategySpec = result.sim.spec
     hp = result.sim.hp
-    beta = spec.beta if spec.ri else 0.0
+    beta = spec.beta
     t_rounds = len(result.records)
     n = hp.n_active
     c_clients = problem.n_clients

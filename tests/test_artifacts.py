@@ -146,8 +146,10 @@ def _grow(p, field, axis):
 
 
 # each edit breaks one consistency check of a valid scaffold checkpoint
-# (8 rounds, saved after round 2)
+# (8 rounds, saved after round 2); an edit that is not callable replaces the
+# whole payload
 BAD_PAYLOADS = {
+    "top_level_list": ([1, 2], "must hold a JSON object, got list"),
     "global_params": (lambda p: _grow(p, "global_params", 0), "global_params"),
     "last_local_clients": (lambda p: _grow(p, "last_local", 0), "last_local"),
     "last_local_dim": (lambda p: _grow(p, "last_local", 1), "last_local"),
@@ -179,9 +181,13 @@ def test_inconsistent_checkpoint_refused_naming_the_field(tmp_path, case):
     payload = load_checkpoint(path)
     restore_simulation(problem, sim.spec, sim.hp, copy.deepcopy(payload))  # valid as saved
     edit, match = BAD_PAYLOADS[case]
-    edit(payload)
-    with pytest.raises(ValueError, match=match):
-        restore_simulation(problem, sim.spec, sim.hp, payload)
+    if callable(edit):
+        edit(payload)
+    else:
+        payload = edit
+    atomic_write_text(path, json.dumps(payload))
+    with pytest.raises(ValueError, match=match):  # the file goes the way of --resume
+        restore_simulation(problem, sim.spec, sim.hp, load_checkpoint(path))
 
 
 ROUND_TRIP_STRATEGIES = {

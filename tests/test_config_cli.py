@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fedrelax.cli import _effective_jobs, _effective_out, main
+from fedrelax.cli import _effective_jobs, _effective_out, build_parser, main
 from fedrelax.config import (
     ConfigError,
     build_hp,
@@ -106,6 +106,13 @@ def test_betas_coerced():
     assert all(isinstance(b, float) for b in cfg["betas"])
     with pytest.raises(ConfigError, match="numbers"):
         resolve_config({"betas": [0.1, True]})
+
+
+def test_stability_betas_nonnegative():
+    with pytest.raises(ConfigError, match="'betas' must be >= 0"):
+        resolve_config({"problem": "blobs", "betas": [0.0, -0.05]}, mode="stability")
+    # other modes do not use betas; make_strategy polices a negative beta there
+    assert resolve_config({"betas": [-0.05]})["betas"] == [-0.05]
 
 
 def test_sweep_validation():
@@ -308,6 +315,16 @@ def test_cli_resume_rejects_other_config(tmp_path):
     assert "different configuration" in r.stderr
 
 
+def test_cli_resume_non_object_checkpoint_exit_2(tmp_path):
+    cfg_path = write_cfg(tmp_path, RUN_CFG)
+    out = tmp_path / "listed"
+    out.mkdir()
+    (out / "checkpoint.json").write_text("[1, 2]")
+    r = cli("run", "--config", cfg_path, "--out", str(out), "--resume")
+    assert r.returncode == 2
+    assert "must hold a JSON object" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_unknown_key_exit_2(tmp_path):
     cfg_path = write_cfg(tmp_path, {"learning_rate": 0.1})
     r = cli("run", "--config", cfg_path, "--out", str(tmp_path / "o"))
@@ -389,6 +406,18 @@ def test_cli_stability_guards(tmp_path):
     assert "out of range" in r2.stderr
 
 
+def test_cli_stability_refuses_negative_beta(tmp_path):
+    cfg = {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3,
+           "rounds": 2, "local_iters": 2, "stability_seeds": 1, "betas": [0.0, -0.05]}
+    cfg_path = write_cfg(tmp_path, cfg)
+    r = cli("stability", "--config", cfg_path, "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "'betas' must be >= 0" in r.stderr
+    r2 = cli("stability", "--config", cfg_path, "--out", str(tmp_path / "o"), "--allow-negative-beta")
+    assert r2.returncode == 2
+    assert "unrecognized arguments: --allow-negative-beta" in r2.stderr
+
+
 def test_cli_partition_report(tmp_path):
     cfg = {"problem": "blobs", "n_clients": 5, "n_samples": 300, "n_features": 3,
            "concentration": 0.5, "n_test": 0}
@@ -437,6 +466,31 @@ def test_cli_sweep_requires_block(tmp_path):
             "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "sweep" in r.stderr
+
+
+FLAG_HOMES = {"--resume": ("run",), "--jobs": ("sweep",),
+              "--allow-negative-beta": ("run", "sweep", "verify-bounds")}
+
+
+def test_cli_flags_registered_only_where_honored(tmp_path, capsys):
+    parser = build_parser()
+    accepted = 0
+    for flag, homes in FLAG_HOMES.items():
+        for sub in ("run", "sweep", "verify-bounds", "stability", "partition-report"):
+            argv = [sub, flag] + (["2"] if flag == "--jobs" else [])
+            if sub in homes:
+                parser.parse_args(argv)
+                accepted += 1
+            else:
+                with pytest.raises(SystemExit) as e:
+                    parser.parse_args(argv)
+                assert e.value.code == 2
+    assert accepted == 5
+    cfg = {"problem": "quadratic", "sweep": {"axis": "lr", "values": [0.1]}}
+    r = cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"), "--resume")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --resume" in r.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_effective_out_and_jobs_helpers():

@@ -105,22 +105,26 @@ def test_sample_clients_properties():
 
 def test_aggregate_order_invariance_and_mean():
     rng = np.random.default_rng(1)
-    updates = [(i, rng.normal(size=3)) for i in range(5)]
-    shuffled = [updates[i] for i in (3, 0, 4, 1, 2)]
-    assert np.array_equal(aggregate(updates), aggregate(shuffled))
-    np.testing.assert_allclose(
-        aggregate(updates), np.mean([w for _, w in updates], axis=0), atol=1e-15
-    )
+    rows = rng.normal(size=(5, 3))
+    np.testing.assert_allclose(aggregate(rows), rows.mean(axis=0), atol=1e-15)
+    # rows are summed one at a time in row order, also where NumPy's pairwise
+    # sum(axis=0) would group them differently (d = 1, N > 8)
+    for _ in range(20):
+        col = rng.normal(size=(int(rng.integers(9, 40)), 1)) * 10.0 ** rng.integers(-3, 4)
+        running = np.zeros(1)
+        for w in col:
+            running += w
+        assert np.array_equal(aggregate(col), running / len(col))
 
 
 def test_aggregate_weighted():
-    updates = [(0, np.array([0.0])), (1, np.array([1.0]))]
-    out = aggregate(updates, weights={0: 1.0, 1: 3.0})
+    rows = np.array([[0.0], [1.0]])
+    out = aggregate(rows, weights=np.array([1.0, 3.0]))
     assert out == pytest.approx([0.75])
     with pytest.raises(ValueError, match="positive"):
-        aggregate(updates, weights={0: 0.0, 1: 0.0})
+        aggregate(rows, weights=np.zeros(2))
     with pytest.raises(ValueError, match="nothing"):
-        aggregate([])
+        aggregate(np.zeros((0, 1)))
 
 
 def blob_problem(seed=0, n_clients=6):
@@ -237,9 +241,8 @@ def test_uses_batch_randomness():
 def test_weighted_aggregation_requires_counts_and_weights_correctly():
     quad = scalar_pair_problem()
     hp = HyperParams(eta=0.1, rounds=1, n_active=2, k_local=1, weighted_aggregation=True)
-    sim = Simulation(quad, make_strategy("fedavg"), hp, 0)
-    with pytest.raises(ValueError, match="sample counts"):
-        sim.step()
+    with pytest.raises(ValueError, match="sample counts"):  # at construction, before any round
+        Simulation(quad, make_strategy("fedavg"), hp, 0)
 
 
 def test_weighted_aggregation_matches_hand_mean():

@@ -1,8 +1,13 @@
 """Strategy rules checked against single-step pencil math and null degradations."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedrelax.core import HyperParams, run_experiment
+from fedrelax.metrics import rounds_csv_text
 from fedrelax.problems import QuadraticProblem
 from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
 from fedrelax.strategies import (
@@ -117,7 +122,7 @@ def test_fedcm_server_momentum_update():
     w = np.array([1.0])
     agg = np.array([0.4])
     new = server_step(spec, w, agg, aux, eta=0.1, mean_k=3.0, round_idx=0,
-                      control_deltas=None, n_total_clients=4)
+                      n_clients=4)
     assert np.array_equal(new, agg)
     # m = (w - w') / (eta * K) = 0.6 / 0.3
     assert aux["momentum"] == pytest.approx([2.0])
@@ -130,7 +135,7 @@ def test_fedadam_server_step_by_hand():
     w = np.array([1.0])
     agg = np.array([0.0])  # pseudo-gradient = 1
     new = server_step(spec, w, agg, aux, eta=0.1, mean_k=5.0, round_idx=0,
-                      control_deltas=None, n_total_clients=4)
+                      n_clients=4)
     # bias-corrected first step: m_hat = pseudo, v_hat = pseudo^2
     expected = 1.0 - 0.1 * 1.0 / (1.0 + spec.adam_tau)
     assert new == pytest.approx([expected])
@@ -143,7 +148,7 @@ def test_fedadam_zero_pseudo_gradient_is_noop():
     aux = init_server_aux(spec, 2)
     w = np.array([1.0, -1.0])
     new = server_step(spec, w, w.copy(), aux, eta=0.1, mean_k=5.0, round_idx=0,
-                      control_deltas=None, n_total_clients=4)
+                      n_clients=4)
     np.testing.assert_array_equal(new, w)
 
 
@@ -151,24 +156,24 @@ def test_scaffold_server_control_update():
     spec = make_strategy("scaffold")
     aux = init_server_aux(spec, 1)
     w = np.array([1.0])
-    deltas = [np.array([0.4]), np.array([0.2])]
+    change = {"control": np.array([[0.4], [0.2]])}  # two participants' (N, d) control change
     server_step(spec, w, np.array([0.5]), aux, eta=0.1, mean_k=2.0, round_idx=0,
-                control_deltas=deltas, n_total_clients=4)
-    # c += (1/C) sum deltas = 0.6 / 4
+                aux_change=change, n_clients=4)
+    # c += (1/C) sum of the changes = 0.6 / 4
     assert aux["control"] == pytest.approx([0.15])
 
 
 def test_plain_server_step_is_aggregate():
     spec = make_strategy("fedavg")
     new = server_step(spec, np.array([5.0]), np.array([2.0]), {}, eta=0.1,
-                      mean_k=1.0, round_idx=0, control_deltas=None, n_total_clients=2)
+                      mean_k=1.0, round_idx=0, n_clients=2)
     assert np.array_equal(new, [2.0])
 
 
 def test_partial_server_lr_interpolates():
     spec = make_strategy("fedavg", server_lr=0.5)
     new = server_step(spec, np.array([4.0]), np.array([2.0]), {}, eta=0.1,
-                      mean_k=1.0, round_idx=0, control_deltas=None, n_total_clients=2)
+                      mean_k=1.0, round_idx=0, n_clients=2)
     assert new == pytest.approx([3.0])
 
 
@@ -178,19 +183,69 @@ NULL_CASES = [
     ("fedsam", {"rho": 0.0}),
     ("fedcm", {"cm_alpha": 0.0}),
     ("feddyn", {"dyn_alpha": 0.0}),
+    ("fedinit", {"beta": 0.0}),
+    ("scaffold", {}),  # one round only: every control variate is still zero
 ]
 
 
+@st.composite
+def quadratic_runs(draw, max_rounds=8):
+    """A random quadratic family and schedule; d = 1 with N > 8 is in range."""
+    c = draw(st.integers(1, 20))
+    return dict(
+        n_clients=c, dim=draw(st.integers(1, 5)), cond=draw(st.floats(1.0, 10.0)),
+        family_seed=draw(st.integers(0, 2**16)), grad_noise=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        eta=draw(st.floats(0.01, 0.08)), rounds=draw(st.integers(1, max_rounds)),
+        n_active=draw(st.integers(1, c)), k=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _run(spec, run, rounds=None):
+    fam = make_quadratic_family(run["n_clients"], run["dim"], spread=1.0, cond=run["cond"],
+                                seed=run["family_seed"])
+    prob = QuadraticProblem(fam, grad_noise=run["grad_noise"])
+    hp = HyperParams(eta=run["eta"], rounds=rounds or run["rounds"], n_active=run["n_active"],
+                     k_local=run["k"])
+    return run_experiment(prob, spec, hp, seed=run["seed"])
+
+
+def _csv(res, zero_bytes):
+    """rounds.csv text; zero_bytes blanks the byte columns, which count each strategy's payloads."""
+    records = res.records
+    if zero_bytes:
+        records = [replace(r, bytes_up=0, bytes_down=0) for r in records]
+    return rounds_csv_text(records, "0" * 64)
+
+
+PINNED_RUN = dict(n_clients=6, dim=4, cond=3.0, family_seed=0, grad_noise=0.1, eta=0.05,
+                  rounds=12, n_active=3, k=4, seed=1)
+D1_RUN = dict(n_clients=20, dim=1, cond=4.0, family_seed=3, grad_noise=0.1, eta=0.05,
+              rounds=6, n_active=18, k=3, seed=2)
+
+
 @pytest.mark.parametrize("name,null_kw", NULL_CASES)
-def test_null_parameters_degrade_to_fedavg_bitwise(name, null_kw):
-    fam = make_quadratic_family(6, 4, spread=1.0, cond=3.0, seed=0)
-    prob = QuadraticProblem(fam, grad_noise=0.1)
-    hp = HyperParams(eta=0.05, rounds=12, n_active=3, k_local=4)
-    base = run_experiment(prob, make_strategy("fedavg"), hp, seed=1)
-    degraded = run_experiment(prob, make_strategy(name, **null_kw), hp, seed=1)
-    assert np.array_equal(base.final_global, degraded.final_global)
-    for ra, rb in zip(base.records, degraded.records):
-        assert ra.train_loss == rb.train_loss and ra.divergence == rb.divergence
+@settings(max_examples=15, deadline=None)
+@example(run=PINNED_RUN)
+@example(run=D1_RUN)
+@given(run=quadratic_runs())
+def test_null_parameters_degrade_to_fedavg_bitwise(name, null_kw, run):
+    rounds = 1 if name == "scaffold" else None
+    spec = make_strategy(name, **null_kw)
+    base = _run(make_strategy("fedavg"), run, rounds)
+    degraded = _run(spec, run, rounds)
+    np.testing.assert_array_equal(degraded.final_global, base.final_global)
+    np.testing.assert_array_equal(degraded.sim.last_local, base.sim.last_local)
+    zero_bytes = payload_counts(spec) != payload_counts(make_strategy("fedavg"))
+    assert _csv(degraded, zero_bytes) == _csv(base, zero_bytes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=quadratic_runs(max_rounds=30), ri=st.booleans())
+def test_scaffold_server_control_is_mean_of_client_controls(run, ri):
+    res = _run(make_strategy("scaffold", beta=0.1 if ri else None), run)
+    controls = res.sim.client_aux["control"]
+    gap = np.max(np.abs(res.sim.server.aux["control"] - controls.mean(axis=0)))
+    assert gap <= 1e-12 * np.max(np.abs(controls))
 
 
 def test_ri_composition_only_changes_start():
@@ -233,12 +288,24 @@ def test_negative_beta_needs_flag():
 
 
 def test_beta_without_ri_rejected():
-    from fedrelax.strategies import _validate
-
     with pytest.raises(ValueError, match="relaxed initialization"):
-        _validate(StrategySpec(kind="fedavg", ri=False, beta=0.1), False)
+        StrategySpec(kind="fedavg", ri=False, beta=0.1)
     # compose_ri flips the flag and validates in one move
     assert compose_ri(StrategySpec(kind="fedavg"), 0.1).ri is True
+
+
+@pytest.mark.parametrize("fields,match", [
+    ({"kind": "nope"}, "unknown base kind"),
+    ({"kind": "fedavg", "beta": 0.3}, "relaxed initialization"),
+    ({"kind": "fedsam", "rho": -0.1}, "rho"),
+    ({"kind": "fedcm", "cm_alpha": -0.1}, "cm_alpha"),
+])
+def test_spec_validated_at_construction(fields, match):
+    with pytest.raises(ValueError, match=match):
+        StrategySpec(**fields)
+    base = StrategySpec(kind="fedavg")
+    with pytest.raises(ValueError, match=match):  # dataclasses.replace validates too
+        replace(base, **fields)
 
 
 def test_cm_alpha_range_enforced():

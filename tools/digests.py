@@ -1,0 +1,122 @@
+"""Print one sha256 per run of a fixed strategy x problem grid.
+
+    python3 tools/digests.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``fedrelax`` package (``src`` of a
+checkout). Two trees that print the same lines produce the same artifacts on
+every run of the grid, so a refactor that must keep results byte-identical
+is checked with
+
+    diff <(python3 tools/digests.py OLD/src) <(python3 tools/digests.py src)
+
+Each run hashes its rounds.csv text, its summary, the final global model,
+the ``last_local`` matrix, the client and server aux arrays and the bytes of
+its last checkpoint. One paired stability run hashes its per-round deltas
+and global distances.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+ROUNDS = 8
+
+
+def _strategies(fs):
+    make, ri = fs.make_strategy, fs.compose_ri
+    return {
+        "fedavg": lambda: make("fedavg"),
+        "fedinit": lambda: make("fedinit", beta=0.1),
+        "scaffold": lambda: make("scaffold"),
+        "scaffold+ri": lambda: ri(make("scaffold"), 0.05),
+        "feddyn": lambda: make("feddyn"),
+        "fedadam": lambda: make("fedadam"),
+        "fedcm": lambda: make("fedcm"),
+        "fedcm+ri": lambda: ri(make("fedcm"), 0.1),
+        "fedsam": lambda: make("fedsam"),
+    }
+
+
+def _problems(fr):
+    """name -> (problem, HyperParams), built fresh for every run."""
+    core, quad, prob, ds, models = fr.core, fr.quadratics, fr.problems, fr.datasets, fr.models
+    hp = core.HyperParams
+
+    def quadratic(c, d, noise, seed):
+        fam = quad.make_quadratic_family(c, d, spread=1.0, cond=3.0, seed=seed)
+        return prob.QuadraticProblem(fam, grad_noise=noise)
+
+    def blobs():
+        train, test = ds.make_blobs(240, 4, 3, seed=1, n_test=60)
+        shards = ds.shard_dataset(train, ds.dirichlet_partition(train.y, 6, 0.5, seed=1))
+        return prob.DatasetProblem(models.MLPClassifier(4, 5, 3), shards, test)
+
+    return {
+        "quad-d4": lambda: (quadratic(8, 4, 0.0, 0), hp(eta=0.1, rounds=ROUNDS, n_active=4, k_local=3)),
+        "quad-noisy": lambda: (quadratic(8, 3, 0.2, 1), hp(eta=0.1, rounds=ROUNDS, n_active=3, k_local=3)),
+        "quad-d1-n18": lambda: (quadratic(20, 1, 0.1, 2), hp(eta=0.1, rounds=ROUNDS, n_active=18, k_local=2)),
+        "mlp-minibatch": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=4, k_local=3, batch_size=8)),
+        "mlp-epochs-weighted": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=4, local_epochs=1,
+                                                    batch_size=16, weighted_aggregation=True)),
+        "mlp-fullbatch": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=3, k_local=2)),
+    }
+
+
+def _arrays(h, arrays: dict) -> None:
+    for k in sorted(arrays):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
+
+
+def run_digest(fr, spec, problem, hp, tmp: str) -> str:
+    ckpt = os.path.join(tmp, "checkpoint.json")
+    res = fr.core.run_experiment(problem, spec, hp, seed=3, checkpoint_every=3, checkpoint_path=ckpt)
+    sim = res.sim
+    h = hashlib.sha256()
+    h.update(fr.metrics.rounds_csv_text(res.records, "0" * 64).encode())
+    h.update(json.dumps(res.summary, sort_keys=True).encode())
+    _arrays(h, {"final_global": res.final_global, "last_local": sim.last_local})
+    _arrays(h, {f"client_aux.{k}": v for k, v in sim.client_aux.items()})
+    _arrays(h, {f"server_aux.{k}": v for k, v in sim.server.aux.items()})
+    with open(ckpt, "rb") as f:
+        h.update(f.read())
+    os.unlink(ckpt)
+    return h.hexdigest()
+
+
+def paired_digest(fr) -> str:
+    a, b, _ = fr.stability.make_paired_blob_problems(
+        n_clients=5, n_samples=150, n_features=3, n_classes=2, perturb=(1, 2),
+        n_test=30, model_kind="logistic-regression", seed=4,
+    )
+    hp = fr.core.HyperParams(eta=0.5, rounds=ROUNDS, n_active=3, k_local=3, batch_size=8,
+                             lr_schedule="inverse_t")
+    trace = fr.stability.paired_run(a, b, fr.strategies.make_strategy("fedinit", beta=0.1), hp, 4)
+    return hashlib.sha256(json.dumps([trace.deltas, trace.global_dists]).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "fedrelax")):
+        print("usage: digests.py SRC_DIR  (the directory holding the fedrelax package)", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.abspath(argv[0]))
+    import fedrelax as fr  # the package imports every module used here
+
+    problems = _problems(fr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for sname, make in _strategies(fr.strategies).items():
+            for pname, build in problems.items():
+                problem, hp = build()
+                print(f"{sname:<12} {pname:<20} {run_digest(fr, make(), problem, hp, tmp)}")
+    print(f"{'paired':<12} {'fedinit-blobs':<20} {paired_digest(fr)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
