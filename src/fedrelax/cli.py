@@ -21,6 +21,7 @@ import numpy as np
 
 from . import artifacts
 from .config import (
+    UNHONORED_KEYS,
     ConfigError,
     build_hp,
     build_problem,
@@ -154,7 +155,8 @@ def cmd_sweep(args) -> int:
     payloads = []
     for v in values:
         for s in seeds:
-            sub = {k: vv for k, vv in cfg.items() if k not in ("sweep", "schema_version")}
+            sub = {k: vv for k, vv in cfg.items()
+                   if k not in ("sweep", "schema_version", *UNHONORED_KEYS["sweep"])}
             sub[axis] = v
             sub["seed"] = s
             sub = resolve_config(sub, mode="sweep")  # re-validate the derived point
@@ -238,11 +240,9 @@ def cmd_stability(args) -> int:
         )
         return a, b
 
-    base_cfg = dict(cfg)
-    base_cfg["beta"] = None  # beta enters through the betas axis, not the base spec
-    if base_cfg["strategy"] == "fedinit":
-        base_cfg["strategy"] = "fedavg"
-    base_spec = build_strategy(base_cfg)
+    # beta enters through the betas axis, not the base spec; fedinit is fedavg + RI
+    strategy = "fedavg" if cfg["strategy"] == "fedinit" else cfg["strategy"]
+    base_spec = build_strategy({**cfg, "strategy": strategy})
     hp = build_hp(cfg)
     traces = stability_experiment(factory, base_spec, hp, betas, seeds)
     summary = summarize_traces(traces)

@@ -93,6 +93,13 @@ SCHEMA: dict[str, tuple] = {
 # keys that change where/how results are written, never what they are
 NONSEMANTIC_KEYS = ("out", "jobs", "checkpoint_every")
 
+# keys a mode would silently ignore; set there, they are refused by name
+UNHONORED_KEYS = {
+    "sweep": ("checkpoint_every",),          # sweep points write no checkpoints
+    "verify-bounds": ("checkpoint_every",),
+    "stability": ("beta",),                  # beta enters through betas
+}
+
 SCHEMA_VERSION = 1
 
 _TYPE_CHECKS = {
@@ -129,6 +136,9 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
     for k in merged:
         if k not in SCHEMA:
             raise ConfigError(f"unknown config key {k!r}")
+    for k in UNHONORED_KEYS.get(mode, ()):
+        if merged.get(k) is not None:
+            raise ConfigError(f"config key {k!r} is not honored in {mode} mode")
     cfg = {}
     for k, (typ, default, allowed) in SCHEMA.items():
         v = merged.get(k, default)

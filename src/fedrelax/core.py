@@ -1,25 +1,28 @@
 """The federated round engine.
 
-One round: sample N of C clients, initialize each participant at
-start = w + beta * (w - last_local)  (beta = 0 without relaxed init), run K
-local steps of the strategy's update rule, and let each participant write its
-own rows of the population matrices (its end model into last_local, its
-strategy state into client_aux); non-participants' rows stay as they were.
-The server then averages the participants' last_local rows, summed row by row
-in ascending client id, and applies the strategy's server rule to that mean
-and to the participants' aux change.
+One round: sample N of C clients and train them together as one (N, d)
+block. Each participant starts at w + beta * (w - last_local) (beta = 0
+without relaxed init), every local step updates all rows at once with the
+strategy's rule, and the block's end models and strategy state are written
+back into the participants' rows of the population matrices (last_local,
+client_aux); non-participants' rows stay as they were. Under local_epochs the
+participants are trained in one block per step count. The server then
+averages the participants' last_local rows, summed row by row in ascending
+client id, and applies the strategy's server rule to that mean and to the
+participants' aux change.
 
-Determinism contract: all arithmetic is float64; every client owns a private
-generator seeded from (seed, client id) that only advances when that client
-trains. The generator is created the first time the client's sampler draws
-from it; until then the stream sits at its seeded start, so creating it later
-changes no draw. Client sampling uses its own server stream; aggregation order
-is always ascending id, so reruns are bit-for-bit reproducible.
+Determinism contract: all arithmetic is float64 and row-wise, so a row of the
+block rounds exactly as that client trained alone; every client owns a
+private generator seeded from (seed, client id) that only advances when that
+client trains. The generator is created the first time the client's row
+draws from it; until then the stream sits at its seeded start, so creating it
+later changes no draw. Client sampling uses its own server stream;
+aggregation order is always ascending id, so reruns are bit-for-bit
+reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -82,9 +85,12 @@ class ServerState:
 
 
 def relaxed_init(global_w: np.ndarray, last_local: np.ndarray, beta: float) -> np.ndarray:
-    """Local starting point w + beta * (w - last_local); beta = 0 returns w exactly."""
+    """Start rows w + beta * (w - last_local) of the (N, d) block last_local.
+
+    beta = 0 returns w exactly, in a new array of last_local's shape.
+    """
     if beta == 0.0:
-        return global_w.copy()
+        return np.broadcast_to(global_w, last_local.shape).copy()
     return global_w + beta * (global_w - last_local)
 
 
@@ -119,15 +125,16 @@ def aggregate(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def local_train(problem, spec: StrategySpec, i: int, ctx: LocalCtx, rng, batch_size) -> np.ndarray:
-    """Run ctx.k_steps local updates from ctx.start on client i's objective.
+def local_train(problem, spec: StrategySpec, ids: np.ndarray, ctx: LocalCtx, rngs,
+                batch_size) -> np.ndarray:
+    """Run ctx.k_steps block updates from the (N, d) rows ctx.start; row j is client ids[j].
 
-    rng is a zero-argument accessor returning client i's generator.
+    rngs maps a client id to that client's generator.
     """
-    sampler = problem.start_local_pass(i, rng, batch_size)
+    grads = problem.start_local_pass(ids, rngs, batch_size)
     w = ctx.start
     for _ in range(ctx.k_steps):
-        w = strat.client_step(spec, w, sampler.next_grad_fn(), ctx)
+        w = strat.client_step(spec, w, next(grads), ctx)
     return w
 
 
@@ -225,22 +232,27 @@ class Simulation:
 
     # -- the round ----------------------------------------------------------
 
-    def _train_one(self, cid: int, eta: float) -> int:
-        """Train client cid from its relaxed start, write its rows, return its step count."""
+    def _step_groups(self, active: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(step count, ids) per block: one block under k_local, else one per step count."""
+        if self.hp.k_local is not None:
+            return [(self.hp.k_local, active)]
+        steps = np.array([self.steps_for(i) for i in active])
+        return [(int(k), active[steps == k]) for k in np.unique(steps)]
+
+    def _train(self, ids: np.ndarray, k_steps: int, eta: float) -> None:
+        """Train the participants ids as one block from their relaxed starts; write their rows."""
         ctx = LocalCtx(
             anchor=self.server.global_params,
-            start=relaxed_init(self.server.global_params, self.last_local[cid], self.spec.beta),
+            start=relaxed_init(self.server.global_params, self.last_local[ids], self.spec.beta),
             eta=eta,
-            k_steps=self.steps_for(cid),
-            client_aux={k: m[cid] for k, m in self.client_aux.items()},
+            k_steps=k_steps,
+            client_aux={k: m[ids] for k, m in self.client_aux.items()},
             server_aux=self.server.aux,
         )
-        w_end = local_train(self.problem, self.spec, cid, ctx, partial(self.client_rng, cid),
-                            self.hp.batch_size)
+        w_end = local_train(self.problem, self.spec, ids, ctx, self.client_rng, self.hp.batch_size)
         for k, v in strat.finish_local(self.spec, ctx, w_end).items():
-            self.client_aux[k][cid] = v
-        self.last_local[cid] = w_end
-        return ctx.k_steps
+            self.client_aux[k][ids] = v
+        self.last_local[ids] = w_end
 
     def step(self) -> RoundRecord:
         t = self.server.round
@@ -250,7 +262,9 @@ class Simulation:
 
         active = sample_clients(self.server.rng, self.problem.n_clients, self.hp.n_active)
         aux_before = {k: m[active] for k, m in self.client_aux.items()}
-        steps = [self._train_one(cid, eta) for cid in active]  # ascending ids
+        groups = self._step_groups(active)
+        for k_steps, ids in groups:
+            self._train(ids, k_steps, eta)
         weights = None if self.agg_weights is None else self.agg_weights[active]
         self.server.global_params = strat.server_step(
             self.spec,
@@ -258,7 +272,7 @@ class Simulation:
             aggregate(self.last_local[active], weights),
             self.server.aux,
             eta=eta,
-            mean_k=float(np.mean(steps)),
+            mean_k=sum(k * len(ids) for k, ids in groups) / len(active),
             round_idx=t,
             aux_change={k: self.client_aux[k][active] - v for k, v in aux_before.items()},
             n_clients=self.problem.n_clients,

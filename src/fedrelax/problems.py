@@ -1,17 +1,20 @@
 """Federated objectives: what a client computes gradients of, and how.
 
 A problem owns the per-client objectives and evaluation sets.  The engine only
-asks it for (a) one batch-gradient function per local step and (b) round-level
-evaluation of the global model: the federated objective f(w) = (1/C) sum_i f_i(w),
-its gradient, and test-set metrics.
+asks it for (a) a local pass over the participants ids: one gradient function
+per local step, mapping their (N, d) block of models to the (N, d) block of
+their batch gradients (row j is client ids[j]), and (b) round-level
+evaluation of the global model: the federated objective f(w) = (1/C) sum_i
+f_i(w), its gradient, and test-set metrics.
 
 Two concrete kinds:
 
 * QuadraticProblem -- each client is a quadratic from a QuadraticFamily.
   "Stochastic batches" are modeled as additive gaussian gradient noise with
   known per-coordinate standard deviation grad_noise, so the local-noise level
-  sigma_l = grad_noise * sqrt(d) used by theory.py is exact.  The
-  global objective is evaluated in closed form (see quadratics.py).
+  sigma_l = grad_noise * sqrt(d) used by theory.py is exact.  A pass gathers
+  the participants' A_i and b_i once; a step's rows are one stacked matmul.
+  The global objective is evaluated in closed form (see quadratics.py).
 * DatasetProblem -- a model plus per-client data shards.  Mini-batches are
   drawn without replacement within an epoch and reshuffled each epoch from the
   client's own random stream; batch_size None (or >= shard) means full batch
@@ -24,34 +27,15 @@ Two concrete kinds:
 """
 from __future__ import annotations
 
+import itertools
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .datasets import Dataset
 from .models import Batch
 from .quadratics import QuadraticFamily
-
-
-class _QuadSampler:
-    """Noisy quadratic gradients; rng is a zero-argument accessor of the client's
-    generator, called only when there is noise to draw."""
-
-    def __init__(self, family: QuadraticFamily, i: int, rng, noise: float):
-        self.family = family
-        self.i = i
-        self.rng = rng
-        self.noise = noise
-
-    def next_grad_fn(self):
-        fam, i = self.family, self.i
-        if self.noise == 0.0:
-            return lambda w: fam.client_grad(i, w)
-        eps = self.rng().normal(0.0, self.noise, size=fam.dim)
-        # one noise draw per step, shared by every evaluation within the step
-        # (the two-point lookahead rule sees the same "batch")
-        return lambda w: fam.client_grad(i, w) + eps
 
 
 class QuadraticProblem:
@@ -80,10 +64,29 @@ class QuadraticProblem:
     def default_init(self, rng) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def start_local_pass(self, i: int, rng, batch_size=None):
+    def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
+        """Block gradients of the clients ids, one function per local step.
+
+        rngs maps a client id to its generator; row j draws its noise from
+        client ids[j]'s, and only when there is noise to draw.
+        """
         if batch_size is not None:
             raise ValueError("quadratic problems have no mini-batches; leave batch_size unset")
-        return _QuadSampler(self.family, i, rng, self.grad_noise)
+        a, b, noise = self.family.a_matrices[ids], self.family.b_vectors[ids], self.grad_noise
+
+        def grad(w: np.ndarray) -> np.ndarray:
+            return np.matmul(a, (w - b)[:, :, None])[:, :, 0]
+
+        def noisy():
+            while True:
+                eps = np.empty_like(b)
+                for j, i in enumerate(ids):
+                    eps[j] = rngs(i).normal(0.0, noise, size=b.shape[1])
+                # one draw per row and step, shared by every evaluation within
+                # the step (the two-point lookahead rule sees the same "batch")
+                yield lambda w, eps=eps: grad(w) + eps
+
+        return itertools.repeat(grad) if noise == 0.0 else noisy()
 
     def steps_per_epoch(self, i: int, batch_size) -> int:
         raise ValueError("quadratic problems have no epochs; use local_iters")
@@ -105,37 +108,28 @@ class QuadraticProblem:
         }
 
 
-class _BatchSampler:
-    """Epoch-wise mini-batches; rng is a zero-argument accessor of the client's
-    generator, called only at a reshuffle (never for full batches)."""
+def _batches(shard: Dataset, rng, batch_size):
+    """Epoch-wise mini-batches of one shard; rng is a zero-argument accessor of
+    the client's generator, called only at a reshuffle (never for full batches)."""
+    n = len(shard)
+    if batch_size is None or batch_size >= n:
+        yield from itertools.repeat(Batch(shard.x, shard.y))  # never returns
+    while True:
+        perm = rng().permutation(n)
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            yield Batch(shard.x[idx], shard.y[idx])
 
-    def __init__(self, model, shard: Dataset, rng, batch_size):
-        self.model = model
-        self.shard = shard
-        self.rng = rng
-        n = len(shard)
-        self.full = batch_size is None or batch_size >= n
-        if not self.full and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
-        self._perm = None
-        self._cursor = 0
-        if self.full:
-            self._full_batch = Batch(shard.x, shard.y)
 
-    def next_grad_fn(self):
-        model = self.model
-        if self.full:
-            batch = self._full_batch
-        else:
-            n = len(self.shard)
-            if self._perm is None or self._cursor >= n:
-                self._perm = self.rng().permutation(n)
-                self._cursor = 0
-            idx = self._perm[self._cursor:self._cursor + self.batch_size]
-            self._cursor += self.batch_size
-            batch = Batch(self.shard.x[idx], self.shard.y[idx])
-        return lambda w: model.grad(w, batch)
+def _rowwise(grad, batches):
+    """The (N, d) gradient whose row j is grad(w[j], batches[j]), written into one block."""
+    def block_grad(w: np.ndarray) -> np.ndarray:
+        out = np.empty_like(w)
+        for j, batch in enumerate(batches):
+            out[j] = grad(w[j], batch)
+        return out
+
+    return block_grad
 
 
 class DatasetProblem:
@@ -167,8 +161,13 @@ class DatasetProblem:
     def default_init(self, rng) -> np.ndarray:
         return self.model.init_params(rng)
 
-    def start_local_pass(self, i: int, rng, batch_size=None):
-        return _BatchSampler(self.model, self.shards[i], rng, batch_size)
+    def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
+        """Block gradients of the clients ids, one function per local step; row j
+        takes its batches from client ids[j]'s shard and generator (rngs maps an id to it)."""
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        streams = [_batches(self.shards[i], partial(rngs, i), batch_size) for i in ids]
+        return (_rowwise(self.model.grad, batches) for batches in zip(*streams))
 
     def steps_per_epoch(self, i: int, batch_size) -> int:
         n = len(self.shards[i])

@@ -152,7 +152,9 @@ def make_quadratic_family(
     if cond == 1.0:
         a = np.broadcast_to(np.eye(dim), (n_clients, dim, dim)).copy()
     else:
-        a = np.stack([_random_spd(dim, cond, rng) for _ in range(n_clients)])
+        a = np.empty((n_clients, dim, dim))  # filled in place: no second (C, d, d) copy
+        for i in range(n_clients):
+            a[i] = _random_spd(dim, cond, rng)
     if spread == 0.0:
         b = np.tile(b0, (n_clients, 1))
     else:

@@ -106,18 +106,25 @@ def init_server_aux(spec: StrategySpec, dim: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class LocalCtx:
-    """Per-client, per-round inputs to the local update rule."""
+    """Per-round inputs to the local update rule of a block of N participants.
 
-    anchor: np.ndarray                      # global model w^t this round
-    start: np.ndarray                       # actual local start (after RI)
+    start and client_aux hold one row per participant; anchor and server_aux
+    are shared by every row.
+    """
+
+    anchor: np.ndarray                      # global model w^t this round, (d,)
+    start: np.ndarray                       # actual local starts (after RI), (N, d)
     eta: float
     k_steps: int
-    client_aux: dict[str, np.ndarray] = field(default_factory=dict)
-    server_aux: dict[str, np.ndarray] = field(default_factory=dict)
+    client_aux: dict[str, np.ndarray] = field(default_factory=dict)  # key -> (N, d)
+    server_aux: dict[str, np.ndarray] = field(default_factory=dict)  # key -> (d,)
 
 
 def client_step(spec: StrategySpec, w: np.ndarray, grad_fn, ctx: LocalCtx) -> np.ndarray:
-    """One local step.  grad_fn evaluates the current batch's gradient at any point."""
+    """One local step of the (N, d) block w, row by row exactly as each client alone.
+
+    grad_fn evaluates the current batches' (N, d) gradient block at any (N, d) point.
+    """
     kind = spec.kind
     if kind in ("fedavg", "fedadam"):
         d = grad_fn(w)
@@ -126,8 +133,10 @@ def client_step(spec: StrategySpec, w: np.ndarray, grad_fn, ctx: LocalCtx) -> np
         if spec.rho == 0.0:
             d = g0
         else:
-            norm = float(np.linalg.norm(g0))
-            d = g0 if norm == 0.0 else grad_fn(w + (spec.rho / norm) * g0)
+            # per-row 1-D norms (norm(axis=1) rounds differently); a zero-gradient row gets scale 0
+            norms = [float(np.linalg.norm(g)) for g in g0]
+            scale = np.array([0.0 if n == 0.0 else spec.rho / n for n in norms])
+            d = grad_fn(w + scale[:, None] * g0)
     elif kind == "scaffold":
         d = grad_fn(w) - ctx.client_aux["control"] + ctx.server_aux["control"]
     elif kind == "feddyn":

@@ -418,6 +418,33 @@ def test_cli_stability_refuses_negative_beta(tmp_path):
     assert "unrecognized arguments: --allow-negative-beta" in r2.stderr
 
 
+UNHONORED_CASES = [
+    ("sweep", "checkpoint_every", 2,
+     {"problem": "quadratic", "n_clients": 4, "dim": 3, "rounds": 4, "local_iters": 2,
+      "strategy": "fedinit", "sweep": {"axis": "beta", "values": [0.0, 0.1]}}),
+    ("verify-bounds", "checkpoint_every", 2,
+     {"problem": "quadratic", "n_clients": 4, "dim": 3, "rounds": 4, "local_iters": 2}),
+    ("stability", "beta", 0.3,
+     {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
+      "local_iters": 2, "stability_seeds": 1, "strategy": "fedinit", "betas": [0.0, 0.05]}),
+]
+
+
+@pytest.mark.parametrize("mode,key,value,cfg", UNHONORED_CASES,
+                         ids=[f"{m}-{k}" for m, k, _, _ in UNHONORED_CASES])
+def test_cli_refuses_keys_the_mode_ignores(tmp_path, mode, key, value, cfg):
+    out = tmp_path / "o"
+    r = cli(mode, "--config", write_cfg(tmp_path, {**cfg, key: value}), "--out", str(out))
+    assert r.returncode == 2
+    assert f"config key {key!r} is not honored in {mode} mode" in r.stderr
+    assert not out.exists()
+    # without the key the same config runs; sweep points re-resolve their defaults
+    r2 = cli(mode, "--config", write_cfg(tmp_path, cfg, "ok.json"), "--out", str(out))
+    assert r2.returncode in (0, 3), r2.stderr  # verify-bounds exits 3 on a violated bound
+    with pytest.raises(ConfigError, match=repr(key)):
+        resolve_config({**cfg, key: value}, mode=mode)
+
+
 def test_cli_partition_report(tmp_path):
     cfg = {"problem": "blobs", "n_clients": 5, "n_samples": 300, "n_features": 3,
            "concentration": 0.5, "n_test": 0}

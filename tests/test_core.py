@@ -80,15 +80,16 @@ def test_straggler_keeps_old_model_across_rounds():
 
 
 def test_relaxed_init_formula_and_copy():
+    # one start row per participant's last local model
     w = np.array([1.0, 2.0])
-    last = np.array([0.0, 4.0])
-    np.testing.assert_allclose(relaxed_init(w, last, 0.5), [1.5, 1.0])
+    last = np.array([[0.0, 4.0], [1.0, 2.0]])
+    np.testing.assert_allclose(relaxed_init(w, last, 0.5), [[1.5, 1.0], [1.0, 2.0]])
     # negative beta pulls toward the previous local model instead
-    np.testing.assert_allclose(relaxed_init(w, last, -0.5), [0.5, 3.0])
+    np.testing.assert_allclose(relaxed_init(w, last, -0.5), [[0.5, 3.0], [1.0, 2.0]])
     out = relaxed_init(w, last, 0.0)
-    np.testing.assert_array_equal(out, w)
-    out[0] = 99.0
-    assert w[0] == 1.0  # beta = 0 returns an independent copy
+    np.testing.assert_array_equal(out, [w, w])
+    out[0, 0] = 99.0
+    assert w[0] == 1.0 and out[1, 0] == 1.0  # beta = 0 returns independent rows
 
 
 def test_sample_clients_properties():

@@ -1,4 +1,4 @@
-"""Strategy rules checked against single-step pencil math and null degradations."""
+"""Strategy rules checked against single-step pencil math on (1, d) blocks and null degradations."""
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedrelax.core import HyperParams, run_experiment
+from fedrelax.core import HyperParams, Simulation, run_experiment
 from fedrelax.metrics import rounds_csv_text
 from fedrelax.problems import QuadraticProblem
 from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
@@ -25,62 +25,77 @@ from fedrelax.strategies import (
 
 
 def quad_grad(b):
-    """grad of f(w) = 0.5 ||w - b||^2."""
+    """grad of f(w) = 0.5 ||w - b||^2, row by row over a block."""
     return lambda w: w - b
 
 
+def block(*values):
+    """A (1, d) block: one participant's row."""
+    return np.array([values])
+
+
 def ctx_for(spec, w0, eta=0.1, k=1, anchor=None, dim=1):
+    """Round inputs for the block w0; anchor defaults to its first row."""
     return LocalCtx(
-        anchor=w0.copy() if anchor is None else anchor,
+        anchor=w0[0].copy() if anchor is None else anchor,
         start=w0.copy(),
         eta=eta,
         k_steps=k,
-        client_aux=init_client_aux(spec, dim),
+        client_aux={key: np.tile(v, (len(w0), 1)) for key, v in init_client_aux(spec, dim).items()},
         server_aux=init_server_aux(spec, dim),
     )
 
 
-# -- single-step hand values ------------------------------------------------------
+# -- single-step hand values on (1, d) blocks --------------------------------------
 
 def test_fedavg_step_by_hand():
     spec = make_strategy("fedavg")
-    w = np.array([2.0])
-    out = client_step(spec, w, quad_grad(np.array([0.0])), ctx_for(spec, w, eta=0.1))
-    assert out == pytest.approx([2.0 - 0.1 * 2.0])
+    w = block(2.0)
+    out = client_step(spec, w, quad_grad(block(0.0)), ctx_for(spec, w, eta=0.1))
+    assert out == pytest.approx(block(2.0 - 0.1 * 2.0))
 
 
 def test_fedsam_step_by_hand():
     # g0 = w - b = 2; ascent point w + rho*g0/|g0| = 2.5; d = 2.5 - 0 = 2.5
     spec = make_strategy("fedsam", rho=0.5)
-    w = np.array([2.0])
-    out = client_step(spec, w, quad_grad(np.array([0.0])), ctx_for(spec, w, eta=0.1))
-    assert out == pytest.approx([2.0 - 0.1 * 2.5])
+    w = block(2.0)
+    out = client_step(spec, w, quad_grad(block(0.0)), ctx_for(spec, w, eta=0.1))
+    assert out == pytest.approx(block(2.0 - 0.1 * 2.5))
 
 
 def test_fedsam_zero_gradient_short_circuits():
     spec = make_strategy("fedsam", rho=0.5)
-    w = np.array([3.0])
-    out = client_step(spec, w, quad_grad(np.array([3.0])), ctx_for(spec, w, eta=0.1))
-    assert out == pytest.approx([3.0])
+    w = block(3.0)
+    out = client_step(spec, w, quad_grad(block(3.0)), ctx_for(spec, w, eta=0.1))
+    assert out == pytest.approx(block(3.0))
+
+
+def test_fedsam_zero_gradient_row_stays_while_others_move():
+    # row 0 sits at its optimum (scale 0); row 1 takes the hand step above
+    spec = make_strategy("fedsam", rho=0.5)
+    w = np.array([[3.0], [2.0]])
+    out = client_step(spec, w, quad_grad(np.array([[3.0], [0.0]])), ctx_for(spec, w, eta=0.1))
+    np.testing.assert_array_equal(out[0], [3.0])
+    assert out[1] == pytest.approx([2.0 - 0.1 * 2.5])
 
 
 def test_scaffold_step_by_hand():
     spec = make_strategy("scaffold")
-    w = np.array([1.0])
+    w = block(1.0)
     ctx = ctx_for(spec, w, eta=0.1)
-    ctx.client_aux["control"] = np.array([0.3])
+    ctx.client_aux["control"] = block(0.3)
     ctx.server_aux["control"] = np.array([0.1])
     # d = g - c_i + c = 1 - 0.3 + 0.1
-    out = client_step(spec, w, quad_grad(np.array([0.0])), ctx)
-    assert out == pytest.approx([1.0 - 0.1 * 0.8])
+    out = client_step(spec, w, quad_grad(block(0.0)), ctx)
+    assert out == pytest.approx(block(1.0 - 0.1 * 0.8))
 
 
 def test_scaffold_control_update_equals_mean_pass_gradient():
     # zero controls: after K plain-SGD steps the new control must equal the
     # average of the K gradients actually used
     spec = make_strategy("scaffold")
-    b = np.array([0.0])
-    w = np.array([1.0])
+    b = block(0.0)
+    w = block(1.0)
     eta, k = 0.1, 4
     ctx = ctx_for(spec, w, eta=eta, k=k)
     grads = []
@@ -95,25 +110,25 @@ def test_scaffold_control_update_equals_mean_pass_gradient():
 def test_feddyn_step_and_dual_update_by_hand():
     spec = make_strategy("feddyn", dyn_alpha=0.5)
     anchor = np.array([1.0])
-    w = np.array([1.0])
+    w = block(1.0)
     ctx = ctx_for(spec, w, eta=0.1, anchor=anchor)
-    ctx.client_aux["dual"] = np.array([0.2])
+    ctx.client_aux["dual"] = block(0.2)
     # d = g - dual + alpha (w - anchor) = 1 - 0.2 + 0
-    out = client_step(spec, w, quad_grad(np.array([0.0])), ctx)
-    assert out == pytest.approx([1.0 - 0.1 * 0.8])
+    out = client_step(spec, w, quad_grad(block(0.0)), ctx)
+    assert out == pytest.approx(block(1.0 - 0.1 * 0.8))
     new_aux = finish_local(spec, ctx, out)
     # dual' = dual - alpha (w_end - anchor)
-    assert new_aux["dual"] == pytest.approx([0.2 - 0.5 * (out[0] - 1.0)])
+    assert new_aux["dual"] == pytest.approx(block(0.2 - 0.5 * (out[0, 0] - 1.0)))
 
 
 def test_fedcm_step_by_hand():
     spec = make_strategy("fedcm", cm_alpha=0.25)
-    w = np.array([2.0])
+    w = block(2.0)
     ctx = ctx_for(spec, w, eta=0.1)
     ctx.server_aux["momentum"] = np.array([4.0])
     # d = alpha m + (1-alpha) g = 0.25*4 + 0.75*2 = 2.5
-    out = client_step(spec, w, quad_grad(np.array([0.0])), ctx)
-    assert out == pytest.approx([2.0 - 0.1 * 2.5])
+    out = client_step(spec, w, quad_grad(block(0.0)), ctx)
+    assert out == pytest.approx(block(2.0 - 0.1 * 2.5))
 
 
 def test_fedcm_server_momentum_update():
@@ -239,13 +254,31 @@ def test_null_parameters_degrade_to_fedavg_bitwise(name, null_kw, run):
     assert _csv(degraded, zero_bytes) == _csv(base, zero_bytes)
 
 
+# the controls shrink to 6.4e-6 by round 20 after peaking at 1.45: the running
+# sum's rounding follows the magnitudes it summed, not the final controls
+SHRINKING_CONTROLS_RUN = dict(n_clients=1, dim=2, cond=4.0, family_seed=1, grad_noise=0.0,
+                              eta=0.0625, rounds=20, n_active=1, k=5, seed=0)
+
+
 @settings(max_examples=30, deadline=None)
+@example(run=SHRINKING_CONTROLS_RUN, ri=False)
 @given(run=quadratic_runs(max_rounds=30), ri=st.booleans())
 def test_scaffold_server_control_is_mean_of_client_controls(run, ri):
-    res = _run(make_strategy("scaffold", beta=0.1 if ri else None), run)
-    controls = res.sim.client_aux["control"]
-    gap = np.max(np.abs(res.sim.server.aux["control"] - controls.mean(axis=0)))
-    assert gap <= 1e-12 * np.max(np.abs(controls))
+    """The server control tracks the mean of the client controls within 1e-12 of
+    the largest |c_i| seen at any round of the run."""
+    fam = make_quadratic_family(run["n_clients"], run["dim"], spread=1.0, cond=run["cond"],
+                                seed=run["family_seed"])
+    hp = HyperParams(eta=run["eta"], rounds=run["rounds"], n_active=run["n_active"],
+                     k_local=run["k"])
+    sim = Simulation(QuadraticProblem(fam, grad_noise=run["grad_noise"]),
+                     make_strategy("scaffold", beta=0.1 if ri else None), hp, seed=run["seed"])
+    peak = 0.0
+    for _ in range(hp.rounds):
+        sim.step()
+        peak = max(peak, float(np.max(np.abs(sim.client_aux["control"]))))
+    controls = sim.client_aux["control"]
+    gap = np.max(np.abs(sim.server.aux["control"] - controls.mean(axis=0)))
+    assert gap <= 1e-12 * peak
 
 
 def test_ri_composition_only_changes_start():
