@@ -97,7 +97,16 @@ NONSEMANTIC_KEYS = ("out", "jobs", "checkpoint_every")
 UNHONORED_KEYS = {
     "sweep": ("checkpoint_every",),          # sweep points write no checkpoints
     "verify-bounds": ("checkpoint_every",),
-    "stability": ("beta",),                  # beta enters through betas
+    # beta enters through betas; the replacement sample comes from the unbiased
+    # blob process, so biased shards would break the neighboring-dataset pair
+    "stability": ("beta", "client_bias_sigma", "category_bias_sigma"),
+}
+
+# problem kinds a mode can run; any other kind is refused
+MODE_PROBLEMS = {
+    "verify-bounds": ("quadratic",),         # the bounds need exact constants
+    "stability": ("blobs",),                 # paired runs redraw one blob sample
+    "partition-report": ("blobs", "csv"),    # only datasets are partitioned
 }
 
 SCHEMA_VERSION = 1
@@ -202,6 +211,12 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
                               "the stability factor is stated for beta >= 0")
     if cfg["sweep"] is not None:
         _validate_sweep(cfg["sweep"])
+    elif mode == "sweep":
+        raise ConfigError("sweep mode needs a 'sweep' block: {axis, values, seeds}")
+    if mode in MODE_PROBLEMS and cfg["problem"] not in MODE_PROBLEMS[mode]:
+        raise ConfigError(
+            f"{mode} mode needs problem in {list(MODE_PROBLEMS[mode])}, got {cfg['problem']!r}"
+        )
     cfg["schema_version"] = SCHEMA_VERSION
     return cfg
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import strategies as strat
-from .metrics import FLOAT_BYTES, RoundRecord, divergence
+from .metrics import FLOAT_BYTES, RoundRecord, divergence, smoothed_max_last
 from .strategies import LocalCtx, StrategySpec
 
 # spawn keys namespacing the per-run random streams
@@ -63,6 +63,8 @@ class HyperParams:
             raise ValueError("k_local must be >= 1")
         if self.local_epochs is not None and self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.lr_schedule not in ("constant", "inverse_t"):
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.lr_schedule == "constant" and not 0.0 < self.lr_decay <= 1.0:
@@ -71,8 +73,6 @@ class HyperParams:
     def lr_at(self, t: int) -> float:
         if self.lr_schedule == "inverse_t":
             return self.eta / (t + 1)  # round 0 gets the full coefficient
-        if self.lr_decay == 1.0:
-            return self.eta
         return self.eta * self.lr_decay ** t
 
 
@@ -325,8 +325,6 @@ class Simulation:
         }
         accs = [r.test_acc for r in self.records]
         if self.records and all(a is not None for a in accs):
-            from .metrics import smoothed_max_last
-
             out["smoothed_max_test_acc"] = {
                 "value": smoothed_max_last(accs, window=50, width=5),
                 "window": 50,

@@ -92,6 +92,7 @@ class PartitionPlan:
     concentration: float
     seed: int
     with_replacement: bool
+    labels: np.ndarray  # the labels the assignments index: a reference, never a copy
 
     @property
     def n_clients(self) -> int:
@@ -198,7 +199,7 @@ def dirichlet_partition(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A, attempt)))
         assignments, props = _draw_partition(labels, n_clients, concentration, rng, with_replacement)
         if all(len(a) > 0 for a in assignments):
-            return PartitionPlan(assignments, props, concentration, seed, with_replacement)
+            return PartitionPlan(assignments, props, concentration, seed, with_replacement, labels)
     raise RuntimeError(
         f"dirichlet_partition left a client with no samples after {max_retries} attempts; "
         "increase the dataset size, the concentration, or reduce the client count"

@@ -127,18 +127,25 @@ def comm_storage_accounting(spec: StrategySpec, n_clients: int, n_active: int, d
     )
 
 
-def _csv_cell(v) -> str:
+def csv_cell(v) -> str:
+    """One CSV field: empty for None, strings as they are, exact ints, repr of floats."""
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
 
 
-def rounds_csv_text(records, config_hash: str, schema_version: int = 1) -> str:
-    """Render records as the rounds.csv payload (hash comment + pinned header)."""
-    lines = [f"# schema={schema_version} config_hash={config_hash}", ",".join(CSV_HEADER)]
+def rounds_csv_text(records, config_hash: str, schema_version: int = 1,
+                    columns=CSV_HEADER) -> str:
+    """Render records or dicts as CSV text: hash comment, header, one line per record.
+
+    The default columns are the pinned rounds.csv header; sweep.csv passes its own.
+    """
+    lines = [f"# schema={schema_version} config_hash={config_hash}", ",".join(columns)]
     for r in records:
         d = r.to_dict() if isinstance(r, RoundRecord) else r
-        lines.append(",".join(_csv_cell(d[k]) for k in CSV_HEADER))
+        lines.append(",".join(csv_cell(d[k]) for k in columns))
     return "\n".join(lines) + "\n"

@@ -164,8 +164,6 @@ class DatasetProblem:
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
         """Block gradients of the clients ids, one function per local step; row j
         takes its batches from client ids[j]'s shard and generator (rngs maps an id to it)."""
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         streams = [_batches(self.shards[i], partial(rngs, i), batch_size) for i in ids]
         return (_rowwise(self.model.grad, batches) for batches in zip(*streams))
 

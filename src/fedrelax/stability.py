@@ -148,10 +148,11 @@ def make_paired_blob_problems(
     i_star, j_star = perturb
     if not 0 <= i_star < n_clients:
         raise ValueError(f"perturb client {i_star} out of range [0, {n_clients})")
-    train, test = make_blobs(
+    made = make_blobs(
         n_samples, n_features, n_classes,
         separation=separation, cluster_std=cluster_std, seed=seed, n_test=n_test,
     )
+    train, test = made if n_test > 0 else (made, None)  # no test split: no loss gap
     plan = dirichlet_partition(
         train.y, n_clients, concentration, seed=seed, with_replacement=with_replacement
     )

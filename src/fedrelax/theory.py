@@ -131,14 +131,15 @@ def estimate_problem_constants(
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x7E0,)))
     w_star = family.w_star
+    sigma_g = family.heterogeneity_bound()
     out = {
         "L": family.smoothness,
         "mu": family.pl_constant,
         "D": family.global_loss(np.asarray(w0, dtype=np.float64)) - family.f_star,
         "f_star": family.f_star,
         "sigma_l": float(grad_noise) * math.sqrt(family.dim),  # E||noise|| scale, exact
-        "sigma_g": family.heterogeneity_bound(),
-        "sigma_g_exact": family.heterogeneity_bound() is not None,
+        "sigma_g": sigma_g,
+        "sigma_g_exact": sigma_g is not None,
     }
     radius = max(float(np.linalg.norm(np.asarray(w0) - w_star)), 1.0)
     sup_gap = 0.0
@@ -205,16 +206,12 @@ def verify_convergence_bound(
     f_star = problem.f_star
     d_gap = f0 - f_star
     family = problem.family
-    big_l = family.smoothness
-    mu = family.pl_constant
-    sigma_l = problem.grad_noise * math.sqrt(problem.dim)
-    sigma_g = family.heterogeneity_bound()
-    notes = []
     est = estimate_problem_constants(
         family, family.w_star, grad_noise=problem.grad_noise, probe_budget=probe_budget
     )
-    if sigma_g is None:
-        sigma_g = est["sigma_g"]
+    big_l, mu, sigma_l, sigma_g = est["L"], est["mu"], est["sigma_l"], est["sigma_g"]
+    notes = []
+    if not est["sigma_g_exact"]:
         notes.append("sigma_g estimated from probe points (heterogeneous curvature)")
     stochastic = result.sim.uses_batch_randomness()
 

@@ -406,6 +406,35 @@ def test_cli_stability_guards(tmp_path):
     assert "out of range" in r2.stderr
 
 
+def test_cli_stability_without_test_split(tmp_path):
+    cfg = {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3,
+           "n_test": 0, "rounds": 2, "local_iters": 2, "stability_seeds": 1, "betas": [0.0, 0.1]}
+    out = tmp_path / "o"
+    r = cli("stability", "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((out / "stability_report.json").read_text())
+    assert len(report["traces"]) == 2
+    assert all(t["loss_gap"] is None and t["u_bound"] is None for t in report["traces"])
+    assert all(row["mean_loss_gap"] is None for row in report["summary"]["per_beta"])
+
+
+def test_cli_zero_batch_size_refused_before_training(tmp_path):
+    cfg = {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3,
+           "rounds": 2, "local_epochs": 1, "batch_size": 0}
+    out = tmp_path / "o"
+    r = cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "batch_size" in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("mode,problem", [("verify-bounds", "blobs"), ("stability", "quadratic"),
+                                          ("partition-report", "quadratic")])
+def test_resolve_refuses_problem_kind_the_mode_cannot_run(mode, problem):
+    with pytest.raises(ConfigError, match=f"{mode} mode needs problem in .*got {problem!r}"):
+        resolve_config({"problem": problem}, mode=mode)
+
+
 def test_cli_stability_refuses_negative_beta(tmp_path):
     cfg = {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3,
            "rounds": 2, "local_iters": 2, "stability_seeds": 1, "betas": [0.0, -0.05]}
@@ -427,6 +456,13 @@ UNHONORED_CASES = [
     ("stability", "beta", 0.3,
      {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
       "local_iters": 2, "stability_seeds": 1, "strategy": "fedinit", "betas": [0.0, 0.05]}),
+    # the replacement sample is drawn unbiased, so biased shards would not be neighbors
+    ("stability", "client_bias_sigma", 0.5,
+     {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
+      "local_iters": 2, "stability_seeds": 1, "betas": [0.0, 0.05]}),
+    ("stability", "category_bias_sigma", 0.5,
+     {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
+      "local_iters": 2, "stability_seeds": 1, "betas": [0.0, 0.05]}),
 ]
 
 

@@ -115,6 +115,13 @@ def test_near_uniform_partition_statistics():
     assert np.mean(frac_ok) >= 0.95
 
 
+def test_partition_plan_references_its_labels():
+    y = make_blobs(60, 2, 3, seed=2).y
+    for with_replacement in (False, True):
+        plan = dirichlet_partition(y, 4, 0.5, seed=3, with_replacement=with_replacement)
+        assert plan.labels is y  # a reference, not a copy
+
+
 def test_partition_statistics_hand_values():
     y = np.array([0, 0, 1, 1])
     plan = dirichlet_partition(y, 2, 1e9, seed=1)

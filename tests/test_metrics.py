@@ -165,6 +165,14 @@ def test_rounds_csv_layout():
     assert len(lines) == 4
 
 
+def test_csv_text_with_own_columns_and_string_cells():
+    rows = [{"axis": "strategy", "value": "fedcm", "seed": 3, "x": 0.1, "y": None},
+            {"axis": "strategy", "value": "fedcm", "seed": "mean", "x": np.float64(0.25), "y": 2}]
+    text = rounds_csv_text(rows, "h", columns=("axis", "value", "seed", "x", "y"))
+    assert text == ("# schema=1 config_hash=h\naxis,value,seed,x,y\n"
+                    "strategy,fedcm,3,0.1,\nstrategy,fedcm,mean,0.25,2\n")
+
+
 def test_rounds_csv_deterministic():
     records = [_record(i) for i in range(3)]
     assert rounds_csv_text(records, "h") == rounds_csv_text(records, "h")

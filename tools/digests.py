@@ -1,4 +1,4 @@
-"""Print one sha256 per run of a fixed strategy x problem grid.
+"""Print one sha256 per run of a fixed strategy x problem grid and a CLI grid.
 
     python3 tools/digests.py SRC_DIR
 
@@ -12,11 +12,16 @@ is checked with
 Each run hashes its rounds.csv text, its summary, the final global model,
 the ``last_local`` matrix, the client and server aux arrays and the bytes of
 its last checkpoint. One paired stability run hashes its per-round deltas
-and global distances.
+and global distances. Each run of the CLI grid calls ``fedrelax.cli.main``
+in-process from its own scratch directory, with relative paths only, so no
+temporary path reaches an artifact; it hashes the exit code, stdout and every
+file the run writes.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -100,13 +105,73 @@ def paired_digest(fr) -> str:
     return hashlib.sha256(json.dumps([trace.deltas, trace.global_dists]).encode()).hexdigest()
 
 
+_QUAD = {"problem": "quadratic", "n_clients": 6, "dim": 3, "rounds": 6, "n_active": 3,
+         "local_iters": 3, "lr": 0.1, "cond": 3.0}
+_BLOBS = {"problem": "blobs", "n_clients": 5, "n_samples": 200, "n_features": 3, "n_test": 40,
+          "rounds": 5, "n_active": 3, "local_iters": 2, "batch_size": 16, "lr": 0.3}
+_MLP = {**_BLOBS, "n_classes": 3, "model": "mlp", "hidden": 4}
+
+# name -> (one argv per call, config); every config is one the CLI accepts
+CLI_GRID = {
+    "run-quad-fedinit": ([["run", "--seed", "2"]], {**_QUAD, "strategy": "fedinit", "beta": 0.1,
+                                                  "grad_noise": 0.1, "checkpoint_every": 2}),
+    "run-mlp-epochs": ([["run"]], {**_MLP, "strategy": "scaffold", "local_iters": None,
+                                 "local_epochs": 1, "weighted_aggregation": True,
+                                 "client_bias_sigma": 0.3, "category_bias_sigma": 0.3}),
+    "run-resume": ([["run"], ["run", "--resume"]], {**_QUAD, "strategy": "fedcm",
+                                                    "checkpoint_every": 3}),
+    "sweep-beta": ([["sweep", "--jobs", "1"]], {**_QUAD, "strategy": "fedinit",
+                   "sweep": {"axis": "beta", "values": [0.0, 0.1], "seeds": [0, 1]}}),
+    "sweep-strategy": ([["sweep", "--jobs", "2"]], {**_BLOBS, "sweep": {
+                       "axis": "strategy", "values": ["fedavg", "fedcm"], "seeds": [3]}}),
+    "bounds-thm1": ([["verify-bounds"]], {**_QUAD, "n_clients": 4, "n_active": 4, "cond": 1.0,
+                    "strategy": "fedinit", "beta": 0.05, "lr": 0.05, "rounds": 60, "theorem": 1}),
+    "bounds-thm4": ([["verify-bounds"]], {**_QUAD, "n_clients": 5, "n_active": 5, "dim": 4,
+                    "spread": 2.0, "cond": 5.0, "lr": 0.05, "rounds": 800, "theorem": 4}),
+    "stability": ([["stability"]], {**_BLOBS, "strategy": "fedinit", "rounds": 4, "betas": [0.0, 0.1],
+                  "stability_seeds": 2, "perturb_client": 1, "perturb_index": 2}),
+    "partition-blobs": ([["partition-report"]], {**_MLP, "n_clients": 6, "concentration": 0.3,
+                        "with_replacement": True, "category_bias_sigma": 0.5}),
+    "partition-csv": ([["partition-report", "--seed", "1"]], {
+                      "problem": "csv", "csv_path": "data.csv", "n_clients": 4, "concentration": 0.5}),
+}
+
+
+def cli_digest(fr, argvs: list, cfg: dict, run_dir: str) -> str:
+    os.makedirs(run_dir)
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        if cfg.get("csv_path"):
+            fr.datasets.save_csv(fr.datasets.make_blobs(120, 3, 2, seed=5), cfg["csv_path"])
+        with open("config.json", "w") as f:
+            json.dump({k: v for k, v in cfg.items() if v is not None}, f)
+        h = hashlib.sha256()
+        for argv in argvs:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = fr.cli.main(argv + ["--config", "config.json", "--out", "out"])
+            h.update(f"{code}\n{stdout.getvalue()}".encode())
+        for root, dirs, files in os.walk("out"):
+            dirs.sort()
+            for name in sorted(files):
+                path = os.path.join(root, name)
+                h.update(path.encode())
+                with open(path, "rb") as f:
+                    h.update(f.read())
+        return h.hexdigest()
+    finally:
+        os.chdir(cwd)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "fedrelax")):
         print("usage: digests.py SRC_DIR  (the directory holding the fedrelax package)", file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
-    import fedrelax as fr  # the package imports every module used here
+    import fedrelax as fr  # the package imports every module used here but the CLI
+    import fedrelax.cli  # noqa: F401
 
     problems = _problems(fr)
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,7 +179,9 @@ def main(argv=None) -> int:
             for pname, build in problems.items():
                 problem, hp = build()
                 print(f"{sname:<12} {pname:<20} {run_digest(fr, make(), problem, hp, tmp)}")
-    print(f"{'paired':<12} {'fedinit-blobs':<20} {paired_digest(fr)}")
+        print(f"{'paired':<12} {'fedinit-blobs':<20} {paired_digest(fr)}")
+        for name, (argvs, cfg) in CLI_GRID.items():
+            print(f"{'cli':<12} {name:<20} {cli_digest(fr, argvs, cfg, os.path.join(tmp, name))}")
     return 0
 
 
