@@ -1,4 +1,4 @@
-"""On-disk run artifacts: checkpoints, rounds tables, report JSON.
+"""On-disk run artifacts: checkpoints and report JSON.
 
 Every writer goes through an atomic temp-file + rename so a crash mid-write
 never leaves a truncated artifact.  Checkpoints are JSON: parameter vectors as
@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import strategies as strat
-from .metrics import RoundRecord, rounds_csv_text
+from .metrics import RoundRecord
 
 CHECKPOINT_VERSION = 2
 
@@ -197,12 +197,3 @@ def restore_simulation(
         sim.config_hash = saved_hash
     return sim
 
-
-# -- run outputs ----------------------------------------------------------------
-
-def write_rounds_csv(path, records, config_hash: str) -> None:
-    atomic_write_text(path, rounds_csv_text(records, config_hash))
-
-
-def write_summary(path, summary: dict, config_hash: str) -> None:
-    write_json(path, {"config_hash": config_hash, **summary})

@@ -49,7 +49,8 @@ def _effective_out(cfg: dict, cli_out: str | None, default_name: str) -> str:
 
 def _effective_jobs(cfg: dict, cli_jobs: int | None) -> int:
     env = os.environ.get("FEDRELAX_JOBS")
-    jobs = cli_jobs or (int(env) if env else None) or cfg["jobs"] or os.cpu_count() or 1
+    given = [j for j in (cli_jobs, int(env) if env else None, cfg["jobs"]) if j is not None]
+    jobs = given[0] if given else os.cpu_count() or 1
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -87,13 +88,8 @@ def _run_once(cfg: dict, *, allow_negative_beta: bool, out_dir: str | None,
         checkpoint_path=ckpt_path,
     )
     if out_dir:
-        artifacts.write_rounds_csv(os.path.join(out_dir, "rounds.csv"), result.records, h)
-        artifacts.write_summary(
-            os.path.join(out_dir, "summary.json"),
-            {"schema_version": cfg["schema_version"], "config": cfg,
-             "strategy": spec.name, **result.summary},
-            h,
-        )
+        artifacts.atomic_write_text(os.path.join(out_dir, "rounds.csv"), rounds_csv_text(result.records, h))
+        _write_report(out_dir, "summary.json", cfg, h, {"strategy": spec.name, **result.summary})
     return result, problem, spec
 
 

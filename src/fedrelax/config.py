@@ -1,8 +1,10 @@
 """Experiment configuration: a flat JSON document with a typed schema.
 
 Every key is top-level (except the optional ``sweep`` block).  Unknown keys
-are rejected by name, every defaulted value is echoed back into the resolved
-config so runs are self-describing, and the sha256 of the resolved config
+are rejected by name, and so is a key set away from its default that the
+config's problem kind or subcommand does not read (SCHEMA names each key's
+readers).  Every defaulted value is echoed back into the resolved config so
+runs are self-describing, and the sha256 of the resolved config
 (minus the purely operational keys: output directory, job count, checkpoint
 cadence) stamps every artifact.  Environment variables may override only
 FEDRELAX_OUT and FEDRELAX_JOBS.
@@ -29,35 +31,42 @@ from .strategies import STRATEGY_NAMES, make_strategy
 
 _BOOL, _INT, _FLOAT, _STR = "bool", "int", "float", "str"
 
-# key -> (type, default, allowed/None).  None default + not required = optional.
+_DATA = ("blobs", "csv")
+_NOT_STABILITY = ("run", "sweep", "verify-bounds", "partition-report")
+
+# key -> (type, default, allowed/None[, readers]).  None default + not required = optional.
+# readers names the problem kinds and/or subcommands that read the key; a key set
+# away from its default must be read by the config's kind and by its subcommand.
 SCHEMA: dict[str, tuple] = {
     # problem
     "problem": (_STR, "quadratic", ("quadratic", "blobs", "csv")),
     "n_clients": (_INT, 10, None),
     "seed": (_INT, 0, None),
     # quadratic family
-    "dim": (_INT, 10, None),
-    "spread": (_FLOAT, 1.0, None),
-    "cond": (_FLOAT, 1.0, None),
-    "grad_noise": (_FLOAT, 0.0, None),
+    "dim": (_INT, 10, None, ("quadratic",)),
+    "spread": (_FLOAT, 1.0, None, ("quadratic",)),
+    "cond": (_FLOAT, 1.0, None, ("quadratic",)),
+    "grad_noise": (_FLOAT, 0.0, None, ("quadratic",)),
     # dataset problems
-    "n_samples": (_INT, 1000, None),
-    "n_features": (_INT, 10, None),
-    "n_classes": (_INT, 2, None),
-    "separation": (_FLOAT, 4.0, None),
-    "cluster_std": (_FLOAT, 1.0, None),
-    "n_test": (_INT, 200, None),
-    "model": (_STR, "logistic-regression", ("linear-regression", "logistic-regression", "mlp")),
-    "hidden": (_INT, 16, None),
-    "concentration": (_FLOAT, 1.0, None),
-    "with_replacement": (_BOOL, False, None),
-    "client_bias_sigma": (_FLOAT, 0.0, None),
-    "category_bias_sigma": (_FLOAT, 0.0, None),
-    "csv_path": (_STR, None, None),
-    "csv_test_path": (_STR, None, None),
+    "n_samples": (_INT, 1000, None, ("blobs",)),
+    "n_features": (_INT, 10, None, ("blobs",)),
+    "n_classes": (_INT, 2, None, ("blobs",)),
+    "separation": (_FLOAT, 4.0, None, ("blobs",)),
+    "cluster_std": (_FLOAT, 1.0, None, ("blobs",)),
+    "n_test": (_INT, 200, None, ("blobs",)),
+    "model": (_STR, "logistic-regression", ("linear-regression", "logistic-regression", "mlp"), _DATA),
+    "hidden": (_INT, 16, None, _DATA),
+    "concentration": (_FLOAT, 1.0, None, _DATA),
+    "with_replacement": (_BOOL, False, None, _DATA),
+    # a stability pair redraws one sample from the unbiased blob process, so
+    # biased shards would not be neighbors
+    "client_bias_sigma": (_FLOAT, 0.0, None, _DATA + _NOT_STABILITY),
+    "category_bias_sigma": (_FLOAT, 0.0, None, _DATA + _NOT_STABILITY),
+    "csv_path": (_STR, None, None, ("csv",)),
+    "csv_test_path": (_STR, None, None, ("csv",)),
     # strategy
     "strategy": (_STR, "fedavg", STRATEGY_NAMES),
-    "beta": (_FLOAT, None, None),
+    "beta": (_FLOAT, None, None, _NOT_STABILITY),  # stability takes beta from betas
     "rho": (_FLOAT, 0.05, None),
     "dyn_alpha": (_FLOAT, 0.1, None),
     "cm_alpha": (_FLOAT, 0.1, None),
@@ -65,42 +74,33 @@ SCHEMA: dict[str, tuple] = {
     "adam_beta1": (_FLOAT, 0.9, None),
     "adam_beta2": (_FLOAT, 0.99, None),
     "adam_tau": (_FLOAT, 1e-3, None),
-    # optimization schedule
+    # optimization schedule; quadratics are full-objective: no epochs, no batches
     "lr": (_FLOAT, 0.1, None),
     "rounds": (_INT, 100, None),
     "n_active": (_INT, None, None),
     "local_iters": (_INT, None, None),
-    "local_epochs": (_INT, None, None),
-    "batch_size": (_INT, None, None),
+    "local_epochs": (_INT, None, None, _DATA),
+    "batch_size": (_INT, None, None, _DATA),
     "lr_schedule": (_STR, "constant", ("constant", "inverse_t")),
     "lr_decay": (_FLOAT, None, None),
-    "weighted_aggregation": (_BOOL, False, None),
+    "weighted_aggregation": (_BOOL, False, None, _DATA),
     # runner
     "out": (_STR, None, None),
-    "checkpoint_every": (_INT, 0, None),
+    "checkpoint_every": (_INT, 0, None, ("run",)),  # no other subcommand checkpoints
     "jobs": (_INT, None, None),
     # verify-bounds
-    "theorem": (_INT, 1, (1, 2, 3, 4)),
+    "theorem": (_INT, 1, (1, 2, 3, 4), ("verify-bounds",)),
     # stability
-    "betas": ("list", None, None),
-    "stability_seeds": (_INT, 20, None),
-    "perturb_client": (_INT, 0, None),
-    "perturb_index": (_INT, 0, None),
+    "betas": ("list", None, None, ("stability",)),
+    "stability_seeds": (_INT, 20, None, ("stability",)),
+    "perturb_client": (_INT, 0, None, ("stability",)),
+    "perturb_index": (_INT, 0, None, ("stability",)),
     # sweep block (validated separately)
-    "sweep": ("dict", None, None),
+    "sweep": ("dict", None, None, ("sweep",)),
 }
 
 # keys that change where/how results are written, never what they are
 NONSEMANTIC_KEYS = ("out", "jobs", "checkpoint_every")
-
-# keys a mode would silently ignore; set there, they are refused by name
-UNHONORED_KEYS = {
-    "sweep": ("checkpoint_every",),          # sweep points write no checkpoints
-    "verify-bounds": ("checkpoint_every",),
-    # beta enters through betas; the replacement sample comes from the unbiased
-    # blob process, so biased shards would break the neighboring-dataset pair
-    "stability": ("beta", "client_bias_sigma", "category_bias_sigma"),
-}
 
 # problem kinds a mode can run; any other kind is refused
 MODE_PROBLEMS = {
@@ -145,11 +145,8 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
     for k in merged:
         if k not in SCHEMA:
             raise ConfigError(f"unknown config key {k!r}")
-    for k in UNHONORED_KEYS.get(mode, ()):
-        if merged.get(k) is not None:
-            raise ConfigError(f"config key {k!r} is not honored in {mode} mode")
     cfg = {}
-    for k, (typ, default, allowed) in SCHEMA.items():
+    for k, (typ, default, allowed, *_) in SCHEMA.items():
         v = merged.get(k, default)
         if v is not None:
             if not _TYPE_CHECKS[typ](v):
@@ -186,27 +183,37 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
     if cfg["local_iters"] is None and cfg["local_epochs"] is None:
         cfg["local_iters"] = 5
 
-    if cfg["problem"] == "quadratic":
-        if cfg["batch_size"] is not None:
-            raise ConfigError("quadratic problems are full-objective; batch_size is not applicable")
-        if cfg["local_epochs"] is not None:
-            raise ConfigError("quadratic problems have no epochs; use local_iters")
-        if cfg["cond"] < 1.0:
-            raise ConfigError(f"cond must be >= 1, got {cfg['cond']}")
-        if cfg["spread"] < 0.0 or cfg["grad_noise"] < 0.0:
-            raise ConfigError("spread and grad_noise must be >= 0")
+    # a key set away from its default must be read by this problem kind and mode
+    kinds = set(SCHEMA["problem"][2])
+    for k, (_, default, _, *readers) in SCHEMA.items():
+        names = set(readers[0]) if readers and cfg[k] != default else set()
+        if names & kinds and cfg["problem"] not in names:
+            raise ConfigError(f"config key {k!r} is not read by {cfg['problem']!r} problems")
+        if names - kinds and mode not in names:
+            raise ConfigError(f"config key {k!r} is not honored in {mode} mode")
+    # each value below is at its default unless the problem kind or mode reads it
+    if cfg["cond"] < 1.0:
+        raise ConfigError(f"cond must be >= 1, got {cfg['cond']}")
+    if cfg["spread"] < 0.0 or cfg["grad_noise"] < 0.0:
+        raise ConfigError("spread and grad_noise must be >= 0")
     if cfg["problem"] == "csv" and not cfg["csv_path"]:
         raise ConfigError("problem 'csv' needs csv_path")
-    if cfg["problem"] in ("blobs", "csv"):
-        if cfg["model"] == "logistic-regression" and cfg["problem"] == "blobs" and cfg["n_classes"] != 2:
-            raise ConfigError("logistic-regression needs n_classes=2; use model='mlp' for more classes")
-        if cfg["concentration"] <= 0.0:
-            raise ConfigError(f"concentration must be positive, got {cfg['concentration']}")
+    if cfg["model"] == "logistic-regression" and cfg["n_classes"] != 2:
+        raise ConfigError("logistic-regression needs n_classes=2; use model='mlp' for more classes")
+    if cfg["concentration"] <= 0.0:
+        raise ConfigError(f"concentration must be positive, got {cfg['concentration']}")
+    if cfg["checkpoint_every"] < 0:
+        raise ConfigError(f"config key 'checkpoint_every' must be >= 0, got {cfg['checkpoint_every']}")
+    if cfg["stability_seeds"] < 1:
+        raise ConfigError(f"config key 'stability_seeds' must be >= 1, got {cfg['stability_seeds']}")
     if cfg["betas"] is not None:
-        if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in cfg["betas"]):
-            raise ConfigError("betas must be a list of numbers")
+        if not all(isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
+                   for b in cfg["betas"]):
+            raise ConfigError("betas must be a list of finite numbers")
         cfg["betas"] = [float(b) for b in cfg["betas"]]
-        if mode == "stability" and min(cfg["betas"], default=0.0) < 0.0:
+        if not cfg["betas"]:
+            raise ConfigError("config key 'betas' must be a non-empty list")
+        if min(cfg["betas"]) < 0.0:
             raise ConfigError("config key 'betas' must be >= 0 in stability mode: "
                               "the stability factor is stated for beta >= 0")
     if cfg["sweep"] is not None:

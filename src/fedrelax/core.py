@@ -69,6 +69,8 @@ class HyperParams:
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.lr_schedule == "constant" and not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+        if self.lr_schedule == "inverse_t" and self.lr_decay != 1.0:
+            raise ValueError(f"lr_decay must be 1.0 under inverse_t (eta / (t+1)), got {self.lr_decay}")
 
     def lr_at(self, t: int) -> float:
         if self.lr_schedule == "inverse_t":

@@ -20,8 +20,6 @@ from fedrelax.artifacts import (
     rng_state,
     save_checkpoint,
     write_json,
-    write_rounds_csv,
-    write_summary,
 )
 from fedrelax.core import HyperParams, Simulation, run_experiment
 from fedrelax.datasets import dirichlet_partition, make_blobs, shard_dataset
@@ -307,13 +305,8 @@ def test_rounds_csv_and_summary_files(tmp_path):
     hp = HyperParams(eta=0.2, rounds=3, n_active=2, k_local=2)
     res = run_experiment(problem, spec, hp, seed=0)
     csv_path = tmp_path / "rounds.csv"
-    write_rounds_csv(csv_path, res.records, "f" * 64)
+    atomic_write_text(csv_path, rounds_csv_text(res.records, "f" * 64))
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("#") and "f" * 64 in lines[0]
     assert lines[1].startswith("round,")
     assert len(lines) == 2 + 3
-    sum_path = tmp_path / "summary.json"
-    write_summary(sum_path, {"rounds": 3}, "f" * 64)
-    loaded = json.loads(sum_path.read_text())
-    assert loaded["config_hash"] == "f" * 64
-    assert loaded["rounds"] == 3

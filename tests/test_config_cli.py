@@ -10,6 +10,8 @@ import pytest
 
 from fedrelax.cli import _effective_jobs, _effective_out, build_parser, main
 from fedrelax.config import (
+    MODE_PROBLEMS,
+    SCHEMA,
     ConfigError,
     build_hp,
     build_problem,
@@ -79,7 +81,7 @@ def test_participation_and_local_steps_guards():
 def test_quadratic_guards():
     with pytest.raises(ConfigError, match="batch_size"):
         resolve_config({"batch_size": 32})
-    with pytest.raises(ConfigError, match="local_iters"):
+    with pytest.raises(ConfigError, match="'local_epochs'"):
         resolve_config({"local_epochs": 2})
     with pytest.raises(ConfigError, match="cond"):
         resolve_config({"cond": 0.5})
@@ -101,31 +103,34 @@ def test_dataset_guards():
 
 
 def test_betas_coerced():
-    cfg = resolve_config({"betas": [0, 0.05]})
+    cfg = resolve_config({"problem": "blobs", "betas": [0, 0.05]}, mode="stability")
     assert cfg["betas"] == [0.0, 0.05]
     assert all(isinstance(b, float) for b in cfg["betas"])
     with pytest.raises(ConfigError, match="numbers"):
-        resolve_config({"betas": [0.1, True]})
+        resolve_config({"problem": "blobs", "betas": [0.1, True]}, mode="stability")
+    with pytest.raises(ConfigError, match="finite numbers"):
+        resolve_config({"problem": "blobs", "betas": [0.0, float("nan")]}, mode="stability")
 
 
 def test_stability_betas_nonnegative():
     with pytest.raises(ConfigError, match="'betas' must be >= 0"):
         resolve_config({"problem": "blobs", "betas": [0.0, -0.05]}, mode="stability")
-    # other modes do not use betas; make_strategy polices a negative beta there
-    assert resolve_config({"betas": [-0.05]})["betas"] == [-0.05]
+    # other modes do not read betas at all
+    with pytest.raises(ConfigError, match="'betas' is not honored in run mode"):
+        resolve_config({"betas": [-0.05]})
 
 
 def test_sweep_validation():
     ok = {"axis": "lr", "values": [0.1, 0.2], "seeds": [0, 1]}
-    resolve_config({"sweep": ok})
+    resolve_config({"sweep": ok}, mode="sweep")
     with pytest.raises(ConfigError, match="sweep axis"):
-        resolve_config({"sweep": {**ok, "axis": "rounds"}})
+        resolve_config({"sweep": {**ok, "axis": "rounds"}}, mode="sweep")
     with pytest.raises(ConfigError, match="non-empty"):
-        resolve_config({"sweep": {**ok, "values": []}})
+        resolve_config({"sweep": {**ok, "values": []}}, mode="sweep")
     with pytest.raises(ConfigError, match="integers"):
-        resolve_config({"sweep": {**ok, "seeds": [0.5]}})
+        resolve_config({"sweep": {**ok, "seeds": [0.5]}}, mode="sweep")
     with pytest.raises(ConfigError, match="unknown sweep key"):
-        resolve_config({"sweep": {**ok, "step": 2}})
+        resolve_config({"sweep": {**ok, "step": 2}}, mode="sweep")
 
 
 def test_overrides_merge():
@@ -463,6 +468,11 @@ UNHONORED_CASES = [
     ("stability", "category_bias_sigma", 0.5,
      {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
       "local_iters": 2, "stability_seeds": 1, "betas": [0.0, 0.05]}),
+    ("stability", "checkpoint_every", 2,
+     {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
+      "local_iters": 2, "stability_seeds": 1, "betas": [0.0, 0.05]}),
+    ("run", "sweep", {"axis": "lr", "values": [0.1]},
+     {"problem": "quadratic", "n_clients": 4, "dim": 3, "rounds": 4, "local_iters": 2}),
 ]
 
 
@@ -479,6 +489,105 @@ def test_cli_refuses_keys_the_mode_ignores(tmp_path, mode, key, value, cfg):
     assert r2.returncode in (0, 3), r2.stderr  # verify-bounds exits 3 on a violated bound
     with pytest.raises(ConfigError, match=repr(key)):
         resolve_config({**cfg, key: value}, mode=mode)
+
+
+# who reads each key: problem kinds and/or subcommands (README's readers table)
+KINDS = ("quadratic", "blobs", "csv")
+MODES = ("run", "sweep", "verify-bounds", "stability", "partition-report")
+NOT_STABILITY = ("run", "sweep", "verify-bounds", "partition-report")
+READERS = {
+    **dict.fromkeys(("dim", "spread", "cond", "grad_noise"), ("quadratic",)),
+    **dict.fromkeys(("n_samples", "n_features", "n_classes", "separation", "cluster_std",
+                     "n_test"), ("blobs",)),
+    **dict.fromkeys(("csv_path", "csv_test_path"), ("csv",)),
+    **dict.fromkeys(("model", "hidden", "concentration", "with_replacement", "batch_size",
+                     "local_epochs", "weighted_aggregation"), ("blobs", "csv")),
+    **dict.fromkeys(("client_bias_sigma", "category_bias_sigma"), ("blobs", "csv") + NOT_STABILITY),
+    "beta": NOT_STABILITY,
+    "checkpoint_every": ("run",),
+    "sweep": ("sweep",),
+    "theorem": ("verify-bounds",),
+    **dict.fromkeys(("betas", "stability_seeds", "perturb_client", "perturb_index"), ("stability",)),
+}
+# per key, a value other than its default that passes every other check
+OFF_DEFAULT = {
+    "dim": 3, "spread": 2.0, "cond": 2.0, "grad_noise": 0.1, "n_samples": 100, "n_features": 3,
+    "n_classes": 3, "separation": 2.0, "cluster_std": 0.5, "n_test": 20, "csv_path": "a.csv",
+    "csv_test_path": "b.csv", "model": "linear-regression", "hidden": 4, "concentration": 0.5,
+    "with_replacement": True, "batch_size": 8, "local_epochs": 1, "weighted_aggregation": True,
+    "client_bias_sigma": 0.3, "category_bias_sigma": 0.3, "beta": 0.1, "checkpoint_every": 2,
+    "sweep": {"axis": "lr", "values": [0.2]}, "theorem": 2, "betas": [0.0, 0.1],
+    "stability_seeds": 2, "perturb_client": 1, "perturb_index": 1,
+}
+# the smallest config of each kind and mode; blobs and csv use mlp so n_classes may move
+KIND_BASE = {"quadratic": {}, "blobs": {"model": "mlp"}, "csv": {"model": "mlp", "csv_path": "t.csv"}}
+MODE_BASE = {"sweep": {"sweep": {"axis": "lr", "values": [0.1]}}}
+PAIRS = [(m, k) for m in MODES for k in MODE_PROBLEMS.get(m, KINDS)]
+
+
+def test_readers_declared_for_exactly_the_tabled_keys():
+    assert {k for k, entry in SCHEMA.items() if len(entry) == 4} == set(READERS)
+    assert len(PAIRS) == 10
+
+
+@pytest.mark.parametrize("mode,kind", PAIRS, ids=[f"{m}-{k}" for m, k in PAIRS])
+@pytest.mark.parametrize("key", sorted(READERS))
+def test_off_default_key_refused_exactly_where_unread(key, mode, kind):
+    base = {"problem": kind, **KIND_BASE[kind], **MODE_BASE.get(mode, {})}
+    value, readers = OFF_DEFAULT[key], READERS[key]
+    assert value != SCHEMA[key][1]
+    kind_reads = kind in readers or not set(readers) & set(KINDS)
+    mode_reads = mode in readers or not set(readers) - set(KINDS)
+    if kind_reads and mode_reads:
+        assert resolve_config({**base, key: value}, mode=mode)[key] == value
+    elif not kind_reads:
+        with pytest.raises(ConfigError, match=f"config key {key!r} is not read by {kind!r} problems"):
+            resolve_config({**base, key: value}, mode=mode)
+    else:
+        with pytest.raises(ConfigError, match=f"config key {key!r} is not honored in {mode} mode"):
+            resolve_config({**base, key: value}, mode=mode)
+    # the default passes everywhere, except where the kind or mode needs the key set
+    if key not in ({"csv": "csv_path"}.get(kind), {"sweep": "sweep"}.get(mode)):
+        resolve_config({**base, key: SCHEMA[key][1]}, mode=mode)
+
+
+_QUAD_SMALL = {"problem": "quadratic", "n_clients": 4, "dim": 3, "rounds": 3, "local_iters": 2}
+_BLOBS_SMALL = {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
+                "local_iters": 2}
+_STABILITY_SMALL = {**_BLOBS_SMALL, "stability_seeds": 1, "betas": [0.0, 0.05]}
+
+# configs whose key would shape nothing (or whose run would test nothing)
+REFUSED_CASES = [
+    ("sweep", "concentration", {**_QUAD_SMALL, "sweep": {"axis": "concentration", "values": [0.1, 10.0]}}),
+    ("sweep", "grad_noise", {**_BLOBS_SMALL, "sweep": {"axis": "grad_noise", "values": [0.0, 0.5]}}),
+    ("run", "dim", {**_BLOBS_SMALL, "dim": 50, "cond": 9.0, "theorem": 3, "betas": [0.5]}),
+    ("run", "model", {**_QUAD_SMALL, "model": "mlp", "concentration": 0.1}),
+    ("run", "checkpoint_every", {**_QUAD_SMALL, "checkpoint_every": -2}),
+    ("stability", "stability_seeds", {**_STABILITY_SMALL, "stability_seeds": 0}),
+    ("stability", "betas", {**_STABILITY_SMALL, "betas": []}),
+    ("run", "lr_decay", {**_QUAD_SMALL, "lr_schedule": "inverse_t", "lr_decay": 0.5}),
+]
+
+
+@pytest.mark.parametrize("mode,key,cfg", REFUSED_CASES,
+                         ids=[f"{m}-{k}" for m, k, _ in REFUSED_CASES])
+def test_cli_refuses_configs_that_would_change_nothing(tmp_path, mode, key, cfg):
+    out = tmp_path / "o"
+    r = cli(mode, "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+    assert r.returncode == 2, r.stdout
+    assert key in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_jobs_zero_refused_from_every_source(monkeypatch):
+    monkeypatch.delenv("FEDRELAX_JOBS", raising=False)
+    with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+        _effective_jobs({"jobs": 0}, None)
+    with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+        _effective_jobs({"jobs": 2}, 0)
+    monkeypatch.setenv("FEDRELAX_JOBS", "0")
+    with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+        _effective_jobs({"jobs": 2}, None)
 
 
 def test_cli_partition_report(tmp_path):

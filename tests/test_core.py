@@ -200,6 +200,14 @@ def test_hyperparams_validation():
         HyperParams(**{**good, "lr_decay": 1.5}).validate(4)
 
 
+def test_inverse_t_refuses_lr_decay():
+    # eta / (t+1) has no decay factor, so any other value would be ignored
+    hp = HyperParams(eta=0.1, rounds=5, n_active=2, k_local=3, lr_schedule="inverse_t")
+    hp.validate(4)
+    with pytest.raises(ValueError, match="lr_decay must be 1.0 under inverse_t"):
+        HyperParams(**{**vars(hp), "lr_decay": 0.5}).validate(4)
+
+
 def test_local_epochs_step_counts():
     prob = blob_problem()
     sizes = [prob.shard_size(i) for i in range(6)]

@@ -15,7 +15,8 @@ its last checkpoint. One paired stability run hashes its per-round deltas
 and global distances. Each run of the CLI grid calls ``fedrelax.cli.main``
 in-process from its own scratch directory, with relative paths only, so no
 temporary path reaches an artifact; it hashes the exit code, stdout and every
-file the run writes.
+file the run writes. A CLI grid run the CLI refuses (exit 2) stops the tool
+with exit code 1, naming the run.
 """
 from __future__ import annotations
 
@@ -137,7 +138,8 @@ CLI_GRID = {
 }
 
 
-def cli_digest(fr, argvs: list, cfg: dict, run_dir: str) -> str:
+def cli_digest(fr, argvs: list, cfg: dict, run_dir: str) -> str | None:
+    """The run's digest, or None when the CLI refuses one of its calls (exit 2)."""
     os.makedirs(run_dir)
     cwd = os.getcwd()
     os.chdir(run_dir)
@@ -151,6 +153,8 @@ def cli_digest(fr, argvs: list, cfg: dict, run_dir: str) -> str:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = fr.cli.main(argv + ["--config", "config.json", "--out", "out"])
+            if code == 2:
+                return None
             h.update(f"{code}\n{stdout.getvalue()}".encode())
         for root, dirs, files in os.walk("out"):
             dirs.sort()
@@ -181,7 +185,12 @@ def main(argv=None) -> int:
                 print(f"{sname:<12} {pname:<20} {run_digest(fr, make(), problem, hp, tmp)}")
         print(f"{'paired':<12} {'fedinit-blobs':<20} {paired_digest(fr)}")
         for name, (argvs, cfg) in CLI_GRID.items():
-            print(f"{'cli':<12} {name:<20} {cli_digest(fr, argvs, cfg, os.path.join(tmp, name))}")
+            digest = cli_digest(fr, argvs, cfg, os.path.join(tmp, name))
+            if digest is None:
+                print(f"CLI grid run {name!r} exited 2; the grid must hold accepted configs",
+                      file=sys.stderr)
+                return 1
+            print(f"{'cli':<12} {name:<20} {digest}")
     return 0
 
 
