@@ -10,6 +10,7 @@ reproducible from (config, seed).
 """
 
 from .core import (
+    DivergedError,
     HyperParams,
     RunResult,
     Simulation,
@@ -86,6 +87,7 @@ __all__ = [
     "BoundConstants",
     "Dataset",
     "DatasetProblem",
+    "DivergedError",
     "HyperParams",
     "LinearRegression",
     "LogisticRegression",

@@ -58,7 +58,9 @@ def _json_default(o):
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
+    """Write obj as JSON; NaN and infinities are refused, as JSON has no token for them."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+    atomic_write_text(path, text + "\n")
 
 
 def encode_array(a: np.ndarray) -> dict:

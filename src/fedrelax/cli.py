@@ -29,7 +29,7 @@ from .config import (
     load_config,
     resolve_config,
 )
-from .core import Simulation
+from .core import DivergedError, Simulation
 from .datasets import partition_statistics
 from .metrics import rounds_csv_text
 from .stability import make_paired_blob_problems, stability_experiment, summarize_traces
@@ -181,7 +181,6 @@ STABILITY_DATA_KEYS = (
 
 
 def cmd_stability(args, cfg: dict, h: str, out_dir: str) -> int:
-    betas = cfg["betas"] if cfg["betas"] is not None else [0.0, 0.05, 0.1]
     seeds = [cfg["seed"] + i for i in range(cfg["stability_seeds"])]
     perturb = (cfg["perturb_client"], cfg["perturb_index"])
     data = {k: cfg[k] for k in STABILITY_DATA_KEYS}
@@ -189,10 +188,7 @@ def cmd_stability(args, cfg: dict, h: str, out_dir: str) -> int:
     def pair(seed: int):
         return make_paired_blob_problems(**data, model_kind=cfg["model"], perturb=perturb, seed=seed)
 
-    # beta enters through the betas axis, not the base spec; fedinit is fedavg + RI
-    strategy = "fedavg" if cfg["strategy"] == "fedinit" else cfg["strategy"]
-    base_spec = build_strategy({**cfg, "strategy": strategy})
-    traces = stability_experiment(pair, base_spec, build_hp(cfg), betas, seeds)
+    traces = stability_experiment(pair, build_strategy(cfg), build_hp(cfg), cfg["betas"], seeds)
     summary = summarize_traces(traces)
     path = _write_report(out_dir, "stability_report.json", cfg, h, {
         "perturb": {"client": perturb[0], "sample": perturb[1]},
@@ -208,7 +204,7 @@ def cmd_stability(args, cfg: dict, h: str, out_dir: str) -> int:
 
 def cmd_partition_report(args, cfg: dict, h: str, out_dir: str) -> int:
     _, plan = build_problem(cfg)
-    stats = partition_statistics(plan, plan.labels)
+    stats = partition_statistics(plan)
     path = _write_report(out_dir, "partition_report.json", cfg, h, stats)
     print(f"C={stats['n_clients']} Dr={stats['concentration']}: mean TV={stats['mean_tv']:.4f}, "
           f"max TV={stats['max_tv']:.4f}, sizes min/max={min(stats['sizes'])}/{max(stats['sizes'])}")
@@ -259,6 +255,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:  # ConfigError and TheoryAssumptionError included
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except DivergedError as e:  # nothing is written; checkpoints of earlier rounds stay
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .datasets import (
     make_blobs,
     shard_dataset,
 )
+from .metrics import SCHEMA_VERSION
 from .models import LinearRegression, LogisticRegression, MLPClassifier
 from .problems import DatasetProblem, QuadraticProblem
 from .quadratics import make_quadratic_family
@@ -109,8 +110,6 @@ MODE_PROBLEMS = {
     "partition-report": ("blobs", "csv"),    # only datasets are partitioned
 }
 
-SCHEMA_VERSION = 1
-
 _TYPE_CHECKS = {
     _BOOL: lambda v: isinstance(v, bool),
     _INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -161,10 +160,14 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
                 )
         cfg[k] = v
 
-    # mode-aware schedule defaults: plain runs decay multiplicatively per round;
-    # bound checks need a constant rate; stability needs the c/(t+1) schedule
-    if mode == "stability" and "lr_schedule" not in merged:
-        cfg["lr_schedule"] = "inverse_t"
+    # mode-aware defaults: plain runs decay multiplicatively per round; bound
+    # checks need a constant rate; stability needs the c/(t+1) schedule and
+    # traces plain averaging and two relaxations unless told otherwise
+    if mode == "stability":
+        if "lr_schedule" not in merged:
+            cfg["lr_schedule"] = "inverse_t"
+        if cfg["betas"] is None:
+            cfg["betas"] = [0.0, 0.05, 0.1]
     if cfg["lr_decay"] is None:
         if cfg["lr_schedule"] == "inverse_t" or mode == "verify-bounds":
             cfg["lr_decay"] = 1.0
@@ -202,6 +205,8 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
         raise ConfigError("logistic-regression needs n_classes=2; use model='mlp' for more classes")
     if cfg["concentration"] <= 0.0:
         raise ConfigError(f"concentration must be positive, got {cfg['concentration']}")
+    if cfg["jobs"] is not None and cfg["jobs"] < 1:
+        raise ConfigError(f"config key 'jobs' must be >= 1, got {cfg['jobs']}")
     if cfg["checkpoint_every"] < 0:
         raise ConfigError(f"config key 'checkpoint_every' must be >= 0, got {cfg['checkpoint_every']}")
     if cfg["stability_seeds"] < 1:

@@ -22,6 +22,7 @@ reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ from .strategies import LocalCtx, StrategySpec
 _KEY_SAMPLING = 0x5E7
 _KEY_CLIENT = 0xC11
 _KEY_INIT = 0x141
+
+
+class DivergedError(ArithmeticError):
+    """A run reached a non-finite train loss or divergence; the message names the round."""
+
+
+def _check_finite(t: int, train_loss: float, div: float) -> None:
+    if not (math.isfinite(train_loss) and math.isfinite(div)):
+        raise DivergedError(f"run diverged at round {t}: train_loss={train_loss}, divergence={div}")
 
 
 @dataclass
@@ -261,6 +271,7 @@ class Simulation:
         eta = self.hp.lr_at(t)
         metrics = self.problem.eval_metrics(self.server.global_params)
         div = self.current_divergence()
+        _check_finite(t, metrics["train_loss"], div)
 
         active = sample_clients(self.server.rng, self.problem.n_clients, self.hp.n_active)
         aux_before = {k: m[active] for k, m in self.client_aux.items()}
@@ -281,7 +292,7 @@ class Simulation:
         )
         self.server.round = t + 1
 
-        down, up = strat.payload_counts(self.spec)
+        down, up = strat.PAYLOADS[self.spec.kind]
         n, d = self.hp.n_active, self.problem.dim
         record = RoundRecord(
             round=t,
@@ -313,11 +324,13 @@ class Simulation:
 
     def build_summary(self) -> dict:
         final_metrics = self.problem.eval_metrics(self.server.global_params)
+        div = self.current_divergence()
+        _check_finite(self.server.round, final_metrics["train_loss"], div)
         out = {
             "rounds": self.server.round,
             "final": {
                 "round": self.server.round,
-                "divergence": self.current_divergence(),
+                "divergence": div,
                 **final_metrics,
             },
             "avg_divergence": float(np.mean([r.divergence for r in self.records]))

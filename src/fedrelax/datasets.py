@@ -98,23 +98,21 @@ class PartitionPlan:
     def n_clients(self) -> int:
         return len(self.assignments)
 
-    def counts_matrix(self, labels: np.ndarray) -> np.ndarray:
+    def counts_matrix(self) -> np.ndarray:
         """Per-client label histogram, shape (C, n_classes)."""
-        labels = np.asarray(labels)
-        n_classes = int(labels.max()) + 1
+        n_classes = int(self.labels.max()) + 1
         out = np.zeros((self.n_clients, n_classes), dtype=np.int64)
         for i, idx in enumerate(self.assignments):
-            for c, n in zip(*np.unique(labels[idx], return_counts=True)):
+            for c, n in zip(*np.unique(self.labels[idx], return_counts=True)):
                 out[i, int(c)] = n
         return out
 
 
-def partition_statistics(plan: PartitionPlan, labels: np.ndarray) -> dict:
+def partition_statistics(plan: PartitionPlan) -> dict:
     """Per-client heterogeneity report: sizes, histograms, TV-to-global, max share."""
-    labels = np.asarray(labels)
-    counts = plan.counts_matrix(labels)
+    counts = plan.counts_matrix()
     sizes = counts.sum(axis=1)
-    global_counts = np.bincount(labels, minlength=counts.shape[1])
+    global_counts = np.bincount(plan.labels, minlength=counts.shape[1])
     global_dist = global_counts / global_counts.sum()
     tv = np.zeros(plan.n_clients)
     max_share = np.zeros(plan.n_clients)
@@ -172,6 +170,9 @@ def _draw_partition(labels, n_clients, concentration, rng, with_replacement):
     return [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments], props
 
 
+_PARTITION_DRAWS = 8  # plans drawn before an empty client is an error
+
+
 def dirichlet_partition(
     labels: np.ndarray,
     n_clients: int,
@@ -179,14 +180,13 @@ def dirichlet_partition(
     *,
     seed: int = 0,
     with_replacement: bool = False,
-    max_retries: int = 8,
 ) -> PartitionPlan:
     """Label-skew partition: client i draws proportions p_i ~ Dirichlet(concentration * 1).
 
     Without replacement each class's indices are split across clients
     proportionally to the normalized client weights for that class, so the
     assignment is a disjoint cover of the dataset. Plans that leave any client
-    empty are redrawn up to max_retries times, then an error is raised.
+    empty are redrawn, up to _PARTITION_DRAWS draws in all; then an error is raised.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or len(labels) == 0:
@@ -195,13 +195,13 @@ def dirichlet_partition(
         raise ValueError("need at least one client")
     if concentration <= 0.0:
         raise ValueError(f"Dirichlet concentration must be positive, got {concentration}")
-    for attempt in range(max_retries):
+    for attempt in range(_PARTITION_DRAWS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A, attempt)))
         assignments, props = _draw_partition(labels, n_clients, concentration, rng, with_replacement)
         if all(len(a) > 0 for a in assignments):
             return PartitionPlan(assignments, props, concentration, seed, with_replacement, labels)
     raise RuntimeError(
-        f"dirichlet_partition left a client with no samples after {max_retries} attempts; "
+        f"dirichlet_partition left a client with no samples after {_PARTITION_DRAWS} attempts; "
         "increase the dataset size, the concentration, or reduce the client count"
     )
 

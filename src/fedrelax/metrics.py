@@ -8,6 +8,7 @@ import numpy as np
 from .strategies import PAYLOADS, STORAGE_VECTORS, StrategySpec
 
 FLOAT_BYTES = 8  # float64 on the wire
+SCHEMA_VERSION = 1  # artifact layout, stamped in rounds.csv and every report envelope
 
 # pinned rounds.csv column order
 CSV_HEADER = (
@@ -138,13 +139,12 @@ def csv_cell(v) -> str:
     return repr(float(v))
 
 
-def rounds_csv_text(records, config_hash: str, schema_version: int = 1,
-                    columns=CSV_HEADER) -> str:
+def rounds_csv_text(records, config_hash: str, columns=CSV_HEADER) -> str:
     """Render records or dicts as CSV text: hash comment, header, one line per record.
 
     The default columns are the pinned rounds.csv header; sweep.csv passes its own.
     """
-    lines = [f"# schema={schema_version} config_hash={config_hash}", ",".join(columns)]
+    lines = [f"# schema={SCHEMA_VERSION} config_hash={config_hash}", ",".join(columns)]
     for r in records:
         d = r.to_dict() if isinstance(r, RoundRecord) else r
         lines.append(",".join(csv_cell(d[k]) for k in columns))

@@ -115,9 +115,6 @@ class LinearRegression:
         r = batch.x @ w - batch.y
         return batch.x.T @ r / len(batch)
 
-    def per_sample_losses(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.evaluate(w, batch).losses
-
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         r = batch.x @ w - batch.y
         grad = None if weights is None else batch.x.T @ (weights * r)
@@ -141,10 +138,7 @@ class LogisticRegression:
         self.dim = n_features
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
-        return float(np.mean(self.per_sample_losses(w, batch)))
-
-    def per_sample_losses(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.evaluate(w, batch).losses
+        return float(np.mean(self.evaluate(w, batch).losses))
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
         z = batch.x @ w
@@ -200,10 +194,7 @@ class MLPClassifier:
         return a1, logits, w2
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
-        return float(np.mean(self.per_sample_losses(w, batch)))
-
-    def per_sample_losses(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.evaluate(w, batch).losses
+        return float(np.mean(self.evaluate(w, batch).losses))
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
         n = len(batch)

@@ -197,7 +197,7 @@ class DatasetProblem:
     def per_sample_test_losses(self, w: np.ndarray) -> np.ndarray | None:
         if self.test is None:
             return None
-        return self.model.per_sample_losses(w, Batch(self.test.x, self.test.y))
+        return self.model.evaluate(w, Batch(self.test.x, self.test.y)).losses
 
     def eval_metrics(self, w: np.ndarray) -> dict:
         batch, weights = self._pooled

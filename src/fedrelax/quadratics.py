@@ -15,7 +15,8 @@ the small loss gaps near w* that the convergence checks look at.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,6 @@ class QuadraticFamily:
 
     a_matrices: np.ndarray
     b_vectors: np.ndarray
-    _w_star: np.ndarray | None = field(default=None, repr=False)
-    _a_bar: np.ndarray | None = field(default=None, repr=False)
-    _f_star: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.a_matrices = np.asarray(self.a_matrices, dtype=np.float64)
@@ -65,39 +63,28 @@ class QuadraticFamily:
         r = w - self.w_star
         return self.f_star + 0.5 * float(r @ (self.a_bar @ r))
 
-    @property
+    @cached_property
     def a_bar(self) -> np.ndarray:
         """Mean curvature matrix (1/C) sum A_i, the Hessian of the global objective."""
-        if self._a_bar is None:
-            self._a_bar = self.a_matrices.mean(axis=0)
-        return self._a_bar
+        return self.a_matrices.mean(axis=0)
 
-    @property
+    @cached_property
     def w_star(self) -> np.ndarray:
         """Global minimizer (sum A_i)^-1 (sum A_i b_i)."""
-        if self._w_star is None:
-            a_sum = self.a_matrices.sum(axis=0)
-            rhs = np.einsum("cij,cj->i", self.a_matrices, self.b_vectors)
-            self._w_star = np.linalg.solve(a_sum, rhs)
-        return self._w_star
+        a_sum = self.a_matrices.sum(axis=0)
+        rhs = np.einsum("cij,cj->i", self.a_matrices, self.b_vectors)
+        return np.linalg.solve(a_sum, rhs)
 
-    @property
+    @cached_property
     def f_star(self) -> float:
         """Mean client loss at w*, summed once over the clients in ascending id."""
-        if self._f_star is None:
-            w = self.w_star
-            self._f_star = sum(self.client_loss(i, w) for i in range(self.n_clients)) / self.n_clients
-        return self._f_star
+        w = self.w_star
+        return sum(self.client_loss(i, w) for i in range(self.n_clients)) / self.n_clients
 
     @property
     def smoothness(self) -> float:
         """Local smoothness modulus: max over clients of lambda_max(A_i)."""
         return float(max(np.linalg.eigvalsh(a)[-1] for a in self.a_matrices))
-
-    @property
-    def mean_smoothness(self) -> float:
-        """lambda_max of the averaged matrix (global curvature upper bound)."""
-        return float(np.linalg.eigvalsh(self.a_bar)[-1])
 
     @property
     def pl_constant(self) -> float:

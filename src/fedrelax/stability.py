@@ -19,7 +19,7 @@ round t0.  U = sup f is reported as the max loss seen on the probe set plus a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,19 +53,7 @@ class StabilityTrace:
         return self.deltas[-1] if self.deltas else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "seed": self.seed,
-            "k_local": self.k_local,
-            "c": self.c,
-            "deltas": self.deltas,
-            "global_dists": self.global_dists,
-            "final_param_dist": self.final_param_dist,
-            "final_delta": self.final_delta,
-            "loss_gap": self.loss_gap,
-            "u_bound": self.u_bound,
-            "t0": self.t0,
-        }
+        return {**asdict(self), "final_delta": self.final_delta}
 
 
 def improvement_factor(beta: float, c: float, k: int, big_l: float) -> float:
@@ -196,19 +184,16 @@ def paired_run(
     spec: StrategySpec,
     hp: HyperParams,
     seed: int,
-    *,
-    allow_constant_lr: bool = False,
-    w0: np.ndarray | None = None,
 ) -> StabilityTrace:
     """Run the two problems in lockstep on shared random streams."""
-    if hp.lr_schedule != "inverse_t" and not allow_constant_lr:
+    if hp.lr_schedule != "inverse_t":
         raise ValueError(
             "the stability analysis assumes the decaying schedule eta_t = c/(t+1); "
-            "set lr_schedule='inverse_t' or pass allow_constant_lr=True to override"
+            "set lr_schedule='inverse_t'"
         )
     if problem_a.n_clients != problem_b.n_clients or problem_a.dim != problem_b.dim:
         raise ValueError("paired problems must agree on client count and parameter dimension")
-    sim_a = Simulation(problem_a, spec, hp, seed, w0=w0)
+    sim_a = Simulation(problem_a, spec, hp, seed)
     sim_b = Simulation(problem_b, spec, hp, seed, w0=sim_a.server.global_params.copy())
     deltas: list[float] = []
     global_dists: list[float] = []
@@ -249,30 +234,19 @@ def stability_experiment(
     hp: HyperParams,
     betas: Sequence[float],
     seeds: Sequence[int],
-    *,
-    allow_constant_lr: bool = False,
 ) -> list[StabilityTrace]:
-    """Paired runs for every (beta, seed); factory(seed) -> (problem_a, problem_b).
+    """Paired runs for every (beta, seed), beta-major; factory(seed) -> (problem_a, problem_b, ...).
 
-    Paired runs execute serially so the stream pairing stays airtight; the
-    (beta, seed) grid is embarrassingly parallel at a higher level if needed.
+    One pair per seed serves every beta (a run never changes its problems), and
+    every beta composes RI onto the base spec, overriding its beta; beta = 0
+    starts every client at w exactly, which is plain averaging bit for bit.
     """
-    traces: list[StabilityTrace] = []
-    for beta in betas:
-        if beta == 0.0:
-            spec = dc_replace(base_spec, ri=False, beta=0.0)
-        else:
-            spec = compose_ri(base_spec, float(beta))
-        for seed in seeds:
-            pair = problem_pair_factory(int(seed))
-            problem_a, problem_b = pair[0], pair[1]
-            traces.append(
-                paired_run(
-                    problem_a, problem_b, spec, hp, int(seed),
-                    allow_constant_lr=allow_constant_lr,
-                )
-            )
-    return traces
+    pairs = [problem_pair_factory(int(seed))[:2] for seed in seeds]
+    return [
+        paired_run(problem_a, problem_b, compose_ri(base_spec, float(beta)), hp, int(seed))
+        for beta in betas
+        for seed, (problem_a, problem_b) in zip(seeds, pairs)
+    ]
 
 
 def summarize_traces(traces: Sequence[StabilityTrace]) -> dict:

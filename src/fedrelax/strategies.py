@@ -226,7 +226,3 @@ STORAGE_VECTORS = {
     "feddyn": 2,
     "fedcm": 2,
 }
-
-def payload_counts(spec: StrategySpec) -> tuple[int, int]:
-    """(downlink, uplink) parameter-vector payloads per active client per round."""
-    return PAYLOADS[spec.kind]

@@ -119,7 +119,6 @@ def estimate_problem_constants(
     *,
     grad_noise: float = 0.0,
     probe_budget: int = 1000,
-    seed: int = 0,
 ) -> dict:
     """Problem-side constants for a quadratic family.
 
@@ -129,7 +128,7 @@ def estimate_problem_constants(
     ||grad f_i - grad f|| over probe points (flagged as an estimate).  The
     interpolation ratios a and b are empirical sups over the same probes.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x7E0,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0x7E0,)))
     w_star = family.w_star
     sigma_g = family.heterogeneity_bound()
     out = {
@@ -186,9 +185,6 @@ def verify_convergence_bound(
     theorem: int,
     result: RunResult,
     problem: QuadraticProblem,
-    *,
-    grid=LAMBDA_GRID,
-    probe_budget: int = 200,
 ) -> dict:
     """Check a guarantee against a finished run; returns the per-grid report."""
     if theorem not in THEOREM_LABELS:
@@ -207,7 +203,7 @@ def verify_convergence_bound(
     d_gap = f0 - f_star
     family = problem.family
     est = estimate_problem_constants(
-        family, family.w_star, grad_noise=problem.grad_noise, probe_budget=probe_budget
+        family, family.w_star, grad_noise=problem.grad_noise, probe_budget=200
     )
     big_l, mu, sigma_l, sigma_g = est["L"], est["mu"], est["sigma_l"], est["sigma_g"]
     notes = []
@@ -252,7 +248,7 @@ def verify_convergence_bound(
         lhs = result.summary["final"]["train_loss"] - f_star
 
     grid_report = []
-    for lam in grid:
+    for lam in LAMBDA_GRID:
         consts = compute_constants(beta, lam=lam, n_active=n, mu=mu, a=a_ratio, b=b_ratio)
         ekt = eta * k * t_rounds
         if theorem == 1:
@@ -336,7 +332,6 @@ def divergence_decay_check(
     etas=(0.1, 0.05),
     t_values=(120, 240),
     seeds=range(10),
-    start_at_optimum_for_eta: bool = True,
 ) -> dict:
     """Measure how the round-averaged divergence scales with eta and with T.
 
@@ -349,9 +344,8 @@ def divergence_decay_check(
     t_avgs = {t: [] for t in t_values}
     for seed in seeds:
         problem = problem_factory(seed)
-        w0 = problem.w_star if start_at_optimum_for_eta else None
         for e in etas:
-            res = run_experiment(problem, spec, dc_replace(hp, eta=e), seed, w0=w0)
+            res = run_experiment(problem, spec, dc_replace(hp, eta=e), seed, w0=problem.w_star)
             eta_avgs[e].append(res.summary["avg_divergence"])
         for t in t_values:
             res = run_experiment(problem, spec, dc_replace(hp, rounds=t), seed)

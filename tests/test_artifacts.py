@@ -299,6 +299,14 @@ def test_write_json_sorted_and_deterministic(tmp_path):
         write_json(tmp_path / "c.json", {"x": object()})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_write_json_refuses_non_finite(tmp_path, bad):
+    target = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(target, {"final": {"train_loss": bad}})
+    assert os.listdir(tmp_path) == []  # no file, no temp file
+
+
 def test_rounds_csv_and_summary_files(tmp_path):
     problem = blob_problem()
     spec = make_strategy("fedavg")

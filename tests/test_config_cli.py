@@ -49,6 +49,10 @@ def test_mode_aware_lr_defaults():
     assert resolve_config({"lr_decay": 0.9})["lr_decay"] == 0.9
     st2 = resolve_config({"problem": "blobs", "lr_schedule": "constant"}, mode="stability")
     assert st2["lr_schedule"] == "constant"
+    # stability traces these betas unless told otherwise, and its echo says so
+    assert st["betas"] == [0.0, 0.05, 0.1]
+    echo = {k: v for k, v in st.items() if k != "schema_version"}
+    assert resolve_config(echo, mode="stability") == st
 
 
 def test_unknown_key_named():
@@ -566,6 +570,7 @@ REFUSED_CASES = [
     ("stability", "stability_seeds", {**_STABILITY_SMALL, "stability_seeds": 0}),
     ("stability", "betas", {**_STABILITY_SMALL, "betas": []}),
     ("run", "lr_decay", {**_QUAD_SMALL, "lr_schedule": "inverse_t", "lr_decay": 0.5}),
+    ("run", "jobs", {**_QUAD_SMALL, "jobs": -3}),
 ]
 
 
@@ -577,6 +582,37 @@ def test_cli_refuses_configs_that_would_change_nothing(tmp_path, mode, key, cfg)
     assert r.returncode == 2, r.stdout
     assert key in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,problem", [("run", "quadratic"), ("sweep", "quadratic"),
+                                          ("verify-bounds", "quadratic"), ("stability", "blobs"),
+                                          ("partition-report", "blobs")])
+def test_resolve_refuses_jobs_below_one_in_every_mode(mode, problem):
+    sweep = {"axis": "lr", "values": [0.1]} if mode == "sweep" else None
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match=f"config key 'jobs' must be >= 1, got {jobs}"):
+            resolve_config({"problem": problem, "jobs": jobs, "sweep": sweep}, mode=mode)
+
+
+def test_cli_diverging_run_exits_4_and_writes_no_report(tmp_path):
+    cfg = {"problem": "quadratic", "lr": 5, "cond": 10, "rounds": 40, "checkpoint_every": 5}
+    out = tmp_path / "o"
+    r = cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+    assert r.returncode == 4, r.stdout
+    assert "run diverged at round 20" in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "rounds.csv").exists() and not (out / "summary.json").exists()
+    # the checkpoint of the last finite round stays
+    assert json.loads((out / "checkpoint.json").read_text())["round"] == 20
+
+
+def test_cli_stability_echoes_default_betas(tmp_path):
+    out = tmp_path / "o"
+    r = cli("stability", "--config", write_cfg(tmp_path, {**_BLOBS_SMALL, "stability_seeds": 1}),
+            "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((out / "stability_report.json").read_text())
+    assert report["config"]["betas"] == [0.0, 0.05, 0.1]
+    assert [row["beta"] for row in report["summary"]["per_beta"]] == [0.0, 0.05, 0.1]
 
 
 def test_jobs_zero_refused_from_every_source(monkeypatch):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fedrelax.core import (
+    DivergedError,
     HyperParams,
     Simulation,
     aggregate,
@@ -280,6 +281,29 @@ def test_w0_shape_validation():
     hp = HyperParams(eta=0.1, rounds=1, n_active=2, k_local=1)
     with pytest.raises(ValueError, match="shape"):
         Simulation(prob, make_strategy("fedavg"), hp, 0, w0=np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_stops_at_first_non_finite_round():
+    # lr 5 on cond-10 curvature overshoots: the loss grows until it overflows at round 20
+    fam = make_quadratic_family(10, 10, cond=10.0, seed=0)
+    hp = HyperParams(eta=5.0, rounds=40, n_active=10, k_local=5, lr_decay=0.998)
+    sim = Simulation(QuadraticProblem(fam), make_strategy("fedavg"), hp, 0)
+    with pytest.raises(DivergedError, match=r"round 20: train_loss=inf"):
+        sim.run()
+    assert sim.server.round == 20 and len(sim.records) == 20
+    assert all(np.isfinite([r.train_loss, r.divergence]).all() for r in sim.records)
+    # a model that turns non-finite in the last round is caught by the summary
+    last = Simulation(QuadraticProblem(fam), make_strategy("fedavg"),
+                      HyperParams(eta=5.0, rounds=20, n_active=10, k_local=5, lr_decay=0.998), 0)
+    with pytest.raises(DivergedError, match=r"round 20"):
+        last.run()
+    assert len(last.records) == 20
+    # a client model far from a finite global one: only the divergence overflows
+    far = Simulation(QuadraticProblem(fam), make_strategy("fedavg"), hp, 0)
+    far.last_local[3, 0] = 1e200
+    with pytest.raises(DivergedError, match=r"round 0: train_loss=\d.*, divergence=inf"):
+        far.step()
 
 
 def test_summary_contents():

@@ -98,7 +98,7 @@ def test_concentration_controls_skew():
         tvs = []
         for seed in range(5):
             plan = dirichlet_partition(y, 20, dr, seed=seed)
-            stats = partition_statistics(plan, y)
+            stats = partition_statistics(plan)
             tvs.append(stats["mean_tv"])
         mean_tv[dr] = np.mean(tvs)
     assert mean_tv[0.1] > mean_tv[0.6] > mean_tv[1e6]
@@ -110,7 +110,7 @@ def test_near_uniform_partition_statistics():
     frac_ok = []
     for seed in range(5):
         plan = dirichlet_partition(y, 20, 1e6, seed=seed)
-        stats = partition_statistics(plan, y)
+        stats = partition_statistics(plan)
         frac_ok.append(stats["frac_clients_tv_le_005"])
     assert np.mean(frac_ok) >= 0.95
 
@@ -125,8 +125,11 @@ def test_partition_plan_references_its_labels():
 def test_partition_statistics_hand_values():
     y = np.array([0, 0, 1, 1])
     plan = dirichlet_partition(y, 2, 1e9, seed=1)
-    stats = partition_statistics(plan, y)
+    stats = partition_statistics(plan)
     assert stats["sizes"] == [2, 2]
+    # both read the plan's own labels: the histograms cover them, the global split is even
+    assert np.sum(stats["label_histograms"], axis=0).tolist() == [2, 2]
+    assert stats["global_label_distribution"] == [0.5, 0.5]
     # global dist is (1/2, 1/2); a perfectly mixed client has TV 0
     assert all(tv in (0.0, 0.5) for tv in stats["tv_to_global"])
 

@@ -107,7 +107,7 @@ def test_logistic_loss_overflow_safe():
     model = LogisticRegression(1)
     batch = Batch(np.array([[1.0], [1.0]]), np.array([1, 0]))
     w = np.array([1000.0])  # naive exp overflows here
-    losses = model.per_sample_losses(w, batch)
+    losses = model.evaluate(w, batch).losses
     assert losses[0] == pytest.approx(0.0, abs=1e-12)
     assert losses[1] == pytest.approx(1000.0, rel=1e-12)
     assert np.isfinite(model.grad(w, batch)).all()
@@ -178,7 +178,7 @@ def test_per_sample_losses_mean_equals_loss():
         (MLPClassifier(3, 4, 3), random_batch(rng, 10, 3, n_classes=3)),
     ]:
         w = rng.normal(size=model.dim if hasattr(model, "dim") else 3)
-        losses = model.per_sample_losses(w, batch)
+        losses = model.evaluate(w, batch).losses
         assert losses.shape == (10,)
         assert (losses >= 0.0).all()
         assert model.loss(w, batch) == pytest.approx(float(losses.mean()), rel=1e-13)

@@ -42,8 +42,9 @@ def test_smoothness_matches_power_iteration():
     fam = make_quadratic_family(5, 6, spread=1.0, cond=10.0, seed=3)
     expected = max(_power_iteration_lmax(a) for a in fam.a_matrices)
     assert fam.smoothness == pytest.approx(expected, rel=1e-9)
-    assert fam.mean_smoothness <= fam.smoothness + 1e-12
-    assert 0.0 < fam.pl_constant <= fam.mean_smoothness
+    mean_lmax = float(np.linalg.eigvalsh(fam.a_matrices.mean(axis=0))[-1])  # lambda_max(A_bar)
+    assert mean_lmax <= fam.smoothness + 1e-12
+    assert 0.0 < fam.pl_constant <= mean_lmax
 
 
 def test_family_matrices_spd_with_bounded_spectrum():

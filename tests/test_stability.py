@@ -1,4 +1,7 @@
 """Paired-run stability: exact zero gaps, split detection, bound arithmetic."""
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from fedrelax.stability import (
     stability_experiment,
     summarize_traces,
 )
-from fedrelax.strategies import make_strategy
+from fedrelax.strategies import compose_ri, make_strategy
 
 
 def small_pair(perturb=(0, 0), **kw):
@@ -184,8 +187,6 @@ def test_schedule_refusal_and_override():
     hp = HyperParams(eta=0.1, rounds=2, n_active=2, k_local=2)
     with pytest.raises(ValueError, match="inverse_t"):
         paired_run(prob_a, prob_b, spec, hp, seed=0)
-    tr = paired_run(prob_a, prob_b, spec, hp, seed=0, allow_constant_lr=True)
-    assert len(tr.deltas) == 2
 
 
 def test_mismatched_pair_rejected():
@@ -216,6 +217,54 @@ def test_stability_experiment_and_summary():
     for r in rows:
         assert r["mean_final_delta"] >= 0.0
         assert r["mean_loss_gap"] is not None
+
+
+def old_stability_experiment(factory, base_spec, hp, betas, seeds):
+    """Reference loop: a fresh pair per (beta, seed), and RI switched off at beta = 0."""
+    traces = []
+    for beta in betas:
+        spec = replace(base_spec, ri=False, beta=0.0) if beta == 0.0 else compose_ri(base_spec, beta)
+        for seed in seeds:
+            problem_a, problem_b, _ = factory(seed)
+            traces.append(paired_run(problem_a, problem_b, spec, hp, seed))
+    return traces
+
+
+def _trace_bytes(traces):
+    return [json.dumps(tr.to_dict(), sort_keys=True) for tr in traces]  # repr-exact floats
+
+
+STABILITY_HP = HyperParams(eta=0.5, rounds=4, n_active=2, k_local=2, batch_size=8,
+                           lr_schedule="inverse_t")
+
+
+@pytest.mark.parametrize("base", ["fedavg", "scaffold"])
+def test_experiment_builds_one_pair_per_seed_and_matches_old_loop(base):
+    calls = []
+
+    def factory(seed):
+        calls.append(seed)
+        return small_pair(perturb=(1, 0), seed=seed)
+
+    betas, seeds = [0.0, 0.05, 0.1], [0, 1, 2]
+    traces = stability_experiment(factory, make_strategy(base), STABILITY_HP, betas, seeds)
+    assert sorted(calls) == seeds  # one pair per seed, reused for every beta
+    assert [(tr.beta, tr.seed) for tr in traces] == [(b, s) for b in betas for s in seeds]
+    old = old_stability_experiment(factory, make_strategy(base), STABILITY_HP, betas, seeds)
+    assert _trace_bytes(traces) == _trace_bytes(old)
+    assert any(tr.t0 is not None for tr in traces)  # the pairs split: the check saw real gaps
+
+
+def test_fedinit_base_traces_equal_fedavg_base():
+    def factory(seed):
+        return small_pair(perturb=(1, 0), seed=seed)
+
+    betas, seeds = [0.0, 0.1], [0, 1]
+    from_fedinit = stability_experiment(factory, make_strategy("fedinit", beta=0.3),
+                                        STABILITY_HP, betas, seeds)
+    from_fedavg = stability_experiment(factory, make_strategy("fedavg"), STABILITY_HP, betas, seeds)
+    assert [tr.beta for tr in from_fedinit] == [0.0, 0.0, 0.1, 0.1]
+    assert _trace_bytes(from_fedinit) == _trace_bytes(from_fedavg)
 
 
 def test_trace_round_trip():

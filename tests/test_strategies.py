@@ -11,6 +11,7 @@ from fedrelax.metrics import rounds_csv_text
 from fedrelax.problems import QuadraticProblem
 from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
 from fedrelax.strategies import (
+    PAYLOADS,
     LocalCtx,
     StrategySpec,
     client_step,
@@ -19,7 +20,6 @@ from fedrelax.strategies import (
     init_client_aux,
     init_server_aux,
     make_strategy,
-    payload_counts,
     server_step,
 )
 
@@ -250,7 +250,7 @@ def test_null_parameters_degrade_to_fedavg_bitwise(name, null_kw, run):
     degraded = _run(spec, run, rounds)
     np.testing.assert_array_equal(degraded.final_global, base.final_global)
     np.testing.assert_array_equal(degraded.sim.last_local, base.sim.last_local)
-    zero_bytes = payload_counts(spec) != payload_counts(make_strategy("fedavg"))
+    zero_bytes = PAYLOADS[spec.kind] != PAYLOADS["fedavg"]
     assert _csv(degraded, zero_bytes) == _csv(base, zero_bytes)
 
 
@@ -347,10 +347,10 @@ def test_cm_alpha_range_enforced():
 
 
 def test_payload_counts_table():
-    assert payload_counts(make_strategy("fedavg")) == (1, 1)
-    assert payload_counts(make_strategy("scaffold")) == (2, 2)
-    assert payload_counts(make_strategy("fedcm")) == (2, 1)
-    assert payload_counts(make_strategy("fedinit")) == (1, 1)
+    assert PAYLOADS[make_strategy("fedavg").kind] == (1, 1)
+    assert PAYLOADS[make_strategy("scaffold").kind] == (2, 2)
+    assert PAYLOADS[make_strategy("fedcm").kind] == (2, 1)
+    assert PAYLOADS[make_strategy("fedinit").kind] == (1, 1)
 
 
 def test_aux_initialization():

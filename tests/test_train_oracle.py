@@ -124,7 +124,7 @@ class LoopSimulation(Simulation):
             n_clients=self.problem.n_clients,
         )
         self.server.round = t + 1
-        down, up = strat.payload_counts(self.spec)
+        down, up = strat.PAYLOADS[self.spec.kind]
         n, d = self.hp.n_active, self.problem.dim
         record = RoundRecord(
             round=t, divergence=div, grad_norm_sq=metrics["grad_norm_sq"],
