@@ -109,7 +109,10 @@ def cmd_run(args, cfg: dict, h: str, out_dir: str) -> int:
 def _sweep_cell(job: dict) -> dict:
     """One sweep point; runs in a worker process when jobs > 1."""
     cfg = job["cfg"]
-    result, _, _ = _run_once(cfg, allow_negative_beta=job["allow_negative_beta"], out_dir=None)
+    try:
+        result, _, _ = _run_once(cfg, allow_negative_beta=job["allow_negative_beta"], out_dir=None)
+    except DivergedError as e:
+        raise DivergedError(f"sweep point {job['axis']}={job['value']!r}, seed {cfg['seed']}: {e}") from None
     final = result.summary["final"]
     return {
         "axis": job["axis"],

@@ -266,12 +266,22 @@ class Simulation:
             self.client_aux[k][ids] = v
         self.last_local[ids] = w_end
 
+    def _checked_metrics(self) -> tuple[dict, float]:
+        """Evaluation of the global model and the divergence, refused when not finite.
+
+        The overflow of a diverging run is reported by the DivergedError, so
+        NumPy's warnings about it are silenced here.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            metrics = self.problem.eval_metrics(self.server.global_params)
+            div = self.current_divergence()
+        _check_finite(self.server.round, metrics["train_loss"], div)
+        return metrics, div
+
     def step(self) -> RoundRecord:
         t = self.server.round
         eta = self.hp.lr_at(t)
-        metrics = self.problem.eval_metrics(self.server.global_params)
-        div = self.current_divergence()
-        _check_finite(t, metrics["train_loss"], div)
+        metrics, div = self._checked_metrics()
 
         active = sample_clients(self.server.rng, self.problem.n_clients, self.hp.n_active)
         aux_before = {k: m[active] for k, m in self.client_aux.items()}
@@ -323,9 +333,7 @@ class Simulation:
         return RunResult(records=self.records, summary=self.build_summary(), sim=self)
 
     def build_summary(self) -> dict:
-        final_metrics = self.problem.eval_metrics(self.server.global_params)
-        div = self.current_divergence()
-        _check_finite(self.server.round, final_metrics["train_loss"], div)
+        final_metrics, div = self._checked_metrics()
         out = {
             "rounds": self.server.round,
             "final": {

@@ -7,10 +7,23 @@ evaluation with one forward pass (per-sample losses and predictions) and,
 when sample weights are given, one backward pass (the gradient of the
 weighted loss sum). Parameters are always 1-D ``float64`` arrays; nothing in
 the engine ever reshapes them except inside a model's own forward pass.
+
+Dataset models train through one gradient, ``block_grad(w, block)``: the
+(N, d) block w of models, each row with its own mini-batch, over a ``Block``
+that holds the samples of all rows gathered in one buffer, in row order;
+each stretch of consecutive rows with equal batch length is a run.
+Element-wise work (activations, softmax, residuals, the division by each
+row's batch length) runs once over the whole buffer; every product (and each
+bias add and batch sum) runs once per run, as one stacked NumPy call whose
+slices have exactly the shapes of a row alone. Padding rows to a common
+length would change those shapes, and OpenBLAS rounds a product differently
+when its row count changes; so each row of a block rounds exactly as that
+row alone, and ``grad(w, batch)`` is the block gradient of a one-row block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +70,48 @@ def as_params(w) -> np.ndarray:
     return w
 
 
+class Block:
+    """Gathered samples of an (N, d) block of models, one mini-batch per row.
+
+    x (M, p) and y (M,) hold the rows' samples run by run: runs = ((k, n), ...),
+    in buffer order, says that the next k rows each own the next n samples,
+    one row after another. Built once per gather, so a block that serves many
+    steps (full batches) pays for its views and length columns once.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, runs):
+        self.x, self.y, self.runs = x, y, runs
+        # per run: row slice, samples as a (k, n, p) stack, its (k, p, n) transpose
+        self.parts = []
+        r = 0
+        for (k, _), xs in zip(runs, self.split(x)):
+            self.parts.append((slice(r, r + k), xs, xs.transpose(0, 2, 1)))
+            r += k
+
+    def split(self, a: np.ndarray) -> list[np.ndarray]:
+        """Views of an (M,) or (M, w) array of per-sample values, one (k, n, 1 or w) stack per run."""
+        views, s = [], 0
+        for k, n in self.runs:
+            views.append(a[s:s + k * n].reshape(k, n, -1))
+            s += k * n
+        return views
+
+    @cached_property
+    def row_n(self) -> np.ndarray:
+        """(N, 1) batch length of each row, as floats."""
+        return np.repeat([float(n) for _, n in self.runs], [k for k, _ in self.runs])[:, None]
+
+    @cached_property
+    def sample_n(self) -> np.ndarray:
+        """(M, 1) batch length of each sample's row, as floats."""
+        return np.repeat(self.row_n, self.row_n[:, 0].astype(np.int64), axis=0)
+
+
+def _one_row(x: np.ndarray, y: np.ndarray | None) -> Block:
+    """The block of one row whose mini-batch is all of x."""
+    return Block(x, y, ((1, len(x)),))
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # stable for large |z|
 
@@ -98,7 +153,28 @@ class QuadraticModel:
         return np.zeros(self.dim)
 
 
-class LinearRegression:
+class _BlockGradModel:
+    """A dataset model's grad(w, batch): its block gradient on a one-row block."""
+
+    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
+        return self.block_grad(w[None], _one_row(batch.x, batch.y))[0]
+
+
+def _glm_block_grad(w: np.ndarray, block: Block, link) -> np.ndarray:
+    """Rows x_j^T (link(x_j w_j) - y_j) / n_j of a linear model's block (link None: identity)."""
+    z = np.empty(len(block.x))
+    z_runs = block.split(z)
+    for (rows, xs, _), zs in zip(block.parts, z_runs):
+        np.matmul(xs, w[rows, :, None], out=zs)
+    np.subtract(z if link is None else link(z), block.y, out=z)  # residuals, in place
+    out = np.empty(w.shape)
+    for (rows, _, xt), rs in zip(block.parts, z_runs):
+        np.matmul(xt, rs, out=out[rows, :, None])
+    out /= block.row_n
+    return out
+
+
+class LinearRegression(_BlockGradModel):
     """f(w) = 0.5 * mean_j (x_j . w - y_j)^2, no intercept."""
 
     kind = "linear-regression"
@@ -111,9 +187,8 @@ class LinearRegression:
         r = batch.x @ w - batch.y
         return 0.5 * float(np.mean(r * r))
 
-    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        r = batch.x @ w - batch.y
-        return batch.x.T @ r / len(batch)
+    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
+        return _glm_block_grad(w, block, None)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         r = batch.x @ w - batch.y
@@ -124,7 +199,7 @@ class LinearRegression:
         return np.zeros(self.dim)
 
 
-class LogisticRegression:
+class LogisticRegression(_BlockGradModel):
     """Binary logistic regression with labels in {0, 1}, no intercept.
 
     Loss is the balanced form: at w = 0 every sample contributes ln 2 and the
@@ -140,9 +215,8 @@ class LogisticRegression:
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
 
-    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        z = batch.x @ w
-        return batch.x.T @ (_sigmoid(z) - batch.y) / len(batch)
+    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
+        return _glm_block_grad(w, block, _sigmoid)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         z = batch.x @ w
@@ -158,7 +232,7 @@ class LogisticRegression:
         return np.zeros(self.dim)
 
 
-class MLPClassifier:
+class MLPClassifier(_BlockGradModel):
     """One-hidden-layer tanh network with softmax cross-entropy.
 
     Parameter layout (row-major, weights then biases per layer):
@@ -176,48 +250,82 @@ class MLPClassifier:
         self.dim = hidden * n_features + hidden + n_classes * hidden + n_classes
 
     def unpack(self, w: np.ndarray):
+        """Views W1, b1, W2, b2 of one parameter vector (d,) or of each row of a block (N, d)."""
         p, h, m = self.n_features, self.hidden, self.n_classes
-        if w.shape != (self.dim,):
+        if w.shape[-1:] != (self.dim,) or w.ndim > 2:
             raise ValueError(f"expected {self.dim} parameters, got shape {w.shape}")
+        lead = w.shape[:-1]
         o = 0
-        w1 = w[o:o + h * p].reshape(h, p); o += h * p
-        b1 = w[o:o + h]; o += h
-        w2 = w[o:o + m * h].reshape(m, h); o += m * h
-        b2 = w[o:o + m]
+        w1 = w[..., o:o + h * p].reshape(*lead, h, p); o += h * p
+        b1 = w[..., o:o + h]; o += h
+        w2 = w[..., o:o + m * h].reshape(*lead, m, h); o += m * h
+        b2 = w[..., o:o + m]
         return w1, b1, w2, b2
 
-    def _forward(self, w: np.ndarray, x: np.ndarray):
-        """Hidden activations and logits, plus W2 for a backward pass."""
+    def _forward(self, w: np.ndarray, block: Block):
+        """Hidden activations (M, hidden) and logits (M, classes) of the block w."""
         w1, b1, w2, b2 = self.unpack(w)
-        a1 = np.tanh(x @ w1.T + b1)
-        logits = a1 @ w2.T + b2
-        return a1, logits, w2
+        w1t, w2t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
+        a1 = np.empty((len(block.x), self.hidden))
+        logits = np.empty((len(block.x), self.n_classes))
+        a1_runs = block.split(a1)
+        for (rows, xs, _), z1 in zip(block.parts, a1_runs):
+            np.matmul(xs, w1t[rows], out=z1)
+            z1 += b1[rows, None]
+        np.tanh(a1, out=a1)
+        for (rows, _, _), a, z2 in zip(block.parts, a1_runs, block.split(logits)):
+            np.matmul(a, w2t[rows], out=z2)
+            z2 += b2[rows, None]
+        return a1, logits
+
+    def _backward(self, w: np.ndarray, block: Block, a1: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+        """Parameter gradients (N, d) of the block w from its hidden activations
+        a1 and the per-sample d(loss)/d(logits)."""
+        _, _, w2, _ = self.unpack(w)
+        dz1 = np.empty_like(a1)
+        a1_runs, dl_runs, dz_runs = block.split(a1), block.split(dlogits), block.split(dz1)
+        for (rows, _, _), dl, dz in zip(block.parts, dl_runs, dz_runs):
+            np.matmul(dl, w2[rows], out=dz)
+        dz1 *= 1.0 - a1 * a1
+        out = np.empty(w.shape)
+        dw1, db1, dw2, db2 = self.unpack(out)
+        for (rows, xs, _), a, dl, dz in zip(block.parts, a1_runs, dl_runs, dz_runs):
+            np.matmul(dl.transpose(0, 2, 1), a, out=dw2[rows])
+            dl.sum(axis=1, out=db2[rows])
+            np.matmul(dz.transpose(0, 2, 1), xs, out=dw1[rows])
+            dz.sum(axis=1, out=db1[rows])
+        return out
+
+    @staticmethod
+    def _dlogits(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Softmax minus one-hot labels, per sample."""
+        p = np.exp(logp)
+        p[np.arange(len(p)), y.astype(np.int64, copy=False)] -= 1.0
+        return p
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
 
-    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        n = len(batch)
-        y = batch.y.astype(np.int64)
-        a1, logits, w2 = self._forward(w, batch.x)
-        p = np.exp(_log_softmax(logits))
-        p[np.arange(n), y] -= 1.0
-        return _mlp_backward(batch.x, a1, w2, p / n)
+    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
+        a1, logits = self._forward(w, block)
+        dlogits = self._dlogits(_log_softmax(logits), block.y)
+        dlogits /= block.sample_n
+        return self._backward(w, block, a1, dlogits)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
-        rows = np.arange(len(batch))
-        y = batch.y.astype(np.int64)
-        a1, logits, w2 = self._forward(w, batch.x)
+        block = _one_row(batch.x, batch.y)
+        a1, logits = self._forward(w[None], block)
         logp = _log_softmax(logits)
         grad = None
         if weights is not None:
-            p = np.exp(logp)
-            p[rows, y] -= 1.0
-            grad = _mlp_backward(batch.x, a1, w2, p * weights[:, None])
-        return Evaluation(-logp[rows, y], grad, logits.argmax(axis=1).astype(np.int64))
+            dlogits = self._dlogits(logp, batch.y)
+            dlogits *= weights[:, None]
+            grad = self._backward(w[None], block, a1, dlogits)[0]
+        y = batch.y.astype(np.int64)
+        return Evaluation(-logp[np.arange(len(batch)), y], grad, logits.argmax(axis=1).astype(np.int64))
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, logits, _ = self._forward(w, x)
+        _, logits = self._forward(w[None], _one_row(x, None))
         return logits.argmax(axis=1).astype(np.int64)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -226,17 +334,6 @@ class MLPClassifier:
         w1 = rng.normal(0.0, 1.0 / np.sqrt(p), size=(h, p))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(m, h))
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(m)])
-
-
-def _mlp_backward(x: np.ndarray, a1: np.ndarray, w2: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-    """MLP parameter gradient from the forward activations and d(loss)/d(logits)."""
-    dw2 = dlogits.T @ a1
-    db2 = dlogits.sum(axis=0)
-    da1 = dlogits @ w2
-    dz1 = da1 * (1.0 - a1 * a1)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
 
 def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-6) -> np.ndarray:

@@ -15,15 +15,20 @@ Two concrete kinds:
   sigma_l = grad_noise * sqrt(d) used by theory.py is exact.  A pass gathers
   the participants' A_i and b_i once; a step's rows are one stacked matmul.
   The global objective is evaluated in closed form (see quadratics.py).
-* DatasetProblem -- a model plus per-client data shards.  Mini-batches are
-  drawn without replacement within an epoch and reshuffled each epoch from the
-  client's own random stream; batch_size None (or >= shard) means full batch
-  and consumes no randomness.  For evaluation the shards are pooled once, on
-  first use, with per-sample weights 1/(C n_i) for a sample of client i, so
-  that the weighted sum of per-sample losses is the unweighted mean of client
-  means.  One forward and one backward pass over the pooled set then give the
-  train loss, the gradient of f and (from the same logits) the train
-  accuracy; one forward pass over the test set gives test loss and accuracy.
+* DatasetProblem -- a model plus per-client data shards.  The shards are
+  pooled once, on first use, into one sample buffer in client order.  Each
+  client's mini-batches are a stream of pooled row indices, drawn without
+  replacement within an epoch and reshuffled each epoch from the client's own
+  random stream; batch_size None (or >= shard) means full batch and consumes
+  no randomness.  A local step gathers the participants' batches with one
+  fancy index into the pooled buffer (a pass of full batches gathers once)
+  and takes the model's block gradient over them (see models.py).  For
+  evaluation the pooled samples carry weights 1/(C n_i) for a sample of
+  client i, so that the weighted sum of per-sample losses is the unweighted
+  mean of client means.  One forward and one backward pass over the pooled
+  set then give the train loss, the gradient of f and (from the same logits)
+  the train accuracy; one forward pass over the test set gives test loss and
+  accuracy.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .datasets import Dataset
-from .models import Batch
+from .models import Batch, Block
 from .quadratics import QuadraticFamily
 
 
@@ -108,28 +113,31 @@ class QuadraticProblem:
         }
 
 
-def _batches(shard: Dataset, rng, batch_size):
-    """Epoch-wise mini-batches of one shard; rng is a zero-argument accessor of
-    the client's generator, called only at a reshuffle (never for full batches)."""
-    n = len(shard)
-    if batch_size is None or batch_size >= n:
-        yield from itertools.repeat(Batch(shard.x, shard.y))  # never returns
+def _full_batch(n: int, batch_size) -> bool:
+    return batch_size is None or batch_size >= n
+
+
+def _index_batches(start: int, n: int, rng, batch_size):
+    """Epoch-wise mini-batches of the shard at pooled rows start..start+n-1, as
+    pooled row indices; rng is a zero-argument accessor of the client's
+    generator, called only at a reshuffle (never for full batches)."""
+    if _full_batch(n, batch_size):
+        yield from itertools.repeat(np.arange(start, start + n))  # never returns
     while True:
-        perm = rng().permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            yield Batch(shard.x[idx], shard.y[idx])
+        perm = rng().permutation(n) + start
+        for s in range(0, n, batch_size):
+            yield perm[s:s + batch_size]
 
 
-def _rowwise(grad, batches):
-    """The (N, d) gradient whose row j is grad(w[j], batches[j]), written into one block."""
-    def block_grad(w: np.ndarray) -> np.ndarray:
-        out = np.empty_like(w)
-        for j, batch in enumerate(batches):
-            out[j] = grad(w[j], batch)
-        return out
+def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, batches):
+    """The (N, d) gradient whose row j is that of the samples x[batches[j]].
 
-    return block_grad
+    The step's samples are gathered once, in row order, into a Block whose
+    runs are the stretches of consecutive rows with equal batch length.
+    """
+    take = np.concatenate(batches)
+    runs = tuple((len(list(rows)), n) for n, rows in itertools.groupby(map(len, batches)))
+    return partial(block_grad, block=Block(x[take], y[take], runs))
 
 
 class DatasetProblem:
@@ -163,19 +171,31 @@ class DatasetProblem:
 
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
         """Block gradients of the clients ids, one function per local step; row j
-        takes its batches from client ids[j]'s shard and generator (rngs maps an id to it)."""
-        streams = [_batches(self.shards[i], partial(rngs, i), batch_size) for i in ids]
-        return (_rowwise(self.model.grad, batches) for batches in zip(*streams))
+        takes its batches from client ids[j]'s shard and generator (rngs maps an id to it).
+
+        Each step gathers its batches from the pooled shards once; a pass whose
+        rows are all full-batch gathers once for all its steps.
+        """
+        pooled, _ = self._pooled
+        grad = partial(_gathered_grad, self.model.block_grad, pooled.x, pooled.y)
+        streams = [_index_batches(self._starts[i], len(self.shards[i]), partial(rngs, i), batch_size)
+                   for i in ids]
+        if all(_full_batch(len(self.shards[i]), batch_size) for i in ids):
+            return itertools.repeat(grad([next(s) for s in streams]))
+        return map(grad, zip(*streams))
 
     def steps_per_epoch(self, i: int, batch_size) -> int:
         n = len(self.shards[i])
-        if batch_size is None or batch_size >= n:
-            return 1
-        return math.ceil(n / batch_size)
+        return 1 if _full_batch(n, batch_size) else math.ceil(n / batch_size)
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """Client i's samples are the pooled rows _starts[i] .. _starts[i] + n_i - 1."""
+        return np.cumsum([0] + [len(s) for s in self.shards[:-1]]).tolist()
 
     @cached_property
     def _pooled(self) -> tuple[Batch, np.ndarray]:
-        """All shards as one batch, built on first evaluation, with sample weights.
+        """All shards as one batch, in client order, built on first use, with sample weights.
 
         Sample j of client i weighs 1/(C n_i), so the weighted sum over the
         pooled set is the unweighted mean over clients of client means.

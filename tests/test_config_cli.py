@@ -605,6 +605,26 @@ def test_cli_diverging_run_exits_4_and_writes_no_report(tmp_path):
     assert json.loads((out / "checkpoint.json").read_text())["round"] == 20
 
 
+def test_cli_diverging_run_prints_only_the_error_line(tmp_path):
+    cfg = {"problem": "quadratic", "lr": 5, "cond": 10, "rounds": 40}
+    r = cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 4
+    assert r.stderr.splitlines() == [
+        "error: run diverged at round 20: train_loss=inf, divergence=inf"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_diverging_sweep_point_is_named(tmp_path, jobs):
+    cfg = {"problem": "quadratic", "cond": 10, "rounds": 40,
+           "sweep": {"axis": "lr", "values": [0.1, 5.0], "seeds": [0, 1]}}
+    out = tmp_path / "o"
+    r = cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--jobs", jobs)
+    assert r.returncode == 4, r.stdout
+    assert r.stderr.startswith("error: sweep point lr=5.0, seed 0: run diverged at round 20")
+    assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_stability_echoes_default_betas(tmp_path):
     out = tmp_path / "o"
     r = cli("stability", "--config", write_cfg(tmp_path, {**_BLOBS_SMALL, "stability_seeds": 1}),

@@ -22,7 +22,7 @@ def test_digests_cover_the_grid_and_repeat(capsys):
     assert tool.main([src]) == 0
     first = capsys.readouterr().out.splitlines()
     # strategies x problems, one paired run, then one line per CLI grid run
-    assert len(first) == 9 * 6 + 1 + len(tool.CLI_GRID)
+    assert len(first) == 9 * 8 + 1 + len(tool.CLI_GRID)
     assert [line.split()[1] for line in first[-len(tool.CLI_GRID):]] == list(tool.CLI_GRID)
     assert len({line.split()[-1] for line in first}) == len(first)
     assert tool.main([src]) == 0

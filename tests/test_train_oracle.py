@@ -7,7 +7,13 @@ program trains the participants as one (N, d) block instead (one block per
 step count under local_epochs). Every operation is row-wise, so the two must
 agree bit for bit: in the population matrices, the server state, rounds.csv
 and every client stream.
+
+For dataset problems the loop's gradients come from the reference per-row
+gradients below, written out here rather than taken from the package: the
+program computes every dataset gradient as a block over gathered samples,
+and must round each row exactly as these one-sample-set formulas do.
 """
+import itertools
 from functools import partial
 
 import numpy as np
@@ -19,12 +25,46 @@ from fedrelax import strategies as strat
 from fedrelax.core import HyperParams, Simulation, aggregate, relaxed_init, sample_clients
 from fedrelax.datasets import Dataset, make_blobs
 from fedrelax.metrics import FLOAT_BYTES, RoundRecord, rounds_csv_text
-from fedrelax.models import Batch, MLPClassifier
+from fedrelax.models import Batch, Block, LinearRegression, LogisticRegression, MLPClassifier
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
 from fedrelax.strategies import LocalCtx, make_strategy
 
 KINDS = ("fedavg", "fedadam", "fedsam", "scaffold", "feddyn", "fedcm")
+
+
+# -- reference per-row gradients of the mean loss over one sample set (x, y) ---------
+
+def ref_linear_grad(model, w, x, y):
+    r = x @ w - y
+    return x.T @ r / len(x)
+
+
+def ref_logistic_grad(model, w, x, y):
+    z = x @ w
+    return x.T @ (0.5 * (1.0 + np.tanh(0.5 * z)) - y) / len(x)
+
+
+def ref_mlp_grad(model, w, x, y):
+    p, h, m = model.n_features, model.hidden, model.n_classes
+    w1 = w[:h * p].reshape(h, p)
+    b1 = w[h * p:h * p + h]
+    w2 = w[h * p + h:h * p + h + m * h].reshape(m, h)
+    b2 = w[h * p + h + m * h:]
+    n = len(x)
+    a1 = np.tanh(x @ w1.T + b1)
+    logits = a1 @ w2.T + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    prob = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    prob[np.arange(n), y.astype(np.int64)] -= 1.0
+    dlogits = prob / n
+    dz1 = (dlogits @ w2) * (1.0 - a1 * a1)
+    return np.concatenate([(dz1.T @ x).ravel(), dz1.sum(axis=0),
+                           (dlogits.T @ a1).ravel(), dlogits.sum(axis=0)])
+
+
+REFERENCE_GRADS = {"linear-regression": ref_linear_grad,
+                   "logistic-regression": ref_logistic_grad, "mlp": ref_mlp_grad}
 
 
 # -- the per-client oracle --------------------------------------------------------
@@ -71,19 +111,19 @@ def oracle_grad_fns(problem, i, rng, batch_size):
                 eps = rng().normal(0.0, noise, size=fam.dim)
                 yield lambda w, eps=eps: fam.client_grad(i, w) + eps
     shard, model = problem.shards[i], problem.model
+    grad = REFERENCE_GRADS[model.kind]
     n = len(shard)
     if batch_size is None or batch_size >= n:
-        full = Batch(shard.x, shard.y)
         while True:
-            yield lambda w: model.grad(w, full)
+            yield lambda w: grad(model, w, shard.x, shard.y)
     perm, cursor = None, 0
     while True:
         if perm is None or cursor >= n:
             perm, cursor = rng().permutation(n), 0
         idx = perm[cursor:cursor + batch_size]
         cursor += batch_size
-        batch = Batch(shard.x[idx], shard.y[idx])
-        yield lambda w, batch=batch: model.grad(w, batch)
+        x, y = shard.x[idx], shard.y[idx]
+        yield lambda w, x=x, y=y: grad(model, w, x, y)
 
 
 class LoopSimulation(Simulation):
@@ -206,23 +246,29 @@ def test_fedsam_zero_gradient_row_matches_loop():
     assert not np.array_equal(block.last_local[1], [0.0, 0.0])
 
 
-# -- MLP mini-batches and uneven local epochs ---------------------------------------
+# -- dataset models: mini-batches, short last batches, uneven local epochs ----------
 
-def mlp_problem(sizes, seed):
-    """An MLP over blob shards of the given sizes, cut from one blob sample."""
-    data = make_blobs(sum(sizes), 3, 3, separation=2.0, seed=seed, n_test=0)
+MODELS = ("linear-regression", "logistic-regression", "mlp")
+
+
+def dataset_problem(model_kind, sizes, seed):
+    """A dataset problem over blob shards of the given sizes, cut from one blob sample."""
+    n_classes = 2 if model_kind == "logistic-regression" else 3
+    data = make_blobs(sum(sizes), 3, n_classes, separation=2.0, seed=seed, n_test=0)
     bounds = np.cumsum([0, *sizes])
     shards = [Dataset(data.x[a:b], data.y[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    return DatasetProblem(MLPClassifier(3, 4, 3), shards)
+    model = {"linear-regression": LinearRegression(3), "logistic-regression": LogisticRegression(3),
+             "mlp": MLPClassifier(3, 4, 3)}[model_kind]
+    return DatasetProblem(model, shards)
 
 
 @st.composite
-def mlp_runs(draw):
-    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+def dataset_runs(draw):
+    sizes = draw(st.lists(st.integers(1, 61), min_size=1, max_size=6))
     epochs = draw(st.booleans())
     return dict(
         sizes=sizes, data_seed=draw(st.integers(0, 2**16)),
-        batch_size=draw(st.sampled_from([None, 1, 4, 8, 16])),
+        batch_size=draw(st.sampled_from([None, 1, 4, 8, 16, 64])),
         k=None if epochs else draw(st.integers(1, 3)),
         epochs=draw(st.integers(1, 2)) if epochs else None,
         n_active=draw(st.integers(1, len(sizes))), rounds=draw(st.integers(1, 3)),
@@ -233,23 +279,89 @@ def mlp_runs(draw):
 # four step counts 2 * ceil(n / 8) in one round: 2, 6, 10 and 4
 UNEVEN_EPOCHS_RUN = dict(sizes=[3, 17, 40, 9], data_seed=1, batch_size=8, k=None, epochs=2,
                          n_active=4, rounds=2, weighted=True, seed=3)
+# short last batches of every length 1..7 beside full ones, and shards of 1 and 61
+SHORT_BATCHES_RUN = dict(sizes=[1, 9, 18, 27, 36, 45, 61], data_seed=2, batch_size=8, k=4,
+                         epochs=None, n_active=7, rounds=3, weighted=False, seed=5)
+# every row full-batch: one gather serves the whole pass; equal and distinct lengths
+FULL_BATCH_RUN = dict(sizes=[5, 12, 5, 30, 12, 1], data_seed=3, batch_size=None, k=3,
+                      epochs=None, n_active=5, rounds=3, weighted=True, seed=6)
+# a block of one row
+ONE_ROW_RUN = dict(sizes=[23, 7], data_seed=4, batch_size=4, k=None, epochs=1,
+                   n_active=1, rounds=3, weighted=False, seed=7)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@settings(max_examples=10, deadline=None)
-@example(run=UNEVEN_EPOCHS_RUN, ri=True)
-@given(run=mlp_runs(), ri=st.booleans())
-def test_block_training_matches_per_client_loop_on_mlp(kind, run, ri):
-    problem = mlp_problem(run["sizes"], run["data_seed"])
+def check_dataset_run(model_kind, kind, run, ri):
+    problem = dataset_problem(model_kind, run["sizes"], run["data_seed"])
     hp = HyperParams(eta=0.2, rounds=run["rounds"], n_active=run["n_active"], k_local=run["k"],
                      local_epochs=run["epochs"], batch_size=run["batch_size"],
                      weighted_aggregation=run["weighted"])
     assert_bitwise_same(*run_both(problem, spec_for(kind, ri), hp, run["seed"]))
 
 
+def dataset_examples(test):
+    for run, ri in ((UNEVEN_EPOCHS_RUN, True), (SHORT_BATCHES_RUN, True),
+                    (FULL_BATCH_RUN, False), (ONE_ROW_RUN, True)):
+        test = example(run=run, ri=ri)(test)
+    return test
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@dataset_examples
+@given(run=dataset_runs(), ri=st.booleans())
+def test_block_training_matches_per_client_loop_on_mlp(kind, run, ri):
+    check_dataset_run("mlp", kind, run, ri)
+
+
+@pytest.mark.parametrize("model_kind", ["linear-regression", "logistic-regression"])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=5, deadline=None)
+@dataset_examples
+@given(run=dataset_runs(), ri=st.booleans())
+def test_block_training_matches_per_client_loop_on_linear_models(model_kind, kind, run, ri):
+    check_dataset_run(model_kind, kind, run, ri)
+
+
 def test_uneven_epochs_example_has_several_step_groups():
     run = UNEVEN_EPOCHS_RUN
     hp = HyperParams(eta=0.2, rounds=1, n_active=4, local_epochs=run["epochs"],
                      batch_size=run["batch_size"])
-    sim = Simulation(mlp_problem(run["sizes"], run["data_seed"]), make_strategy("fedavg"), hp, 0)
+    sim = Simulation(dataset_problem("mlp", run["sizes"], run["data_seed"]),
+                     make_strategy("fedavg"), hp, 0)
     assert sorted(sim.steps_for(i) for i in range(4)) == [2, 4, 6, 10]
+
+
+# -- the block gradient itself -------------------------------------------------------
+
+@st.composite
+def mixed_blocks(draw):
+    """A model, an (N, d) block of its parameters, and one sample set per row, of mixed lengths."""
+    model_kind = draw(st.sampled_from(MODELS))
+    p = draw(st.integers(1, 6))
+    model = {"linear-regression": LinearRegression(p), "logistic-regression": LogisticRegression(p),
+             "mlp": MLPClassifier(p, draw(st.integers(1, 9)), draw(st.integers(2, 9)))}[model_kind]
+    # stretches of 1-3 rows of one length, so runs of several rows and equal lengths apart both occur
+    stretches = draw(st.lists(st.tuples(st.sampled_from([1, 2, 7, 8, 9, 16, 31, 32, 33, 61]),
+                                        st.integers(1, 3)), min_size=1, max_size=5))
+    lengths = [n for n, k in stretches for _ in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    n_classes = 2 if model_kind == "logistic-regression" else getattr(model, "n_classes", 3)
+    w = scale * rng.normal(size=(len(lengths), model.dim))
+    samples = [(3.0 * rng.normal(size=(n, p)), rng.integers(n_classes, size=n)) for n in lengths]
+    return model, w, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mixed_blocks())
+def test_block_gradient_rows_match_reference_bit_for_bit(case):
+    model, w, samples = case
+    # the rows' samples in row order; each stretch of consecutive rows of one length is a run
+    runs = tuple((len(list(rows)), n) for n, rows in itertools.groupby(len(x) for x, _ in samples))
+    block = Block(np.concatenate([x for x, _ in samples]), np.concatenate([y for _, y in samples]), runs)
+    got = model.block_grad(w, block)
+    for j, (x, y) in enumerate(samples):
+        want = REFERENCE_GRADS[model.kind](model, w[j], x, y)
+        assert got[j].tobytes() == want.tobytes()
+        assert model.grad(w[j], Batch(x, y)).tobytes() == want.tobytes()
+

@@ -62,6 +62,18 @@ def _problems(fr):
         shards = ds.shard_dataset(train, ds.dirichlet_partition(train.y, 6, 0.5, seed=1))
         return prob.DatasetProblem(models.MLPClassifier(4, 5, 3), shards, test)
 
+    def binary_blobs():
+        train, test = ds.make_blobs(200, 3, 2, separation=2.0, seed=2, n_test=40)
+        shards = ds.shard_dataset(train, ds.dirichlet_partition(train.y, 5, 0.5, seed=2))
+        return prob.DatasetProblem(models.LogisticRegression(3), shards, test)
+
+    def uneven_regression():
+        # shards of 1 to 61 samples: short last batches of several lengths
+        data = ds.make_blobs(150, 3, 3, separation=1.0, seed=3)
+        cuts = np.cumsum([0, 1, 9, 13, 22, 44, 61])
+        shards = [ds.Dataset(data.x[a:b], data.y[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        return prob.DatasetProblem(models.LinearRegression(3), shards)
+
     return {
         "quad-d4": lambda: (quadratic(8, 4, 0.0, 0), hp(eta=0.1, rounds=ROUNDS, n_active=4, k_local=3)),
         "quad-noisy": lambda: (quadratic(8, 3, 0.2, 1), hp(eta=0.1, rounds=ROUNDS, n_active=3, k_local=3)),
@@ -70,6 +82,9 @@ def _problems(fr):
         "mlp-epochs-weighted": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=4, local_epochs=1,
                                                     batch_size=16, weighted_aggregation=True)),
         "mlp-fullbatch": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=3, k_local=2)),
+        "logistic-fullbatch": lambda: (binary_blobs(), hp(eta=0.3, rounds=ROUNDS, n_active=4, k_local=3)),
+        "linear-minibatch": lambda: (uneven_regression(), hp(eta=0.02, rounds=ROUNDS, n_active=4,
+                                                            k_local=4, batch_size=8)),
     }
 
 
