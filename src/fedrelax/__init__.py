@@ -37,9 +37,7 @@ from .metrics import (
     RoundRecord,
     comm_storage_accounting,
     divergence,
-    generalization_gap,
     moving_average,
-    optimization_error,
     smoothed_max_last,
 )
 from .models import (
@@ -117,7 +115,6 @@ __all__ = [
     "divergence_decay_check",
     "estimate_problem_constants",
     "finite_diff_grad",
-    "generalization_gap",
     "improvement_factor",
     "load_csv",
     "make_blobs",
@@ -125,7 +122,6 @@ __all__ = [
     "make_quadratic_family",
     "make_strategy",
     "moving_average",
-    "optimization_error",
     "paired_run",
     "partition_statistics",
     "relaxed_init",

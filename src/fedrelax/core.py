@@ -38,7 +38,7 @@ _KEY_INIT = 0x141
 
 
 class DivergedError(ArithmeticError):
-    """A run reached a non-finite train loss or divergence; the message names the round."""
+    """A run reached a non-finite train loss, divergence or model; the message names the round."""
 
 
 def _check_finite(t: int, train_loss: float, div: float) -> None:
@@ -169,6 +169,11 @@ class Simulation:
     duals) to a (C, d) matrix; client_rngs[i] is client i's generator, or None
     until its first draw (see client_rng). agg_weights holds each client's
     sample count when aggregation is weighted, else None.
+
+    With record=False a round neither evaluates nor keeps a RoundRecord, and
+    step() returns None; it is for callers that read only the models (paired
+    stability runs). Such a round still refuses a non-finite new global model
+    or participant row with DivergedError.
     """
 
     def __init__(
@@ -179,9 +184,11 @@ class Simulation:
         seed: int,
         *,
         w0: np.ndarray | None = None,
+        record: bool = True,
     ):
         hp.validate(problem.n_clients)
         self.problem = problem
+        self.record = record
         self.spec = spec
         self.hp = hp
         self.seed = int(seed)
@@ -278,10 +285,11 @@ class Simulation:
         _check_finite(self.server.round, metrics["train_loss"], div)
         return metrics, div
 
-    def step(self) -> RoundRecord:
+    def step(self) -> RoundRecord | None:
         t = self.server.round
         eta = self.hp.lr_at(t)
-        metrics, div = self._checked_metrics()
+        if self.record:
+            metrics, div = self._checked_metrics()
 
         active = sample_clients(self.server.rng, self.problem.n_clients, self.hp.n_active)
         aux_before = {k: m[active] for k, m in self.client_aux.items()}
@@ -301,6 +309,11 @@ class Simulation:
             n_clients=self.problem.n_clients,
         )
         self.server.round = t + 1
+        if not self.record:
+            if not (np.isfinite(self.server.global_params).all()
+                    and np.isfinite(self.last_local[active]).all()):
+                raise DivergedError(f"run diverged at round {t}: non-finite model")
+            return None
 
         down, up = strat.PAYLOADS[self.spec.kind]
         n, d = self.hp.n_active, self.problem.dim

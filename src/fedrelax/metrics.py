@@ -56,14 +56,6 @@ def divergence(global_w: np.ndarray, last_locals: np.ndarray) -> float:
     return float(np.mean(np.einsum("cd,cd->c", diff, diff)))
 
 
-def optimization_error(f_value: float, f_star: float) -> float:
-    return float(f_value - f_star)
-
-
-def generalization_gap(train_loss: float, test_loss: float) -> float:
-    return float(test_loss - train_loss)
-
-
 def moving_average(series, width: int = 5) -> np.ndarray:
     """Centered moving average with edge truncation (window shrinks at the ends)."""
     if width < 1:

@@ -81,20 +81,18 @@ class Block:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, runs):
         self.x, self.y, self.runs = x, y, runs
+        # per run: its row slice, and its (start, stop, k, n) in the sample buffer
+        rows, self._cuts, r, s = [], [], 0, 0
+        for k, n in runs:
+            rows.append(slice(r, r + k))
+            self._cuts.append((s, s + k * n, k, n))
+            r, s = r + k, s + k * n
         # per run: row slice, samples as a (k, n, p) stack, its (k, p, n) transpose
-        self.parts = []
-        r = 0
-        for (k, _), xs in zip(runs, self.split(x)):
-            self.parts.append((slice(r, r + k), xs, xs.transpose(0, 2, 1)))
-            r += k
+        self.parts = [(rs, xs, xs.transpose(0, 2, 1)) for rs, xs in zip(rows, self.split(x))]
 
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         """Views of an (M,) or (M, w) array of per-sample values, one (k, n, 1 or w) stack per run."""
-        views, s = [], 0
-        for k, n in self.runs:
-            views.append(a[s:s + k * n].reshape(k, n, -1))
-            s += k * n
-        return views
+        return [a[s:e].reshape(k, n, -1) for s, e, k, n in self._cuts]
 
     @cached_property
     def row_n(self) -> np.ndarray:

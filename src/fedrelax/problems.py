@@ -21,8 +21,9 @@ Two concrete kinds:
   replacement within an epoch and reshuffled each epoch from the client's own
   random stream; batch_size None (or >= shard) means full batch and consumes
   no randomness.  A local step gathers the participants' batches with one
-  fancy index into the pooled buffer (a pass of full batches gathers once)
-  and takes the model's block gradient over them (see models.py).  For
+  fancy index into the pooled buffer (a pass of full batches gathers once;
+  one over every client trains on the pooled buffer itself, gathering
+  nothing) and takes the model's block gradient over them (see models.py).  For
   evaluation the pooled samples carry weights 1/(C n_i) for a sample of
   client i, so that the weighted sum of per-sample losses is the unweighted
   mean of client means.  One forward and one backward pass over the pooled
@@ -129,15 +130,18 @@ def _index_batches(start: int, n: int, rng, batch_size):
             yield perm[s:s + batch_size]
 
 
+def _runs(lengths) -> tuple:
+    """The Block runs of rows with these batch lengths: stretches of equal length."""
+    return tuple((len(list(rows)), n) for n, rows in itertools.groupby(lengths))
+
+
 def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, batches):
     """The (N, d) gradient whose row j is that of the samples x[batches[j]].
 
-    The step's samples are gathered once, in row order, into a Block whose
-    runs are the stretches of consecutive rows with equal batch length.
+    The step's samples are gathered once, in row order, into a Block.
     """
     take = np.concatenate(batches)
-    runs = tuple((len(list(rows)), n) for n, rows in itertools.groupby(map(len, batches)))
-    return partial(block_grad, block=Block(x[take], y[take], runs))
+    return partial(block_grad, block=Block(x[take], y[take], _runs(map(len, batches))))
 
 
 class DatasetProblem:
@@ -170,17 +174,22 @@ class DatasetProblem:
         return self.model.init_params(rng)
 
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
-        """Block gradients of the clients ids, one function per local step; row j
-        takes its batches from client ids[j]'s shard and generator (rngs maps an id to it).
+        """Block gradients of the clients ids (distinct, ascending), one function
+        per local step; row j takes its batches from client ids[j]'s shard and
+        generator (rngs maps an id to it).
 
         Each step gathers its batches from the pooled shards once; a pass whose
-        rows are all full-batch gathers once for all its steps.
+        rows are all full-batch gathers once for all its steps, and a full-batch
+        pass over every client uses the pooled buffer itself, gathering nothing.
         """
+        full = all(_full_batch(len(self.shards[i]), batch_size) for i in ids)
+        if full and len(ids) == self.n_clients:
+            return itertools.repeat(partial(self.model.block_grad, block=self._population_block))
         pooled, _ = self._pooled
         grad = partial(_gathered_grad, self.model.block_grad, pooled.x, pooled.y)
         streams = [_index_batches(self._starts[i], len(self.shards[i]), partial(rngs, i), batch_size)
                    for i in ids]
-        if all(_full_batch(len(self.shards[i]), batch_size) for i in ids):
+        if full:
             return itertools.repeat(grad([next(s) for s in streams]))
         return map(grad, zip(*streams))
 
@@ -205,6 +214,12 @@ class DatasetProblem:
                       np.concatenate([s.y for s in self.shards]))
         weights = np.concatenate([np.full(len(s), 1.0 / (c * len(s))) for s in self.shards])
         return batch, weights
+
+    @cached_property
+    def _population_block(self) -> Block:
+        """Every client's full batch, in client order: the pooled buffer as one Block."""
+        pooled, _ = self._pooled
+        return Block(pooled.x, pooled.y, _runs(len(s) for s in self.shards))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         batch, weights = self._pooled

@@ -19,12 +19,13 @@ round t0.  U = sup f is reported as the max loss seen on the probe set plus a
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import HyperParams, Simulation
+from .core import DivergedError, HyperParams, Simulation
 from .datasets import Dataset, blob_centers, dirichlet_partition, make_blobs, shard_dataset
 from .models import LogisticRegression, MLPClassifier
 from .problems import DatasetProblem
@@ -185,7 +186,13 @@ def paired_run(
     hp: HyperParams,
     seed: int,
 ) -> StabilityTrace:
-    """Run the two problems in lockstep on shared random streams."""
+    """Run the two problems in lockstep on shared random streams.
+
+    The trace reads only the models, so neither simulation evaluates or
+    records its rounds. A non-finite model, paired distance or final test
+    loss stops the run with DivergedError, which reports the overflow, so
+    NumPy's warnings about it are silenced.
+    """
     if hp.lr_schedule != "inverse_t":
         raise ValueError(
             "the stability analysis assumes the decaying schedule eta_t = c/(t+1); "
@@ -193,27 +200,32 @@ def paired_run(
         )
     if problem_a.n_clients != problem_b.n_clients or problem_a.dim != problem_b.dim:
         raise ValueError("paired problems must agree on client count and parameter dimension")
-    sim_a = Simulation(problem_a, spec, hp, seed)
-    sim_b = Simulation(problem_b, spec, hp, seed, w0=sim_a.server.global_params.copy())
+    sim_a = Simulation(problem_a, spec, hp, seed, record=False)
+    sim_b = Simulation(problem_b, spec, hp, seed, w0=sim_a.server.global_params.copy(), record=False)
     deltas: list[float] = []
     global_dists: list[float] = []
-    for _ in range(hp.rounds):
-        sim_a.step()
-        sim_b.step()
-        gap = 0.0
-        for la, lb in zip(sim_a.last_local, sim_b.last_local):
-            gap += float(np.linalg.norm(la - lb))
-        deltas.append(gap / problem_a.n_clients)
-        global_dists.append(
-            float(np.linalg.norm(sim_a.server.global_params - sim_b.server.global_params))
-        )
-    t0 = next((t for t, d in enumerate(deltas) if d > 0.0), None)
     loss_gap = u_bound = None
-    if getattr(problem_a, "test", None) is not None:
-        la = problem_a.per_sample_test_losses(sim_a.server.global_params)
-        lb = problem_a.per_sample_test_losses(sim_b.server.global_params)
-        loss_gap = float(np.max(np.abs(la - lb)))
-        u_bound = 1.1 * float(max(np.max(la), np.max(lb)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(hp.rounds):
+            sim_a.step()
+            sim_b.step()
+            gap = 0.0
+            for la, lb in zip(sim_a.last_local, sim_b.last_local):
+                gap += float(np.linalg.norm(la - lb))
+            deltas.append(gap / problem_a.n_clients)
+            global_dists.append(
+                float(np.linalg.norm(sim_a.server.global_params - sim_b.server.global_params))
+            )
+            if not (math.isfinite(deltas[-1]) and math.isfinite(global_dists[-1])):
+                raise DivergedError(f"run diverged at round {t}: non-finite paired distance")
+        if getattr(problem_a, "test", None) is not None:
+            la = problem_a.per_sample_test_losses(sim_a.server.global_params)
+            lb = problem_a.per_sample_test_losses(sim_b.server.global_params)
+            loss_gap = float(np.max(np.abs(la - lb)))
+            u_bound = 1.1 * float(max(np.max(la), np.max(lb)))
+            if not (math.isfinite(loss_gap) and math.isfinite(u_bound)):
+                raise DivergedError(f"run diverged at round {hp.rounds - 1}: non-finite test loss")
+    t0 = next((t for t, d in enumerate(deltas) if d > 0.0), None)
     return StabilityTrace(
         beta=spec.beta,
         seed=seed,

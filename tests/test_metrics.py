@@ -9,9 +9,7 @@ from fedrelax.metrics import (
     RoundRecord,
     comm_storage_accounting,
     divergence,
-    generalization_gap,
     moving_average,
-    optimization_error,
     rounds_csv_text,
     smoothed_max_last,
 )
@@ -60,11 +58,6 @@ def test_divergence_zero_when_identical():
 def test_divergence_shape_validation():
     with pytest.raises(ValueError):
         divergence(np.zeros(3), np.zeros((2, 4)))
-
-
-def test_gap_helpers():
-    assert optimization_error(1.5, 1.0) == 0.5
-    assert generalization_gap(0.2, 0.9) == pytest.approx(0.7)
 
 
 # -- cost accounting: every row of the table, exactly ---------------------------

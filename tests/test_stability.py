@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedrelax.core import HyperParams, Simulation
+from fedrelax.core import DivergedError, HyperParams, Simulation
 from fedrelax.datasets import Dataset
 from fedrelax.stability import (
     StabilityTrace,
@@ -279,3 +279,107 @@ def test_trace_round_trip():
     assert d["beta"] == 0.1
     empty = StabilityTrace(0.0, 0, 1, 0.1, [], [], 0.0, None, None, None)
     assert empty.final_delta == 0.0
+
+
+# -- paired runs against the recording loop they replace -----------------------------
+
+def reference_paired_run(problem_a, problem_b, spec, hp, seed):
+    """Two recording Simulations stepped in lockstep, the trace computed from their models."""
+    sim_a = Simulation(problem_a, spec, hp, seed)
+    sim_b = Simulation(problem_b, spec, hp, seed, w0=sim_a.server.global_params.copy())
+    deltas, global_dists = [], []
+    for _ in range(hp.rounds):
+        sim_a.step()
+        sim_b.step()
+        gap = 0.0
+        for la, lb in zip(sim_a.last_local, sim_b.last_local):
+            gap += float(np.linalg.norm(la - lb))
+        deltas.append(gap / problem_a.n_clients)
+        global_dists.append(
+            float(np.linalg.norm(sim_a.server.global_params - sim_b.server.global_params)))
+    assert len(sim_a.records) == len(sim_b.records) == hp.rounds  # the loop evaluated every round
+    la = problem_a.per_sample_test_losses(sim_a.server.global_params)
+    lb = problem_a.per_sample_test_losses(sim_b.server.global_params)
+    return {
+        "deltas": deltas,
+        "global_dists": global_dists,
+        "t0": next((t for t, d in enumerate(deltas) if d > 0.0), None),
+        "loss_gap": float(np.max(np.abs(la - lb))),
+        "u_bound": 1.1 * float(max(np.max(la), np.max(lb))),
+    }
+
+
+def _hp(**kw):
+    return HyperParams(eta=0.5, rounds=5, k_local=3, lr_schedule="inverse_t", **kw)
+
+
+# name -> (pair arguments, HyperParams, strategy, whether the pair is one problem twice)
+PAIRED_CASES = {
+    # full batches over all C clients: the whole-population block
+    "logistic-fullbatch-all": ({}, _hp(n_active=4), make_strategy("fedinit", beta=0.1), False),
+    "logistic-minibatch": ({}, _hp(n_active=2, batch_size=8), make_strategy("fedinit", beta=0.1), False),
+    "mlp-fullbatch-all": (dict(n_classes=3, model_kind="mlp", hidden=4), _hp(n_active=4),
+                          compose_ri(make_strategy("fedavg"), 0.05), False),
+    "mlp-minibatch": (dict(n_classes=3, model_kind="mlp", hidden=4), _hp(n_active=3, batch_size=16),
+                      make_strategy("fedinit", beta=0.1), False),
+    "scaffold-fullbatch-all": ({}, _hp(n_active=4), compose_ri(make_strategy("scaffold"), 0.1), False),
+    "feddyn-minibatch": ({}, _hp(n_active=3, batch_size=8), compose_ri(make_strategy("feddyn"), 0.1),
+                         False),
+    "control-fullbatch-all": ({}, _hp(n_active=4), make_strategy("fedinit", beta=0.1), True),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRED_CASES))
+def test_paired_run_equals_recording_loop(name, monkeypatch):
+    pair_args, hp, spec, same = PAIRED_CASES[name]
+    problem_a, problem_b, _ = small_pair(perturb=(1, 0), **pair_args)
+    if same:
+        problem_b = problem_a
+    want = reference_paired_run(problem_a, problem_b, spec, hp, seed=2)
+
+    steps = []
+    real_step = Simulation.step
+    monkeypatch.setattr(Simulation, "step", lambda sim: steps.append(sim) or real_step(sim))
+    for problem in (problem_a, problem_b):
+        monkeypatch.setattr(problem, "eval_metrics", None)  # a paired run must not evaluate
+    tr = paired_run(problem_a, problem_b, spec, hp, seed=2)
+
+    got = {k: getattr(tr, k) for k in want}
+    assert got == want
+    assert len(steps) == 2 * hp.rounds and len(set(map(id, steps))) == 2  # one step per sim per round
+    if same:
+        assert tr.deltas == [0.0] * hp.rounds and tr.t0 is None
+    else:
+        assert tr.t0 is not None  # the pair split, so the comparison saw real gaps
+    whole = hp.batch_size is None and hp.n_active == problem_a.n_clients
+    assert ("_population_block" in vars(problem_a)) == whole
+
+
+def test_paired_run_stops_at_a_non_finite_model():
+    problem_a, problem_b, _ = small_pair(perturb=(1, 0))
+    hp = HyperParams(eta=1e308, rounds=3, n_active=4, k_local=2, lr_schedule="inverse_t")
+    with pytest.raises(DivergedError, match=r"^run diverged at round 0: non-finite model$"):
+        paired_run(problem_a, problem_b, make_strategy("fedavg"), hp, seed=0)
+
+
+def test_paired_run_names_the_round_its_distance_overflows():
+    # FedDyn's proximal pull overshoots for eta * alpha > 2: the models grow
+    # geometrically until the paired distance overflows
+    problem_a, problem_b, _ = small_pair(perturb=(1, 0))
+    spec = make_strategy("feddyn")
+    hp = HyperParams(eta=1e4, rounds=40, n_active=4, k_local=10, lr_schedule="inverse_t")
+    with pytest.raises(DivergedError, match=r"round \d+: non-finite paired distance") as err:
+        paired_run(problem_a, problem_b, spec, hp, seed=0)
+    bad = int(err.value.args[0].split("round ")[1].split(":")[0])
+    assert bad > 0
+    # every round before it is finite
+    tr = paired_run(problem_a, problem_b, spec, replace(hp, rounds=bad), seed=0)
+    assert np.isfinite(tr.deltas + tr.global_dists + [tr.loss_gap, tr.u_bound]).all()
+
+
+def test_paired_run_refuses_a_non_finite_final_test_loss(monkeypatch):
+    problem_a, problem_b, _ = small_pair(perturb=(1, 0))
+    monkeypatch.setattr(problem_a, "per_sample_test_losses", lambda w: np.full(3, np.inf))
+    hp = HyperParams(eta=0.5, rounds=3, n_active=4, k_local=2, lr_schedule="inverse_t")
+    with pytest.raises(DivergedError, match=r"^run diverged at round 2: non-finite test loss$"):
+        paired_run(problem_a, problem_b, make_strategy("fedavg"), hp, seed=0)

@@ -285,6 +285,9 @@ SHORT_BATCHES_RUN = dict(sizes=[1, 9, 18, 27, 36, 45, 61], data_seed=2, batch_si
 # every row full-batch: one gather serves the whole pass; equal and distinct lengths
 FULL_BATCH_RUN = dict(sizes=[5, 12, 5, 30, 12, 1], data_seed=3, batch_size=None, k=3,
                       epochs=None, n_active=5, rounds=3, weighted=True, seed=6)
+# every client full-batch (batch_size above every shard): the pass trains on the pooled buffer
+ALL_CLIENTS_FULL_BATCH_RUN = dict(sizes=[5, 12, 5, 30, 12, 1], data_seed=3, batch_size=64, k=3,
+                                  epochs=None, n_active=6, rounds=3, weighted=False, seed=6)
 # a block of one row
 ONE_ROW_RUN = dict(sizes=[23, 7], data_seed=4, batch_size=4, k=None, epochs=1,
                    n_active=1, rounds=3, weighted=False, seed=7)
@@ -300,7 +303,7 @@ def check_dataset_run(model_kind, kind, run, ri):
 
 def dataset_examples(test):
     for run, ri in ((UNEVEN_EPOCHS_RUN, True), (SHORT_BATCHES_RUN, True),
-                    (FULL_BATCH_RUN, False), (ONE_ROW_RUN, True)):
+                    (FULL_BATCH_RUN, False), (ALL_CLIENTS_FULL_BATCH_RUN, True), (ONE_ROW_RUN, True)):
         test = example(run=run, ri=ri)(test)
     return test
 

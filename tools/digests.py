@@ -11,8 +11,8 @@ is checked with
 
 Each run hashes its rounds.csv text, its summary, the final global model,
 the ``last_local`` matrix, the client and server aux arrays and the bytes of
-its last checkpoint. One paired stability run hashes its per-round deltas
-and global distances. Each run of the CLI grid calls ``fedrelax.cli.main``
+its last checkpoint. Each paired stability run hashes its whole trace: deltas,
+global distances, t0, loss gap and U. Each run of the CLI grid calls ``fedrelax.cli.main``
 in-process from its own scratch directory, with relative paths only, so no
 temporary path reaches an artifact; it hashes the exit code, stdout and every
 file the run writes. A CLI grid run the CLI refuses (exit 2) stops the tool
@@ -110,15 +110,25 @@ def run_digest(fr, spec, problem, hp, tmp: str) -> str:
     return h.hexdigest()
 
 
-def paired_digest(fr) -> str:
+# name -> (pair shape, HyperParams arguments) of one fedinit paired stability run
+PAIRED = {
+    # mini-batches, N = 3 of C = 5
+    "fedinit-blobs": ({"n_clients": 5, "perturb": (1, 2)},
+                      {"eta": 0.5, "n_active": 3, "k_local": 3, "batch_size": 8}),
+    # full batches, N = C: the shape of acceptance criterion 9
+    "fedinit-fullbatch": ({"n_clients": 3, "perturb": (0, 0)},
+                          {"eta": 1.5, "n_active": 3, "k_local": 10}),
+}
+
+
+def paired_digest(fr, shape: dict, hp_args: dict) -> str:
     a, b, _ = fr.stability.make_paired_blob_problems(
-        n_clients=5, n_samples=150, n_features=3, n_classes=2, perturb=(1, 2),
+        **shape, n_samples=150, n_features=3, n_classes=2,
         n_test=30, model_kind="logistic-regression", seed=4,
     )
-    hp = fr.core.HyperParams(eta=0.5, rounds=ROUNDS, n_active=3, k_local=3, batch_size=8,
-                             lr_schedule="inverse_t")
+    hp = fr.core.HyperParams(**hp_args, rounds=ROUNDS, lr_schedule="inverse_t")
     trace = fr.stability.paired_run(a, b, fr.strategies.make_strategy("fedinit", beta=0.1), hp, 4)
-    return hashlib.sha256(json.dumps([trace.deltas, trace.global_dists]).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(trace.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 _QUAD = {"problem": "quadratic", "n_clients": 6, "dim": 3, "rounds": 6, "n_active": 3,
@@ -198,7 +208,8 @@ def main(argv=None) -> int:
             for pname, build in problems.items():
                 problem, hp = build()
                 print(f"{sname:<12} {pname:<20} {run_digest(fr, make(), problem, hp, tmp)}")
-        print(f"{'paired':<12} {'fedinit-blobs':<20} {paired_digest(fr)}")
+        for name, (shape, hp_args) in PAIRED.items():
+            print(f"{'paired':<12} {name:<20} {paired_digest(fr, shape, hp_args)}")
         for name, (argvs, cfg) in CLI_GRID.items():
             digest = cli_digest(fr, argvs, cfg, os.path.join(tmp, name))
             if digest is None:
