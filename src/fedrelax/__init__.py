@@ -56,7 +56,6 @@ from .stability import (
     make_paired_blob_problems,
     paired_run,
     replace_sample,
-    stability_bound,
     stability_experiment,
     summarize_traces,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "save_csv",
     "shard_dataset",
     "smoothed_max_last",
-    "stability_bound",
     "stability_experiment",
     "summarize_traces",
     "__version__",

@@ -171,9 +171,10 @@ class Simulation:
     sample count when aggregation is weighted, else None.
 
     With record=False a round neither evaluates nor keeps a RoundRecord, and
-    step() returns None; it is for callers that read only the models (paired
-    stability runs). Such a round still refuses a non-finite new global model
-    or participant row with DivergedError.
+    step() returns None; it is for callers that read only the models: a paired
+    stability run, one simulation of a problems.PairedProblem that trains both
+    sides of its pair in one block. Such a round still refuses a non-finite new
+    global model or participant row with DivergedError.
     """
 
     def __init__(
@@ -267,6 +268,7 @@ class Simulation:
             k_steps=k_steps,
             client_aux={k: m[ids] for k, m in self.client_aux.items()},
             server_aux=self.server.aux,
+            sides=getattr(self.problem, "sides", 1),  # models per row (see PairedProblem)
         )
         w_end = local_train(self.problem, self.spec, ids, ctx, self.client_rng, self.hp.batch_size)
         for k, v in strat.finish_local(self.spec, ctx, w_end).items():

@@ -76,7 +76,10 @@ class Block:
     x (M, p) and y (M,) hold the rows' samples run by run: runs = ((k, n), ...),
     in buffer order, says that the next k rows each own the next n samples,
     one row after another. Built once per gather, so a block that serves many
-    steps (full batches) pays for its views and length columns once.
+    steps (full batches) pays for its views, length columns and scratch
+    buffer once. A paired stability run's block holds both sides' rows of
+    each client, of equal length, so its runs have 2 rows or more
+    (problems.PairedProblem).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, runs):
@@ -93,6 +96,18 @@ class Block:
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         """Views of an (M,) or (M, w) array of per-sample values, one (k, n, 1 or w) stack per run."""
         return [a[s:e].reshape(k, n, -1) for s, e, k, n in self._cuts]
+
+    @cached_property
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+        """An (M,) buffer, the targets as floats, and per run its parts plus the buffer's (k, n, 1) view.
+
+        A linear model's block gradient keeps its margins and residuals there
+        on every call, so a block that serves K full-batch steps splits them
+        once; it never returns a view of the buffer. Float targets subtract
+        as the int ones do.
+        """
+        z = np.empty(len(self.x))
+        return z, self.y.astype(np.float64), [(*p, zs) for p, zs in zip(self.parts, self.split(z))]
 
     @cached_property
     def row_n(self) -> np.ndarray:
@@ -112,6 +127,14 @@ def _one_row(x: np.ndarray, y: np.ndarray | None) -> Block:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # stable for large |z|
+
+
+def _sigmoid_in_place(z: np.ndarray) -> None:
+    """z = _sigmoid(z), by the same operations in the same order, in z's buffer."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -159,15 +182,22 @@ class _BlockGradModel:
 
 
 def _glm_block_grad(w: np.ndarray, block: Block, link) -> np.ndarray:
-    """Rows x_j^T (link(x_j w_j) - y_j) / n_j of a linear model's block (link None: identity)."""
-    z = np.empty(len(block.x))
-    z_runs = block.split(z)
-    for (rows, xs, _), zs in zip(block.parts, z_runs):
-        np.matmul(xs, w[rows, :, None], out=zs)
-    np.subtract(z if link is None else link(z), block.y, out=z)  # residuals, in place
+    """Rows x_j^T (link(x_j w_j) - y_j) / n_j of a linear model's block.
+
+    link applies the link function in place (None: identity); margins and
+    residuals live in the block's scratch buffer, the gradient in a new array.
+    """
+    z, y, runs = block.scratch
+    w_cols = w[:, :, None]
+    for rows, xs, _, zs in runs:
+        np.matmul(xs, w_cols[rows], out=zs)
+    if link is not None:
+        link(z)
+    np.subtract(z, y, out=z)  # residuals, in place
     out = np.empty(w.shape)
-    for (rows, _, xt), rs in zip(block.parts, z_runs):
-        np.matmul(xt, rs, out=out[rows, :, None])
+    out_cols = out[:, :, None]
+    for rows, _, xt, rs in runs:
+        np.matmul(xt, rs, out=out_cols[rows])
     out /= block.row_n
     return out
 
@@ -214,7 +244,7 @@ class LogisticRegression(_BlockGradModel):
         return float(np.mean(self.evaluate(w, batch).losses))
 
     def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        return _glm_block_grad(w, block, _sigmoid)
+        return _glm_block_grad(w, block, _sigmoid_in_place)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         z = batch.x @ w

@@ -30,6 +30,10 @@ Two concrete kinds:
   set then give the train loss, the gradient of f and (from the same logits)
   the train accuracy; one forward pass over the test set gives test loss and
   accuracy.
+
+A paired stability run trains its two DatasetProblems as one PairedProblem,
+whose rows each hold both sides' models; its sides = 2 (a problem without the
+attribute has 1) is read only by FedSAM's per-model ascent radius.
 """
 from __future__ import annotations
 
@@ -249,6 +253,90 @@ class DatasetProblem:
             out["test_loss"] = float(np.mean(test.losses))
             out["test_acc"] = _accuracy(test.pred, self.test.y)
         return out
+
+
+def _model_shape(model) -> tuple:
+    """What fixes a dataset model's function of (w, samples): its kind and sizes."""
+    return type(model), model.dim, model.n_features, getattr(model, "hidden", None)
+
+
+class PairedProblem:
+    """Two dataset problems side by side, trained as one; the model is the pair (w_a, w_b).
+
+    A block of N pairs trains as the (2N, d) block of both sides' models (row
+    2j side a, row 2j + 1 side b of client ids[j]), with one block gradient of
+    side a's model per step; FedSAM takes one ascent radius per side
+    (sides = 2). The pooled buffer interleaves the shards per client (a_0,
+    b_0, a_1, ...). Both sides of a client hold n_i samples and would draw
+    from identically seeded generators, so one batch stream per client, over
+    side a, serves side b n_i pooled rows on. The pair trains; it does not
+    evaluate.
+    """
+
+    sides = 2
+
+    def __init__(self, problem_a: DatasetProblem, problem_b: DatasetProblem):
+        if _model_shape(problem_a.model) != _model_shape(problem_b.model):
+            raise ValueError("paired problems must have models of one kind and shape")
+        if problem_a.n_clients != problem_b.n_clients:
+            raise ValueError("paired problems must agree on client count")
+        for i, (sa, sb) in enumerate(zip(problem_a.shards, problem_b.shards)):
+            if len(sa) != len(sb):
+                raise ValueError(f"paired problems must agree on shard sizes: client {i} "
+                                 f"holds {len(sa)} samples on one side and {len(sb)} on the other")
+        self.problem_a, self.problem_b = problem_a, problem_b
+        self.model = problem_a.model
+        self.n_clients = problem_a.n_clients
+        self.dim = 2 * self.model.dim
+        self._sizes = [len(s) for s in problem_a.shards]
+
+    def shard_size(self, i: int) -> int:
+        return self._sizes[i]
+
+    def steps_per_epoch(self, i: int, batch_size) -> int:
+        return self.problem_a.steps_per_epoch(i, batch_size)
+
+    def default_init(self, rng) -> np.ndarray:
+        return np.tile(self.problem_a.default_init(rng), 2)
+
+    def _block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
+        """The (N, 2d) gradient of the pairs w, from side a's model on their (2N, d) view."""
+        return self.model.block_grad(w.reshape(-1, self.model.dim), block).reshape(w.shape)
+
+    def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
+        """As DatasetProblem.start_local_pass, each row trained as its pair of models."""
+        sizes = [self._sizes[i] for i in ids]
+        full = all(_full_batch(n, batch_size) for n in sizes)
+        if full and len(ids) == self.n_clients:
+            return itertools.repeat(partial(self._block_grad, block=self._population_block))
+        x, y = self._pooled
+
+        def grad(batches):  # side a's batch of each row, then side b's: the same draws, n rows on
+            return _gathered_grad(self._block_grad, x, y,
+                                  [b for idx, n in zip(batches, sizes) for b in (idx, idx + n)])
+
+        streams = [_index_batches(self._starts[i], n, partial(rngs, i), batch_size)
+                   for i, n in zip(ids, sizes)]
+        if full:
+            return itertools.repeat(grad([next(s) for s in streams]))
+        return map(grad, zip(*streams))
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """Client i's side-a samples are the pooled rows _starts[i] .. _starts[i] + n_i - 1."""
+        return np.cumsum([0] + [2 * n for n in self._sizes[:-1]]).tolist()
+
+    @cached_property
+    def _pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Features and targets of both sides' shards, interleaved per client."""
+        shards = [s for pair in zip(self.problem_a.shards, self.problem_b.shards) for s in pair]
+        return np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards])
+
+    @cached_property
+    def _population_block(self) -> Block:
+        """Both sides' full batches of every client: the pooled buffer as one Block."""
+        x, y = self._pooled
+        return Block(x, y, _runs(n for n in self._sizes for _ in range(2)))
 
 
 def _accuracy(pred: np.ndarray | None, y: np.ndarray) -> float | None:

@@ -16,6 +16,9 @@ under the schedule eta_t = c/(t+1); the beta-dependence works out to an
 improvement factor of (1/(1+2 beta))^{1/(1+cKL)} at the optimal observation
 round t0.  U = sup f is reported as the max loss seen on the probe set plus a
 10% margin, never asserted.
+
+A pair trains as one simulation of a problems.PairedProblem, in one block per
+local step, and each side's rows round exactly as that side's run alone.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 from .core import DivergedError, HyperParams, Simulation
 from .datasets import Dataset, blob_centers, dirichlet_partition, make_blobs, shard_dataset
 from .models import LogisticRegression, MLPClassifier
-from .problems import DatasetProblem
+from .problems import DatasetProblem, PairedProblem
 from .strategies import StrategySpec, compose_ri
 
 _KEY_PERTURB = 0x9E27
@@ -62,42 +65,6 @@ def improvement_factor(beta: float, c: float, k: int, big_l: float) -> float:
     if beta < 0.0:
         raise ValueError("the stability factor is stated for beta >= 0")
     return (1.0 / (1.0 + 2.0 * beta)) ** (1.0 / (1.0 + c * k * big_l))
-
-
-def stability_bound(
-    beta: float,
-    *,
-    c: float,
-    k: int,
-    t_rounds: int,
-    n_active: int,
-    n_clients: int,
-    shard_size: float,
-    sigma_l: float,
-    big_l: float,
-    l_g: float,
-    u_bound: float,
-    t0: float | None = None,
-) -> dict:
-    """Evaluate the two-term stability bound; t0 defaults to the minimizer."""
-    ckl = c * k * big_l
-    if t0 is None:
-        t0 = (
-            2.0 * sigma_l * l_g / ((1.0 + 2.0 * beta) * n_active * u_bound * k * big_l)
-        ) ** (1.0 / (1.0 + ckl)) * t_rounds ** (ckl / (1.0 + ckl))
-        t0 = max(t0, 1.0)
-    sampling_term = n_active * u_bound * k * t0 / (n_clients * shard_size)
-    growth_term = (
-        2.0 * sigma_l * l_g / ((1.0 + 2.0 * beta) * n_clients * shard_size * big_l)
-    ) * (t_rounds / t0) ** ckl
-    return {
-        "beta": beta,
-        "t0": t0,
-        "sampling_term": sampling_term,
-        "growth_term": growth_term,
-        "bound": sampling_term + growth_term,
-        "improvement_factor": improvement_factor(beta, c, k, big_l),
-    }
 
 
 def replace_sample(dataset: Dataset, index: int, x_new: np.ndarray, y_new: int) -> Dataset:
@@ -186,46 +153,48 @@ def paired_run(
     hp: HyperParams,
     seed: int,
 ) -> StabilityTrace:
-    """Run the two problems in lockstep on shared random streams.
+    """Run the two problems in lockstep on shared random streams, as one simulation.
 
-    The trace reads only the models, so neither simulation evaluates or
-    records its rounds. A non-finite model, paired distance or final test
-    loss stops the run with DivergedError, which reports the overflow, so
-    NumPy's warnings about it are silenced.
+    The pair trains as one PairedProblem: its model is (w_a, w_b), and each
+    local step takes one block gradient over both sides' rows, each row
+    rounding exactly as that side's run alone. The problems must agree on
+    client count, model kind and shape, and every shard size (ValueError
+    otherwise). The trace reads only the models, so the simulation neither
+    evaluates nor records its rounds. A non-finite model, paired distance or
+    final test loss stops the run with DivergedError, which reports the
+    overflow, so NumPy's warnings about it are silenced.
     """
     if hp.lr_schedule != "inverse_t":
         raise ValueError(
             "the stability analysis assumes the decaying schedule eta_t = c/(t+1); "
             "set lr_schedule='inverse_t'"
         )
-    if problem_a.n_clients != problem_b.n_clients or problem_a.dim != problem_b.dim:
-        raise ValueError("paired problems must agree on client count and parameter dimension")
-    sim_a = Simulation(problem_a, spec, hp, seed, record=False)
-    sim_b = Simulation(problem_b, spec, hp, seed, w0=sim_a.server.global_params.copy(), record=False)
+    pair = PairedProblem(problem_a, problem_b)
+    sim = Simulation(pair, spec, hp, seed, record=False)
+    d = problem_a.dim
     deltas: list[float] = []
     global_dists: list[float] = []
     loss_gap = u_bound = None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hp.rounds):
-            sim_a.step()
-            sim_b.step()
+            sim.step()
             gap = 0.0
-            for la, lb in zip(sim_a.last_local, sim_b.last_local):
-                gap += float(np.linalg.norm(la - lb))
-            deltas.append(gap / problem_a.n_clients)
-            global_dists.append(
-                float(np.linalg.norm(sim_a.server.global_params - sim_b.server.global_params))
-            )
+            for diff in sim.last_local[:, :d] - sim.last_local[:, d:]:
+                gap += float(np.linalg.norm(diff))
+            deltas.append(gap / pair.n_clients)
+            w = sim.server.global_params
+            global_dists.append(float(np.linalg.norm(w[:d] - w[d:])))
             if not (math.isfinite(deltas[-1]) and math.isfinite(global_dists[-1])):
                 raise DivergedError(f"run diverged at round {t}: non-finite paired distance")
         if getattr(problem_a, "test", None) is not None:
-            la = problem_a.per_sample_test_losses(sim_a.server.global_params)
-            lb = problem_a.per_sample_test_losses(sim_b.server.global_params)
+            w = sim.server.global_params
+            la = problem_a.per_sample_test_losses(w[:d])
+            lb = problem_a.per_sample_test_losses(w[d:])
             loss_gap = float(np.max(np.abs(la - lb)))
             u_bound = 1.1 * float(max(np.max(la), np.max(lb)))
             if not (math.isfinite(loss_gap) and math.isfinite(u_bound)):
                 raise DivergedError(f"run diverged at round {hp.rounds - 1}: non-finite test loss")
-    t0 = next((t for t, d in enumerate(deltas) if d > 0.0), None)
+    t0 = next((t for t, delta in enumerate(deltas) if delta > 0.0), None)
     return StabilityTrace(
         beta=spec.beta,
         seed=seed,
@@ -249,6 +218,7 @@ def stability_experiment(
 ) -> list[StabilityTrace]:
     """Paired runs for every (beta, seed), beta-major; factory(seed) -> (problem_a, problem_b, ...).
 
+    Each paired run is one simulation that trains both sides in one block.
     One pair per seed serves every beta (a run never changes its problems), and
     every beta composes RI onto the base spec, overriding its beta; beta = 0
     starts every client at w exactly, which is plain averaging bit for bit.

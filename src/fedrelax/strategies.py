@@ -109,7 +109,10 @@ class LocalCtx:
     """Per-round inputs to the local update rule of a block of N participants.
 
     start and client_aux hold one row per participant; anchor and server_aux
-    are shared by every row.
+    are shared by every row. A row may hold several models side by side
+    (sides of them, each of length d / sides: a paired stability run trains
+    both sides of its pair in one row). Every rule is coordinate-wise on the
+    row, except FedSAM's ascent radius, which it takes per model.
     """
 
     anchor: np.ndarray                      # global model w^t this round, (d,)
@@ -118,6 +121,7 @@ class LocalCtx:
     k_steps: int
     client_aux: dict[str, np.ndarray] = field(default_factory=dict)  # key -> (N, d)
     server_aux: dict[str, np.ndarray] = field(default_factory=dict)  # key -> (d,)
+    sides: int = 1                          # models side by side in each row
 
 
 def client_step(spec: StrategySpec, w: np.ndarray, grad_fn, ctx: LocalCtx) -> np.ndarray:
@@ -133,10 +137,11 @@ def client_step(spec: StrategySpec, w: np.ndarray, grad_fn, ctx: LocalCtx) -> np
         if spec.rho == 0.0:
             d = g0
         else:
-            # per-row 1-D norms (norm(axis=1) rounds differently); a zero-gradient row gets scale 0
-            norms = [float(np.linalg.norm(g)) for g in g0]
+            # one 1-D norm per model (norm(axis=1) rounds differently); a zero-gradient model gets scale 0
+            models = g0.reshape(-1, g0.shape[1] // ctx.sides)
+            norms = [float(np.linalg.norm(g)) for g in models]
             scale = np.array([0.0 if n == 0.0 else spec.rho / n for n in norms])
-            d = grad_fn(w + scale[:, None] * g0)
+            d = grad_fn(w + (scale[:, None] * models).reshape(g0.shape))
     elif kind == "scaffold":
         d = grad_fn(w) - ctx.client_aux["control"] + ctx.server_aux["control"]
     elif kind == "feddyn":

@@ -1,4 +1,4 @@
-"""Paired-run stability: exact zero gaps, split detection, bound arithmetic."""
+"""Paired-run stability: exact zero gaps, split detection, the fused pair against two runs."""
 import json
 from dataclasses import replace
 
@@ -7,13 +7,14 @@ import pytest
 
 from fedrelax.core import DivergedError, HyperParams, Simulation
 from fedrelax.datasets import Dataset
+from fedrelax.models import LinearRegression, MLPClassifier
+from fedrelax.problems import DatasetProblem, PairedProblem
 from fedrelax.stability import (
     StabilityTrace,
     improvement_factor,
     make_paired_blob_problems,
     paired_run,
     replace_sample,
-    stability_bound,
     stability_experiment,
     summarize_traces,
 )
@@ -54,47 +55,6 @@ def test_improvement_factor_hand_values():
     assert improvement_factor(0.1, 10.0, 5, 10.0) > improvement_factor(0.1, 0.1, 1, 1.0)
     with pytest.raises(ValueError, match="beta >= 0"):
         improvement_factor(-0.1, 1.0, 1, 1.0)
-
-
-def test_stability_bound_hand_values():
-    # ckl = 0.1 * 2 * 5 = 1; explicit t0 = 4
-    out = stability_bound(
-        0.0, c=0.1, k=2, t_rounds=100, n_active=5, n_clients=10, shard_size=50,
-        sigma_l=1.0, big_l=5.0, l_g=2.0, u_bound=1.0, t0=4.0,
-    )
-    assert out["sampling_term"] == pytest.approx(5 * 1.0 * 2 * 4 / (10 * 50), rel=1e-15)
-    assert out["growth_term"] == pytest.approx(
-        (2 * 1.0 * 2.0 / (10 * 50 * 5.0)) * (100 / 4) ** 1.0, rel=1e-12
-    )
-    assert out["bound"] == pytest.approx(out["sampling_term"] + out["growth_term"])
-    assert out["improvement_factor"] == 1.0
-
-
-def test_stability_bound_optimal_t0():
-    # default t0 = [2 s Lg / ((1+2b) N U K L)]^(1/(1+ckl)) * T^(ckl/(1+ckl))
-    out = stability_bound(
-        0.0, c=0.1, k=2, t_rounds=100, n_active=5, n_clients=10, shard_size=50,
-        sigma_l=1.0, big_l=5.0, l_g=2.0, u_bound=1.0,
-    )
-    expected = (2 * 1.0 * 2.0 / (1.0 * 5 * 1.0 * 2 * 5.0)) ** 0.5 * 100 ** 0.5
-    assert out["t0"] == pytest.approx(expected, rel=1e-12)
-    # sigma_l = 0 would give t0 = 0; it is clamped to one round
-    clamped = stability_bound(
-        0.0, c=0.1, k=2, t_rounds=100, n_active=5, n_clients=10, shard_size=50,
-        sigma_l=0.0, big_l=5.0, l_g=2.0, u_bound=1.0,
-    )
-    assert clamped["t0"] == 1.0
-    # relaxation shrinks the growth term at fixed t0
-    relaxed = stability_bound(
-        0.1, c=0.1, k=2, t_rounds=100, n_active=5, n_clients=10, shard_size=50,
-        sigma_l=1.0, big_l=5.0, l_g=2.0, u_bound=1.0, t0=4.0,
-    )
-    base = stability_bound(
-        0.0, c=0.1, k=2, t_rounds=100, n_active=5, n_clients=10, shard_size=50,
-        sigma_l=1.0, big_l=5.0, l_g=2.0, u_bound=1.0, t0=4.0,
-    )
-    assert relaxed["growth_term"] < base["growth_term"]
-    assert relaxed["sampling_term"] == base["sampling_term"]
 
 
 def test_paired_blobs_single_sample_difference():
@@ -196,6 +156,29 @@ def test_mismatched_pair_rejected():
     hp = HyperParams(eta=0.1, rounds=1, n_active=1, k_local=1, lr_schedule="inverse_t")
     with pytest.raises(ValueError, match="agree"):
         paired_run(prob_a, prob_c, spec, hp, seed=0)
+
+
+def test_unfusable_pair_rejected():
+    # make_paired_blob_problems never builds these; a pair trains as one only if both
+    # sides' models compute one function and every client holds n_i samples on both sides
+    prob_a, prob_b, _ = small_pair()
+    spec = make_strategy("fedavg")
+    hp = HyperParams(eta=0.1, rounds=1, n_active=1, k_local=1, lr_schedule="inverse_t")
+    short = list(prob_b.shards)
+    short[2] = short[2].subset(np.arange(len(short[2]) - 1))
+    with pytest.raises(ValueError, match=rf"shard sizes: client 2 holds {len(short[2]) + 1} samples "
+                                         rf"on one side and {len(short[2])} on the other"):
+        paired_run(prob_a, DatasetProblem(prob_b.model, short, prob_b.test), spec, hp, seed=0)
+    linear = DatasetProblem(LinearRegression(3), prob_b.shards, prob_b.test)
+    assert linear.dim == prob_a.dim
+    with pytest.raises(ValueError, match="models of one kind and shape"):
+        paired_run(prob_a, linear, spec, hp, seed=0)
+    # two MLPs of one parameter count, (hidden, classes) = (2, 4) and (1, 8)
+    mlp_a, mlp_b = MLPClassifier(3, 2, 4), MLPClassifier(3, 1, 8)
+    assert mlp_a.dim == mlp_b.dim
+    with pytest.raises(ValueError, match="models of one kind and shape"):
+        paired_run(DatasetProblem(mlp_a, prob_a.shards), DatasetProblem(mlp_b, prob_b.shards),
+                   spec, hp, seed=0)
 
 
 def test_stability_experiment_and_summary():
@@ -310,7 +293,7 @@ def reference_paired_run(problem_a, problem_b, spec, hp, seed):
 
 
 def _hp(**kw):
-    return HyperParams(eta=0.5, rounds=5, k_local=3, lr_schedule="inverse_t", **kw)
+    return HyperParams(**{"eta": 0.5, "rounds": 5, "k_local": 3, "lr_schedule": "inverse_t", **kw})
 
 
 # name -> (pair arguments, HyperParams, strategy, whether the pair is one problem twice)
@@ -326,6 +309,19 @@ PAIRED_CASES = {
     "feddyn-minibatch": ({}, _hp(n_active=3, batch_size=8), compose_ri(make_strategy("feddyn"), 0.1),
                          False),
     "control-fullbatch-all": ({}, _hp(n_active=4), make_strategy("fedinit", beta=0.1), True),
+    # FedSAM's ascent radius is the one rule that is not coordinate-wise on the pair's row
+    "fedsam-minibatch": ({}, _hp(n_active=3, batch_size=8),
+                         compose_ri(make_strategy("fedsam", rho=0.05), 0.1), False),
+    "fedsam-mlp-fullbatch-all": (dict(n_classes=3, model_kind="mlp", hidden=4), _hp(n_active=4),
+                                 make_strategy("fedsam", rho=0.05), False),
+    "fedcm-minibatch": ({}, _hp(n_active=2, batch_size=8), compose_ri(make_strategy("fedcm"), 0.1),
+                        False),
+    "fedadam-fullbatch": ({}, _hp(n_active=3), compose_ri(make_strategy("fedadam"), 0.1), False),
+    # shards of 39-41 samples: 5 or 6 steps per epoch, so one block per step count
+    "epochs-weighted": ({}, _hp(n_active=3, k_local=None, local_epochs=1, batch_size=8,
+                                weighted_aggregation=True), make_strategy("fedinit", beta=0.1), False),
+    "with-replacement": (dict(with_replacement=True), _hp(n_active=3, batch_size=8),
+                         make_strategy("fedinit", beta=0.1), False),
 }
 
 
@@ -346,13 +342,15 @@ def test_paired_run_equals_recording_loop(name, monkeypatch):
 
     got = {k: getattr(tr, k) for k in want}
     assert got == want
-    assert len(steps) == 2 * hp.rounds and len(set(map(id, steps))) == 2  # one step per sim per round
+    assert len(steps) == hp.rounds and len(set(map(id, steps))) == 1  # one simulation of the pair
+    fused = steps[0].problem
+    assert isinstance(fused, PairedProblem)
     if same:
         assert tr.deltas == [0.0] * hp.rounds and tr.t0 is None
     else:
         assert tr.t0 is not None  # the pair split, so the comparison saw real gaps
     whole = hp.batch_size is None and hp.n_active == problem_a.n_clients
-    assert ("_population_block" in vars(problem_a)) == whole
+    assert ("_population_block" in vars(fused)) == whole
 
 
 def test_paired_run_stops_at_a_non_finite_model():

@@ -368,3 +368,21 @@ def test_block_gradient_rows_match_reference_bit_for_bit(case):
         assert got[j].tobytes() == want.tobytes()
         assert model.grad(w[j], Batch(x, y)).tobytes() == want.tobytes()
 
+
+
+@pytest.mark.parametrize("model", [LinearRegression(3), LogisticRegression(3)], ids=lambda m: m.kind)
+def test_linear_block_gradient_returns_fresh_arrays(model):
+    # the block keeps one residual buffer for every call; no gradient may alias it or another
+    rng = np.random.default_rng(5)
+    runs = ((2, 7), (1, 9), (1, 3))
+    x, y = rng.normal(size=(26, 3)), rng.integers(2, size=26)
+    w1, w2 = rng.normal(size=(2, 4, 3))
+    block = Block(x, y, runs)
+    first = model.block_grad(w1, block)
+    kept = first.copy()
+    second = model.block_grad(w2, block)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, block.scratch[0]) and not np.shares_memory(second, block.scratch[0])
+    assert first.tobytes() == kept.tobytes()  # the second call left the first gradient as it was
+    assert first.tobytes() == model.block_grad(w1, Block(x, y, runs)).tobytes()
+    assert second.tobytes() == model.block_grad(w2, Block(x, y, runs)).tobytes()

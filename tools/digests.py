@@ -110,24 +110,30 @@ def run_digest(fr, spec, problem, hp, tmp: str) -> str:
     return h.hexdigest()
 
 
-# name -> (pair shape, HyperParams arguments) of one fedinit paired stability run
+# name -> (pair shape, HyperParams arguments, make_strategy arguments) of one paired stability run
 PAIRED = {
     # mini-batches, N = 3 of C = 5
     "fedinit-blobs": ({"n_clients": 5, "perturb": (1, 2)},
-                      {"eta": 0.5, "n_active": 3, "k_local": 3, "batch_size": 8}),
+                      {"eta": 0.5, "n_active": 3, "k_local": 3, "batch_size": 8},
+                      {"name": "fedinit", "beta": 0.1}),
     # full batches, N = C: the shape of acceptance criterion 9
     "fedinit-fullbatch": ({"n_clients": 3, "perturb": (0, 0)},
-                          {"eta": 1.5, "n_active": 3, "k_local": 10}),
+                          {"eta": 1.5, "n_active": 3, "k_local": 10},
+                          {"name": "fedinit", "beta": 0.1}),
+    # FedSAM's ascent radius is a norm per side, not one over both sides' models
+    "fedsam+ri-minibatch": ({"n_clients": 5, "perturb": (1, 2)},
+                            {"eta": 0.5, "n_active": 3, "k_local": 3, "batch_size": 8},
+                            {"name": "fedsam", "beta": 0.1, "rho": 0.05}),
 }
 
 
-def paired_digest(fr, shape: dict, hp_args: dict) -> str:
+def paired_digest(fr, shape: dict, hp_args: dict, strategy_args: dict) -> str:
     a, b, _ = fr.stability.make_paired_blob_problems(
         **shape, n_samples=150, n_features=3, n_classes=2,
         n_test=30, model_kind="logistic-regression", seed=4,
     )
     hp = fr.core.HyperParams(**hp_args, rounds=ROUNDS, lr_schedule="inverse_t")
-    trace = fr.stability.paired_run(a, b, fr.strategies.make_strategy("fedinit", beta=0.1), hp, 4)
+    trace = fr.stability.paired_run(a, b, fr.strategies.make_strategy(**strategy_args), hp, 4)
     return hashlib.sha256(json.dumps(trace.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
@@ -208,8 +214,8 @@ def main(argv=None) -> int:
             for pname, build in problems.items():
                 problem, hp = build()
                 print(f"{sname:<12} {pname:<20} {run_digest(fr, make(), problem, hp, tmp)}")
-        for name, (shape, hp_args) in PAIRED.items():
-            print(f"{'paired':<12} {name:<20} {paired_digest(fr, shape, hp_args)}")
+        for name, (shape, hp_args, strategy_args) in PAIRED.items():
+            print(f"{'paired':<12} {name:<20} {paired_digest(fr, shape, hp_args, strategy_args)}")
         for name, (argvs, cfg) in CLI_GRID.items():
             digest = cli_digest(fr, argvs, cfg, os.path.join(tmp, name))
             if digest is None:
