@@ -16,9 +16,12 @@ block rounds exactly as that client trained alone; every client owns a
 private generator seeded from (seed, client id) that only advances when that
 client trains. The generator is created the first time the client's row
 draws from it; until then the stream sits at its seeded start, so creating it
-later changes no draw. Client sampling uses its own server stream;
-aggregation order is always ascending id, so reruns are bit-for-bit
-reproducible.
+later changes no draw. Client sampling uses its own server stream, which
+feeds nothing else. A round with N == C takes every client without a draw
+(a sorted permutation of all C ids was the same ids), so an N == C run's
+checkpoints keep that stream at its seeded state, and older ones, whose
+stream had advanced, resume to the same results. Aggregation order is always
+ascending id, so reruns are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -107,9 +110,14 @@ def relaxed_init(global_w: np.ndarray, last_local: np.ndarray, beta: float) -> n
 
 
 def sample_clients(rng: np.random.Generator, n_clients: int, n_active: int) -> np.ndarray:
-    """Uniform sample of n_active distinct ids, returned ascending."""
+    """Uniform sample of n_active distinct ids, returned ascending.
+
+    With n_active == n_clients that is every id, returned without a draw from rng.
+    """
     if not 1 <= n_active <= n_clients:
         raise ValueError(f"cannot pick {n_active} of {n_clients} clients")
+    if n_active == n_clients:
+        return np.arange(n_clients)
     picked = rng.choice(n_clients, size=n_active, replace=False)
     return np.sort(picked)
 

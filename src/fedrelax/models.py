@@ -19,6 +19,14 @@ slices have exactly the shapes of a row alone. Padding rows to a common
 length would change those shapes, and OpenBLAS rounds a product differently
 when its row count changes; so each row of a block rounds exactly as that
 row alone, and ``grad(w, batch)`` is the block gradient of a one-row block.
+
+A block gradient's per-sample work (the MLP's activations, logits, softmax
+and back-propagated errors; a linear model's residuals) lives in buffers the
+Block owns, allocated on its first call and reused by every later one. MLP
+evaluation runs in the buffers of the batch's one-row Block, which each Batch
+keeps, so evaluating the same set every round allocates them once. Losses,
+predictions and gradients are always new arrays, never views of those
+buffers.
 """
 from __future__ import annotations
 
@@ -34,7 +42,8 @@ class Batch:
     """A mini-batch: features ``x`` of shape (n, p) and targets ``y`` of shape (n,).
 
     ``y`` holds int class ids for classifiers and float targets for regression.
-    Quadratic objectives ignore the batch entirely.
+    Quadratic objectives ignore the batch entirely. ``block`` is the batch as
+    a one-row Block, built on first use and kept with its buffers.
     """
 
     x: np.ndarray
@@ -50,6 +59,10 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.x)
+
+    @cached_property
+    def block(self) -> Block:
+        return _one_row(self.x, self.y)
 
 
 class Evaluation(NamedTuple):
@@ -73,17 +86,18 @@ def as_params(w) -> np.ndarray:
 class Block:
     """Gathered samples of an (N, d) block of models, one mini-batch per row.
 
-    x (M, p) and y (M,) hold the rows' samples run by run: runs = ((k, n), ...),
+    x (M, p) and y (M,) hold the rows' samples run by run: runs = [(k, n), ...],
     in buffer order, says that the next k rows each own the next n samples,
     one row after another. Built once per gather, so a block that serves many
-    steps (full batches) pays for its views, length columns and scratch
-    buffer once. A paired stability run's block holds both sides' rows of
-    each client, of equal length, so its runs have 2 rows or more
-    (problems.PairedProblem).
+    steps (full batches) or evaluations (a kept Batch's block) pays for its
+    views, length columns and work buffers once. A paired stability run's
+    block holds both sides' rows of each client, of equal length, so its runs
+    have 2 rows or more (problems.PairedProblem).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, runs):
         self.x, self.y, self.runs = x, y, runs
+        self._buffers = {}
         # per run: its row slice, and its (start, stop, k, n) in the sample buffer
         rows, self._cuts, r, s = [], [], 0, 0
         for k, n in runs:
@@ -108,6 +122,20 @@ class Block:
         """
         z = np.empty(len(self.x))
         return z, self.y.astype(np.float64), [(*p, zs) for p, zs in zip(self.parts, self.split(z))]
+
+    def buffers(self, kind, *sizes):
+        """kind(self, *sizes): a model's work buffers over this block, built on
+        the first call with these sizes and returned by every later one."""
+        key = (kind, *sizes)
+        made = self._buffers.get(key)
+        if made is None:
+            made = self._buffers[key] = kind(self, *sizes)
+        return made
+
+    @cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The index (sample, class id) of each sample's target in an (M, classes) array."""
+        return np.arange(len(self.y)), self.y.astype(np.int64, copy=False)
 
     @cached_property
     def row_n(self) -> np.ndarray:
@@ -135,12 +163,6 @@ def _sigmoid_in_place(z: np.ndarray) -> None:
     np.tanh(z, out=z)
     z += 1.0
     z *= 0.5
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 class QuadraticModel:
@@ -178,7 +200,7 @@ class _BlockGradModel:
     """A dataset model's grad(w, batch): its block gradient on a one-row block."""
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.block_grad(w[None], _one_row(batch.x, batch.y))[0]
+        return self.block_grad(w[None], batch.block)[0]
 
 
 def _glm_block_grad(w: np.ndarray, block: Block, link) -> np.ndarray:
@@ -290,71 +312,83 @@ class MLPClassifier(_BlockGradModel):
         b2 = w[..., o:o + m]
         return w1, b1, w2, b2
 
-    def _forward(self, w: np.ndarray, block: Block):
-        """Hidden activations (M, hidden) and logits (M, classes) of the block w."""
+    def _forward(self, w: np.ndarray, block: Block) -> _MLPBuffers:
+        """The block's buffers, holding the hidden activations and logits of the block w."""
+        buf = block.buffers(_MLPBuffers, self.hidden, self.n_classes)
         w1, b1, w2, b2 = self.unpack(w)
         w1t, w2t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
-        a1 = np.empty((len(block.x), self.hidden))
-        logits = np.empty((len(block.x), self.n_classes))
-        a1_runs = block.split(a1)
-        for (rows, xs, _), z1 in zip(block.parts, a1_runs):
+        for (rows, xs, _), z1 in zip(block.parts, buf.a1_runs):
             np.matmul(xs, w1t[rows], out=z1)
             z1 += b1[rows, None]
-        np.tanh(a1, out=a1)
-        for (rows, _, _), a, z2 in zip(block.parts, a1_runs, block.split(logits)):
+        np.tanh(buf.a1, out=buf.a1)
+        for (rows, _, _), a, z2 in zip(block.parts, buf.a1_runs, buf.logit_runs):
             np.matmul(a, w2t[rows], out=z2)
             z2 += b2[rows, None]
-        return a1, logits
+        return buf
 
-    def _backward(self, w: np.ndarray, block: Block, a1: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-        """Parameter gradients (N, d) of the block w from its hidden activations
-        a1 and the per-sample d(loss)/d(logits)."""
+    @staticmethod
+    def _log_softmax(buf: _MLPBuffers) -> None:
+        """Logits to log-probabilities, in the logits buffer."""
+        z, col = buf.logits, buf.col
+        z.max(axis=1, keepdims=True, out=col)
+        z -= col
+        np.exp(z, out=buf.dl)
+        buf.dl.sum(axis=1, keepdims=True, out=col)
+        np.log(col, out=col)
+        z -= col
+
+    @staticmethod
+    def _dlogits(buf: _MLPBuffers, block: Block) -> None:
+        """Softmax minus one-hot labels, per sample, from the log-probabilities, in buf.dl."""
+        np.exp(buf.logits, out=buf.dl)
+        buf.dl[block.labels] -= 1.0
+
+    def _backward(self, w: np.ndarray, block: Block, buf: _MLPBuffers) -> np.ndarray:
+        """Parameter gradients (N, d) of the block w from buf's hidden activations
+        and per-sample d(loss)/d(logits); overwrites the activations."""
         _, _, w2, _ = self.unpack(w)
-        dz1 = np.empty_like(a1)
-        a1_runs, dl_runs, dz_runs = block.split(a1), block.split(dlogits), block.split(dz1)
-        for (rows, _, _), dl, dz in zip(block.parts, dl_runs, dz_runs):
-            np.matmul(dl, w2[rows], out=dz)
-        dz1 *= 1.0 - a1 * a1
         out = np.empty(w.shape)
         dw1, db1, dw2, db2 = self.unpack(out)
-        for (rows, xs, _), a, dl, dz in zip(block.parts, a1_runs, dl_runs, dz_runs):
+        for (rows, _, _), a, dl, dz in zip(block.parts, buf.a1_runs, buf.dl_runs, buf.dz_runs):
+            np.matmul(dl, w2[rows], out=dz)
             np.matmul(dl.transpose(0, 2, 1), a, out=dw2[rows])
             dl.sum(axis=1, out=db2[rows])
+        a1 = buf.a1  # dW2 and db2 have read a1, so 1 - a1^2 may overwrite it
+        np.multiply(a1, a1, out=a1)
+        np.subtract(1.0, a1, out=a1)
+        buf.dz *= a1
+        for (rows, xs, _), dz in zip(block.parts, buf.dz_runs):
             np.matmul(dz.transpose(0, 2, 1), xs, out=dw1[rows])
             dz.sum(axis=1, out=db1[rows])
         return out
-
-    @staticmethod
-    def _dlogits(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Softmax minus one-hot labels, per sample."""
-        p = np.exp(logp)
-        p[np.arange(len(p)), y.astype(np.int64, copy=False)] -= 1.0
-        return p
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
 
     def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        a1, logits = self._forward(w, block)
-        dlogits = self._dlogits(_log_softmax(logits), block.y)
-        dlogits /= block.sample_n
-        return self._backward(w, block, a1, dlogits)
+        buf = self._forward(w, block)
+        self._log_softmax(buf)
+        self._dlogits(buf, block)
+        buf.dl /= block.sample_n
+        return self._backward(w, block, buf)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
-        block = _one_row(batch.x, batch.y)
-        a1, logits = self._forward(w[None], block)
-        logp = _log_softmax(logits)
+        """Per-sample losses, predictions and (with weights) the gradient, as new arrays;
+        the work runs in the buffers of the batch's Block."""
+        block = batch.block
+        buf = self._forward(w[None], block)
+        pred = buf.logits.argmax(axis=1).astype(np.int64, copy=False)
+        self._log_softmax(buf)
+        losses = -buf.logits[block.labels]
         grad = None
         if weights is not None:
-            dlogits = self._dlogits(logp, batch.y)
-            dlogits *= weights[:, None]
-            grad = self._backward(w[None], block, a1, dlogits)[0]
-        y = batch.y.astype(np.int64)
-        return Evaluation(-logp[np.arange(len(batch)), y], grad, logits.argmax(axis=1).astype(np.int64))
+            self._dlogits(buf, block)
+            buf.dl *= weights[:, None]
+            grad = self._backward(w[None], block, buf)[0]
+        return Evaluation(losses, grad, pred)
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(w[None], _one_row(x, None))
-        return logits.argmax(axis=1).astype(np.int64)
+        return self._forward(w[None], _one_row(x, None)).logits.argmax(axis=1).astype(np.int64)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         # per-layer 1/sqrt(fan_in) gaussian weights, zero biases
@@ -362,6 +396,21 @@ class MLPClassifier(_BlockGradModel):
         w1 = rng.normal(0.0, 1.0 / np.sqrt(p), size=(h, p))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(m, h))
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(m)])
+
+
+class _MLPBuffers:
+    """An MLP's per-sample arrays over one Block, each with its per-run views:
+    hidden activations a1 and their back-propagated errors dz (M, hidden),
+    logits (then log-probabilities) and softmax errors dl (M, classes), and one
+    (M, 1) column for the row max, then the log of the row sum."""
+
+    def __init__(self, block: Block, hidden: int, n_classes: int):
+        m = len(block.x)
+        self.a1, self.dz = np.empty((m, hidden)), np.empty((m, hidden))
+        self.logits, self.dl = np.empty((m, n_classes)), np.empty((m, n_classes))
+        self.col = np.empty((m, 1))
+        self.a1_runs, self.dz_runs = block.split(self.a1), block.split(self.dz)
+        self.logit_runs, self.dl_runs = block.split(self.logits), block.split(self.dl)
 
 
 def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-6) -> np.ndarray:

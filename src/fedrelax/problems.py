@@ -134,9 +134,10 @@ def _index_batches(start: int, n: int, rng, batch_size):
             yield perm[s:s + batch_size]
 
 
-def _runs(lengths) -> tuple:
+def _runs(lengths) -> list:
     """The Block runs of rows with these batch lengths: stretches of equal length."""
-    return tuple((len(list(rows)), n) for n, rows in itertools.groupby(lengths))
+    # a list, not a tuple: tuples whose length varies per step made peak RSS climb from job to job
+    return [(len(list(rows)), n) for n, rows in itertools.groupby(lengths)]
 
 
 def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, batches):
@@ -149,6 +150,13 @@ def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, batches):
 
 
 class DatasetProblem:
+    """A dataset model over per-client shards (see the module docstring).
+
+    The pooled shards and the test set are each one Batch, built on first use
+    and kept, so the model's work buffers over them (models.Block) are
+    allocated by the first evaluation and reused by every round after it.
+    """
+
     def __init__(self, model, shards: list[Dataset], test: Dataset | None = None):
         if not shards:
             raise ValueError("need at least one client shard")
@@ -233,10 +241,15 @@ class DatasetProblem:
         batch, weights = self._pooled
         return float(weights @ self.model.evaluate(w, batch).losses)
 
+    @cached_property
+    def _test_batch(self) -> Batch | None:
+        """The test set as one Batch, kept (with its Block's buffers) for every evaluation."""
+        return None if self.test is None else Batch(self.test.x, self.test.y)
+
     def per_sample_test_losses(self, w: np.ndarray) -> np.ndarray | None:
         if self.test is None:
             return None
-        return self.model.evaluate(w, Batch(self.test.x, self.test.y)).losses
+        return self.model.evaluate(w, self._test_batch).losses
 
     def eval_metrics(self, w: np.ndarray) -> dict:
         batch, weights = self._pooled
@@ -249,7 +262,7 @@ class DatasetProblem:
             "test_acc": None,
         }
         if self.test is not None:
-            test = self.model.evaluate(w, Batch(self.test.x, self.test.y))
+            test = self.model.evaluate(w, self._test_batch)
             out["test_loss"] = float(np.mean(test.losses))
             out["test_acc"] = _accuracy(test.pred, self.test.y)
         return out

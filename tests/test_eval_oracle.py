@@ -6,14 +6,20 @@ program evaluates it in one pass instead: the quadratic gap form around w*,
 and a weighted pass over the pooled shards of a dataset problem. Both reorder
 floating-point sums, so the comparison states its tolerance.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fedrelax
 from fedrelax.core import HyperParams, run_experiment
-from fedrelax.datasets import Dataset, make_blobs
+from fedrelax.datasets import Dataset, dirichlet_partition, make_blobs, shard_dataset
 from fedrelax.metrics import CSV_HEADER, rounds_csv_text
-from fedrelax.models import Batch, LinearRegression, LogisticRegression, MLPClassifier, accuracy
+from fedrelax.models import (Batch, Evaluation, LinearRegression, LogisticRegression, MLPClassifier,
+                             _MLPBuffers, accuracy)
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import make_quadratic_family
 from fedrelax.strategies import make_strategy
@@ -198,6 +204,139 @@ def test_empty_shard_refused():
     x, y = np.zeros((3, 4)), np.zeros(3)
     with pytest.raises(ValueError, match="at least one sample"):
         DatasetProblem(LinearRegression(4), [Dataset(x, y), Dataset(x[:0], y[:0])])
+
+
+# -- MLP evaluation in the buffers of the batch's Block ----------------------------
+
+def reference_mlp_evaluate(model, w, batch, weights=None):
+    """MLPClassifier.evaluate as it was before a Block kept its buffers: every array is
+    allocated per call; the batch is one run of one row, so every stack is (1, n, .)."""
+    xs, n = batch.x[None], len(batch)
+    w1, b1, w2, b2 = model.unpack(w[None])
+    a1 = np.empty((1, n, model.hidden))
+    np.matmul(xs, w1.transpose(0, 2, 1), out=a1)
+    a1 += b1[:, None]
+    np.tanh(a1, out=a1)
+    logits = np.empty((1, n, model.n_classes))
+    np.matmul(a1, w2.transpose(0, 2, 1), out=logits)
+    logits += b2[:, None]
+    zmax = logits[0].max(axis=1, keepdims=True)
+    shifted = logits[0] - zmax
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    grad = None
+    if weights is not None:
+        dl = np.exp(logp)
+        dl[np.arange(n), batch.y.astype(np.int64, copy=False)] -= 1.0
+        dl *= weights[:, None]
+        dz = np.empty_like(a1)
+        np.matmul(dl[None], w2, out=dz)
+        dz *= 1.0 - a1 * a1
+        out = np.empty((1, model.dim))
+        dw1, db1, dw2, db2 = model.unpack(out)
+        np.matmul(dl[None].transpose(0, 2, 1), a1, out=dw2)
+        dl[None].sum(axis=1, out=db2)
+        np.matmul(dz.transpose(0, 2, 1), xs, out=dw1)
+        dz.sum(axis=1, out=db1)
+        grad = out[0]
+    y = batch.y.astype(np.int64)
+    return Evaluation(-logp[np.arange(n), y], grad, logits[0].argmax(axis=1).astype(np.int64))
+
+
+def batch_buffers(batch):
+    """The arrays a model keeps on the batch's Block."""
+    return [a for made in batch.block._buffers.values() for a in vars(made).values()
+            if isinstance(a, np.ndarray)]
+
+
+def _labelled(rng, n, p, n_classes):
+    return Batch(3.0 * rng.normal(size=(n, p)), rng.integers(n_classes, size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 6), hidden=st.integers(1, 9), n_classes=st.integers(2, 12),
+       n_train=st.integers(1, 80), n_test=st.integers(1, 40), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.1, 1.0, 10.0, 300.0]))
+def test_mlp_evaluate_in_block_buffers_matches_per_call_reference(p, hidden, n_classes, n_train,
+                                                                  n_test, seed, scale):
+    rng = np.random.default_rng(seed)
+    model = MLPClassifier(p, hidden, n_classes)
+    train, test = _labelled(rng, n_train, p, n_classes), _labelled(rng, n_test, p, n_classes)
+    wa, wb = scale * rng.normal(size=(2, model.dim))  # large |w| saturates tanh and softmax
+    weights_train, weights_test = rng.uniform(0.0, 1.0, size=n_train), rng.uniform(0.0, 1.0, size=n_test)
+    # train and test sets and both parameter vectors interleaved, with and without weights
+    calls = [(train, wa, weights_train), (test, wb, None), (train, wb, weights_train),
+             (test, wa, None), (train, wa, None), (test, wb, weights_test)]
+    results, wanted, kept = [], [], []
+    for batch, w, weights in calls:
+        got = model.evaluate(w, batch, weights)
+        want = reference_mlp_evaluate(model, w, batch, weights)
+        assert (weights is None) == (got.grad is None)
+        for field, a, b in zip(Evaluation._fields, got, want):
+            assert a is None or a.tobytes() == b.tobytes(), field
+        if len(kept) < 2:
+            kept.append(batch_buffers(batch))
+        results += [a for a in got if a is not None]
+        wanted += [a.tobytes() for a in want if a is not None]
+    # each Block built its buffers once, and no result aliases them, another result or an
+    # earlier call's result (a paired run reads one set's losses, then the other's)
+    assert all(a is b for a, b in zip(batch_buffers(train), kept[0], strict=True))
+    assert all(a is b for a, b in zip(batch_buffers(test), kept[1], strict=True))
+    for i, a in enumerate(results):
+        assert not any(np.shares_memory(a, b) for b in results[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in kept[0] + kept[1])
+    assert [a.tobytes() for a in results] == wanted  # later calls left earlier results as they were
+
+
+def test_evaluation_sets_keep_their_buffers(monkeypatch):
+    # the pooled train set and the test set are each built once, so after the first
+    # round every evaluation runs in the buffers that round allocated
+    prob = build("mlp", SHARD_SIZES, 0)
+    wa, wb = np.random.default_rng(0).normal(size=(2, prob.dim))
+    prob.eval_metrics(wa)
+    made, init = [], _MLPBuffers.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_MLPBuffers, "__init__", counting_init)
+    prob.eval_metrics(wb)
+    prob.per_sample_test_losses(wa)
+    prob.global_grad(wb)
+    prob.global_loss(wa)
+    assert made == []
+
+
+FAULTS_PER_EVAL = """
+import resource
+import numpy as np
+from fedrelax.datasets import dirichlet_partition, make_blobs, shard_dataset
+from fedrelax.models import MLPClassifier
+from fedrelax.problems import DatasetProblem
+train, test = make_blobs(1000, 10, 10, separation=1.0, cluster_std=1.5, seed=0, n_test=400)
+shards = shard_dataset(train, dirichlet_partition(train.y, 20, 0.1, seed=0))
+prob = DatasetProblem(MLPClassifier(10, 16, 10), shards, test)
+w = prob.default_init(np.random.default_rng(0))
+for _ in range(3):
+    prob.eval_metrics(w)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    prob.eval_metrics(w)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+def test_mlp_evaluation_takes_no_page_faults_per_round():
+    # the benchmark's mlp-noniid shape. Allocating the evaluation temporaries on every call
+    # faulted in ~150 fresh pages per call once the allocator had trimmed them off the heap.
+    # A fresh interpreter, as a benchmark job has: earlier tests' frees raise the
+    # allocator's trim threshold in this one, which hides the faults.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(fedrelax.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_EVAL], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert float(out) < 1.0, f"{out.strip()} minor page faults per eval_metrics call"
 
 
 # -- whole runs -----------------------------------------------------------------

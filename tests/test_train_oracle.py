@@ -370,19 +370,29 @@ def test_block_gradient_rows_match_reference_bit_for_bit(case):
 
 
 
-@pytest.mark.parametrize("model", [LinearRegression(3), LogisticRegression(3)], ids=lambda m: m.kind)
-def test_linear_block_gradient_returns_fresh_arrays(model):
-    # the block keeps one residual buffer for every call; no gradient may alias it or another
+def block_buffers(block):
+    """Every work buffer a model has kept on the block: a linear model's scratch, an MLP's arrays."""
+    kept = [block.scratch[0]] if "scratch" in vars(block) else []
+    return kept + [a for made in block._buffers.values() for a in vars(made).values()
+                   if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("model", [LinearRegression(3), LogisticRegression(3), MLPClassifier(3, 4, 2)],
+                         ids=lambda m: m.kind)
+def test_block_gradient_returns_fresh_arrays(model):
+    # the block keeps its work buffers for every call (FedSAM takes two per block);
+    # no gradient may alias them or another gradient
     rng = np.random.default_rng(5)
     runs = ((2, 7), (1, 9), (1, 3))
     x, y = rng.normal(size=(26, 3)), rng.integers(2, size=26)
-    w1, w2 = rng.normal(size=(2, 4, 3))
+    w1, w2 = rng.normal(size=(2, 4, model.dim))
     block = Block(x, y, runs)
     first = model.block_grad(w1, block)
-    kept = first.copy()
+    kept, buffers = first.copy(), block_buffers(block)
     second = model.block_grad(w2, block)
+    assert buffers and all(a is b for a, b in zip(block_buffers(block), buffers, strict=True))
     assert not np.shares_memory(first, second)
-    assert not np.shares_memory(first, block.scratch[0]) and not np.shares_memory(second, block.scratch[0])
+    assert not any(np.shares_memory(g, b) for g in (first, second) for b in buffers)
     assert first.tobytes() == kept.tobytes()  # the second call left the first gradient as it was
     assert first.tobytes() == model.block_grad(w1, Block(x, y, runs)).tobytes()
     assert second.tobytes() == model.block_grad(w2, Block(x, y, runs)).tobytes()

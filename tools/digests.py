@@ -110,7 +110,8 @@ def run_digest(fr, spec, problem, hp, tmp: str) -> str:
     return h.hexdigest()
 
 
-# name -> (pair shape, HyperParams arguments, make_strategy arguments) of one paired stability run
+# name -> (pair shape, HyperParams arguments, make_strategy arguments) of one paired stability run;
+# a shape without model_kind pairs two logistic regressions
 PAIRED = {
     # mini-batches, N = 3 of C = 5
     "fedinit-blobs": ({"n_clients": 5, "perturb": (1, 2)},
@@ -124,13 +125,17 @@ PAIRED = {
     "fedsam+ri-minibatch": ({"n_clients": 5, "perturb": (1, 2)},
                             {"eta": 0.5, "n_active": 3, "k_local": 3, "batch_size": 8},
                             {"name": "fedsam", "beta": 0.1, "rho": 0.05}),
+    # full batches, N = C: both final test-loss reads go through one MLP evaluation Block
+    "fedinit-mlp-full": ({"n_clients": 4, "perturb": (2, 1), "model_kind": "mlp", "n_classes": 3},
+                         {"eta": 0.5, "n_active": 4, "k_local": 3},
+                         {"name": "fedinit", "beta": 0.1}),
 }
 
 
 def paired_digest(fr, shape: dict, hp_args: dict, strategy_args: dict) -> str:
     a, b, _ = fr.stability.make_paired_blob_problems(
-        **shape, n_samples=150, n_features=3, n_classes=2,
-        n_test=30, model_kind="logistic-regression", seed=4,
+        **{"model_kind": "logistic-regression", "n_classes": 2, **shape},
+        n_samples=150, n_features=3, n_test=30, seed=4,
     )
     hp = fr.core.HyperParams(**hp_args, rounds=ROUNDS, lr_schedule="inverse_t")
     trace = fr.stability.paired_run(a, b, fr.strategies.make_strategy(**strategy_args), hp, 4)
