@@ -126,23 +126,23 @@ def aggregate(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray
     """Mean of the (N, d) participant rows, summed one row at a time in row order.
 
     Unweighted by default; optional (N,) weights are normalized over the rows.
-    The row loop fixes the rounding: NumPy's pairwise sum(axis=0) rounds
+    The sum is one running sum from +0 (np.add.accumulate, sequential by
+    definition) rather than NumPy's pairwise sum(axis=0), which rounds
     differently when d = 1 and N > 8.
     """
     if len(rows) == 0:
         raise ValueError("nothing to aggregate")
-    out = np.zeros(rows.shape[1])
+    acc = np.empty((len(rows) + 1, rows.shape[1]))
+    acc[0] = 0.0
     if weights is None:
-        for w in rows:
-            out += w
-        return out / len(rows)
+        acc[1:] = rows
+        return np.add.accumulate(acc, axis=0, out=acc)[-1] / len(rows)
     weights = weights.tolist()
     total = sum(weights)
     if total <= 0.0:
         raise ValueError("aggregation weights must sum to a positive value")
-    for wi, w in zip(weights, rows):
-        out += (wi / total) * w
-    return out
+    np.multiply(np.array([wi / total for wi in weights])[:, None], rows, out=acc[1:])
+    return np.add.accumulate(acc, axis=0, out=acc)[-1].copy()
 
 
 def local_train(problem, spec: StrategySpec, ids: np.ndarray, ctx: LocalCtx, rngs,

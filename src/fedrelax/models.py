@@ -153,6 +153,21 @@ def _one_row(x: np.ndarray, y: np.ndarray | None) -> Block:
     return Block(x, y, ((1, len(x)),))
 
 
+def _row_max(z: np.ndarray, out: np.ndarray) -> None:
+    """The max of each row of the (M, m) array z, into the (M, 1) array out.
+
+    It is taken column by column, which beats NumPy's short-axis reduction
+    max(axis=1) on many rows. Both are exact (a row holding NaN has a NaN max
+    either way); they can differ only in the sign of a max where +0 and -0
+    tie, and such a row's exp-sum in a log-softmax is at least 2, so every
+    log-probability comes out the same.
+    """
+    c = out[:, 0]
+    np.copyto(c, z[:, 0])
+    for j in range(1, z.shape[1]):
+        np.maximum(c, z[:, j], out=c)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # stable for large |z|
 
@@ -330,7 +345,7 @@ class MLPClassifier(_BlockGradModel):
     def _log_softmax(buf: _MLPBuffers) -> None:
         """Logits to log-probabilities, in the logits buffer."""
         z, col = buf.logits, buf.col
-        z.max(axis=1, keepdims=True, out=col)
+        _row_max(z, col)
         z -= col
         np.exp(z, out=buf.dl)
         buf.dl.sum(axis=1, keepdims=True, out=col)

@@ -1,4 +1,5 @@
 """Artifact round-trips: arrays, generator states, checkpoints, atomic writes."""
+import base64
 import copy
 import json
 import math
@@ -13,7 +14,6 @@ from fedrelax.artifacts import (
     CHECKPOINT_VERSION,
     atomic_write_text,
     decode_array,
-    encode_array,
     load_checkpoint,
     restore_rng,
     restore_simulation,
@@ -21,13 +21,41 @@ from fedrelax.artifacts import (
     save_checkpoint,
     write_json,
 )
-from fedrelax.core import HyperParams, Simulation, run_experiment
+from fedrelax.core import DivergedError, HyperParams, Simulation, run_experiment
 from fedrelax.datasets import dirichlet_partition, make_blobs, shard_dataset
 from fedrelax.metrics import rounds_csv_text
 from fedrelax.models import LogisticRegression
 from fedrelax.problems import DatasetProblem, QuadraticProblem
-from fedrelax.quadratics import make_quadratic_family
+from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
 from fedrelax.strategies import compose_ri, make_strategy
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """Reference: an array's checkpoint entry as one dict, base64 through an ASCII str."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return {
+        "dtype": "float64",
+        "shape": list(a.shape),
+        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"),
+    }
+
+
+def reference_checkpoint_bytes(sim, config_hash=None) -> bytes:
+    """Reference: the whole payload, arrays as encode_array dicts, through one json.dumps."""
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "config_hash": config_hash if config_hash is not None else getattr(sim, "config_hash", None),
+        "seed": sim.seed,
+        "round": sim.server.round,
+        "global_params": encode_array(sim.server.global_params),
+        "server_aux": {k: encode_array(v) for k, v in sim.server.aux.items()},
+        "server_rng": rng_state(sim.server.rng),
+        "last_local": encode_array(sim.last_local),
+        "client_aux": {k: encode_array(v) for k, v in sim.client_aux.items()},
+        "client_rngs": {str(i): rng_state(g) for i, g in enumerate(sim.client_rngs) if g is not None},
+        "records": [r.to_dict() for r in sim.records],
+    }
+    return json.dumps(payload, sort_keys=True, default=lambda o: o.item()).encode("utf-8")
 
 
 def test_encode_decode_array_bitwise():
@@ -240,6 +268,51 @@ def test_checkpoint_round_trip_property(tmp_path_factory, name, kind, stop, seed
     for k in full.server.aux:
         assert np.array_equal(resumed.server.aux[k], full.server.aux[k])
     assert rounds_csv_text(resumed.records, "h") == rounds_csv_text(full.records, "h")
+
+
+# every aux key a checkpoint can hold: control (both sides), dual, m and v, momentum
+ORACLE_STRATEGIES = ("fedinit", "scaffold", "feddyn", "fedadam", "fedcm")
+
+
+@pytest.mark.parametrize("name", ORACLE_STRATEGIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])  # 5 clients: arrays of 8d and 40d bytes, every residue mod 3
+@pytest.mark.parametrize("noise", [0.0, 0.3])  # with 0.3 the clients that trained keep generators
+@pytest.mark.parametrize("stop", [0, 3])
+def test_checkpoint_bytes_match_reference_encoder(tmp_path, name, dim, noise, stop):
+    fam = make_quadratic_family(5, dim, spread=1.0, cond=4.0, seed=dim)
+    hp = HyperParams(eta=0.1, rounds=6, n_active=3, k_local=2)
+    spec = make_strategy(name, beta=0.1)
+    sim = Simulation(QuadraticProblem(fam, grad_noise=noise), spec, hp, seed=7)
+    for _ in range(stop):
+        sim.step()
+    assert any(g is not None for g in sim.client_rngs) == (noise > 0 and stop > 0)
+    path, resaved = tmp_path / "ck.json", tmp_path / "again.json"
+    save_checkpoint(path, sim, config_hash="c" * 64)
+    assert path.read_bytes() == reference_checkpoint_bytes(sim, "c" * 64)
+    restored = restore_simulation(sim.problem, spec, hp, load_checkpoint(path))
+    save_checkpoint(resaved, restored)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_an_infinite_grad_norm_resumes(tmp_path):
+    # on this 1-D quadratic grad_norm_sq (~A^2 w^2) overflows a round before the train loss does
+    fam = QuadraticFamily(np.full((2, 1, 1), 10.0), np.array([[0.0], [1.0]]))
+    hp = HyperParams(eta=1.0, rounds=400, n_active=2, k_local=1)
+    spec = make_strategy("fedavg")
+    full, first = (Simulation(QuadraticProblem(fam), spec, hp, seed=0) for _ in range(2))
+    while math.isfinite(first.step().grad_norm_sq):
+        pass
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, first)
+    assert b'"grad_norm_sq": Infinity' in path.read_bytes()
+    resumed = restore_simulation(first.problem, spec, hp, load_checkpoint(path))
+    assert rounds_csv_text(resumed.records, "h") == rounds_csv_text(first.records, "h")
+    for sim in (full, resumed):
+        with pytest.raises(DivergedError, match=f"round {first.server.round}:"):
+            while True:
+                sim.step()
+    assert rounds_csv_text(resumed.records, "h") == rounds_csv_text(full.records, "h")
+    assert "inf" in rounds_csv_text(full.records, "h")
 
 
 def test_no_batch_randomness_checkpoints_no_client_streams(tmp_path):

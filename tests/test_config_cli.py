@@ -21,7 +21,7 @@ from fedrelax.config import (
     resolve_config,
 )
 from fedrelax.core import Simulation
-from fedrelax.artifacts import save_checkpoint
+from fedrelax.artifacts import restore_simulation, save_checkpoint
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 
 
@@ -332,6 +332,71 @@ def test_cli_resume_non_object_checkpoint_exit_2(tmp_path):
     r = cli("run", "--config", cfg_path, "--out", str(out), "--resume")
     assert r.returncode == 2
     assert "must hold a JSON object" in r.stderr and "Traceback" not in r.stderr
+
+
+def _set_data(entry, data):
+    entry["data"] = data
+
+
+# each edit malforms one field of a valid mid-run checkpoint; the CLI must name the field
+MALFORMED_CHECKPOINTS = {
+    "record_extra_key": (lambda p: p["records"][0].update(extra=1), "records[0]"),
+    "record_missing_key": (lambda p: p["records"][1].pop("lr"), "records[1]"),
+    "record_not_object": (lambda p: p["records"].__setitem__(0, 3), "records[0]"),
+    "record_train_loss_text": (lambda p: p["records"][0].update(train_loss="x"), "records[0].train_loss"),
+    "record_divergence_nan": (lambda p: p["records"][2].update(divergence=float("nan")),
+                              "records[2].divergence"),
+    "record_bytes_float": (lambda p: p["records"][0].update(bytes_up=1.5), "records[0].bytes_up"),
+    "record_round_shuffled": (lambda p: p["records"][1].update(round=0), "records[1].round"),
+    "records_not_list": (lambda p: p.update(records=3), "records"),
+    "array_without_data": (lambda p: p["last_local"].pop("data"), "last_local"),
+    "array_data_not_base64": (lambda p: _set_data(p["global_params"], "!!!"), "global_params"),
+    "array_data_short": (lambda p: _set_data(p["last_local"], p["last_local"]["data"][:-8]), "last_local"),
+    "array_shape_text": (lambda p: p["global_params"].update(shape="x"), "global_params"),
+    "array_not_object": (lambda p: p.update(global_params=[0.0, 1.0, 2.0]), "global_params"),
+    "server_rng_int": (lambda p: p.update(server_rng=5), "server_rng"),
+    "client_rng_empty": (lambda p: p["client_rngs"].update({"0": {}}), "client_rngs['0']"),
+    "client_rngs_list": (lambda p: p.update(client_rngs=[]), "client_rngs"),
+    "client_aux_list": (lambda p: p.update(client_aux=[]), "client_aux"),
+    "server_aux_list": (lambda p: p.update(server_aux=[]), "server_aux"),
+    "round_text": (lambda p: p.update(round="3"), "round"),
+    "seed_text": (lambda p: p.update(seed="1"), "seed"),
+    "config_hash_int": (lambda p: p.update(config_hash=5), "config_hash"),
+}
+
+
+@pytest.fixture(scope="module")
+def mid_run_checkpoint(tmp_path_factory):
+    """(config path, payload) of a blobs run checkpointed after 3 of 6 rounds."""
+    tmp = tmp_path_factory.mktemp("ck")
+    cfg_path = write_cfg(tmp, dict(RUN_CFG, checkpoint_every=3))
+    cfg = resolve_config(load_config(cfg_path), mode="run")
+    problem, _ = build_problem(cfg)
+    sim = Simulation(problem, build_strategy(cfg), build_hp(cfg), cfg["seed"])
+    for _ in range(3):
+        sim.step()
+    save_checkpoint(tmp / "checkpoint.json", sim, config_hash=config_hash(cfg))
+    payload = json.loads((tmp / "checkpoint.json").read_text())
+    assert payload["client_rngs"] and len(payload["records"]) == 3
+    restore_simulation(problem, sim.spec, sim.hp, json.loads(json.dumps(payload)),
+                       expect_config_hash=config_hash(cfg))  # valid as saved
+    return cfg_path, payload
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_cli_resume_malformed_checkpoint_exit_2_naming_the_field(tmp_path, capsys, mid_run_checkpoint,
+                                                                 case):
+    cfg_path, payload = mid_run_checkpoint
+    payload = json.loads(json.dumps(payload))
+    edit, field = MALFORMED_CHECKPOINTS[case]
+    edit(payload)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "checkpoint.json").write_text(json.dumps(payload))
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and field in err, err
+    assert not (out / "rounds.csv").exists()
 
 
 def test_cli_unknown_key_exit_2(tmp_path):

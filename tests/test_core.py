@@ -1,6 +1,9 @@
 """Round-engine behavior: hand-traced rounds, stragglers, determinism, schedules."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedrelax.core import (
     DivergedError,
@@ -117,6 +120,47 @@ def test_aggregate_order_invariance_and_mean():
         for w in col:
             running += w
         assert np.array_equal(aggregate(col), running / len(col))
+
+
+def reference_aggregate(rows, weights=None):
+    """The row loop aggregate replaced: a running sum from +0, one row at a time."""
+    out = np.zeros(rows.shape[1])
+    if weights is None:
+        for w in rows:
+            out += w
+        return out / len(rows)
+    weights = weights.tolist()
+    total = sum(weights)
+    for wi, w in zip(weights, rows):
+        out += (wi / total) * w
+    return out
+
+
+# finite values spread over many magnitudes, signed zeros included
+_ENTRY = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=True), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.tuples(st.integers(1, 40), st.integers(1, 4)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=_ENTRY)),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_aggregate_is_the_row_loop_bit_for_bit(rows, weighted, data):
+    weights = None
+    if weighted:
+        weights = data.draw(hnp.arrays(np.float64, len(rows), elements=st.floats(0.01, 100.0)))
+    got = aggregate(rows, weights)
+    assert got.tobytes() == reference_aggregate(rows, weights).tobytes()
+    assert got.base is None or got.base.shape == got.shape  # no view into a larger buffer
+
+
+def test_aggregate_of_a_negative_zero_column_is_positive_zero():
+    rows = np.array([[-0.0, 1.0], [-0.0, -1.0], [-0.0, 0.0]])
+    for weights in (None, np.array([1.0, 2.0, 3.0])):
+        assert aggregate(rows, weights).tobytes() == reference_aggregate(rows, weights).tobytes()
+        assert not np.signbit(aggregate(rows, weights)[0])  # the running sum starts at +0
 
 
 def test_aggregate_weighted():

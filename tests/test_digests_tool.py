@@ -1,5 +1,6 @@
 """tools/digests.py: one distinct, reproducible sha256 per run of its grid."""
 import importlib.util
+import json
 import os
 
 import pytest
@@ -52,3 +53,27 @@ def test_cli_grid_configs_re_resolve_to_themselves(name):
     cfg = resolve_config({k: v for k, v in raw.items() if v is not None}, mode=mode)
     echo = {k: v for k, v in cfg.items() if k != "schema_version"}
     assert resolve_config(echo, mode=mode) == cfg
+
+
+def test_every_checkpoint_is_hashed_as_it_is_written(tmp_path):
+    import fedrelax as fr
+    import fedrelax.artifacts  # noqa: F401
+
+    class Collect:
+        def __init__(self):
+            self.chunks = []
+
+        def update(self, b):
+            self.chunks.append(b)
+
+    fam = fr.quadratics.make_quadratic_family(4, 2, seed=0)
+    hp = fr.core.HyperParams(eta=0.1, rounds=5, n_active=2, k_local=2)
+    sink = Collect()
+    save = fr.artifacts.save_checkpoint
+    with _tool().hashing_checkpoints(fr, sink):
+        fr.core.run_experiment(fr.problems.QuadraticProblem(fam), fr.strategies.make_strategy("fedavg"),
+                               hp, seed=0, checkpoint_every=2, checkpoint_path=tmp_path / "ck.json")
+    assert fr.artifacts.save_checkpoint is save
+    # rounds 2 and 4, then the last round; each file as it was before the next overwrote it
+    assert [json.loads(c)["round"] for c in sink.chunks] == [2, 4, 5]
+    assert sink.chunks[-1] == (tmp_path / "ck.json").read_bytes()

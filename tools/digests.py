@@ -9,14 +9,16 @@ is checked with
 
     diff <(python3 tools/digests.py OLD/src) <(python3 tools/digests.py src)
 
-Each run hashes its rounds.csv text, its summary, the final global model,
-the ``last_local`` matrix, the client and server aux arrays and the bytes of
-its last checkpoint. Each paired stability run hashes its whole trace: deltas,
-global distances, t0, loss gap and U. Each run of the CLI grid calls ``fedrelax.cli.main``
-in-process from its own scratch directory, with relative paths only, so no
-temporary path reaches an artifact; it hashes the exit code, stdout and every
-file the run writes. A CLI grid run the CLI refuses (exit 2) stops the tool
-with exit code 1, naming the run.
+Each run hashes the bytes of every checkpoint it writes, each as soon as
+``save_checkpoint`` returns (a later one overwrites it), then its rounds.csv
+text, its summary, the final global model, the ``last_local`` matrix and the
+client and server aux arrays. Each paired stability run hashes its whole
+trace: deltas, global distances, t0, loss gap and U. Each run of the CLI grid
+calls ``fedrelax.cli.main`` in-process from its own scratch directory, with
+relative paths only, so no temporary path reaches an artifact; it hashes
+every checkpoint as it is written, then the exit code, stdout and every file
+the run leaves. A CLI grid run the CLI refuses (exit 2) stops the tool with
+exit code 1, naming the run.
 """
 from __future__ import annotations
 
@@ -94,18 +96,34 @@ def _arrays(h, arrays: dict) -> None:
         h.update(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
 
 
+@contextlib.contextmanager
+def hashing_checkpoints(fr, h):
+    """Within the block, every checkpoint fedrelax saves is fed to h right after it is written."""
+    save = fr.artifacts.save_checkpoint
+
+    def save_and_hash(path, sim, config_hash=None):
+        save(path, sim, config_hash)
+        with open(path, "rb") as f:
+            h.update(f.read())
+
+    fr.artifacts.save_checkpoint = save_and_hash
+    try:
+        yield
+    finally:
+        fr.artifacts.save_checkpoint = save
+
+
 def run_digest(fr, spec, problem, hp, tmp: str) -> str:
     ckpt = os.path.join(tmp, "checkpoint.json")
-    res = fr.core.run_experiment(problem, spec, hp, seed=3, checkpoint_every=3, checkpoint_path=ckpt)
-    sim = res.sim
     h = hashlib.sha256()
+    with hashing_checkpoints(fr, h):
+        res = fr.core.run_experiment(problem, spec, hp, seed=3, checkpoint_every=3, checkpoint_path=ckpt)
+    sim = res.sim
     h.update(fr.metrics.rounds_csv_text(res.records, "0" * 64).encode())
     h.update(json.dumps(res.summary, sort_keys=True).encode())
     _arrays(h, {"final_global": res.final_global, "last_local": sim.last_local})
     _arrays(h, {f"client_aux.{k}": v for k, v in sim.client_aux.items()})
     _arrays(h, {f"server_aux.{k}": v for k, v in sim.server.aux.items()})
-    with open(ckpt, "rb") as f:
-        h.update(f.read())
     os.unlink(ckpt)
     return h.hexdigest()
 
@@ -187,7 +205,7 @@ def cli_digest(fr, argvs: list, cfg: dict, run_dir: str) -> str | None:
         h = hashlib.sha256()
         for argv in argvs:
             stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            with contextlib.redirect_stdout(stdout), hashing_checkpoints(fr, h):
                 code = fr.cli.main(argv + ["--config", "config.json", "--out", "out"])
             if code == 2:
                 return None
