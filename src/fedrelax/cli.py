@@ -49,7 +49,11 @@ def _effective_out(cfg: dict, cli_out: str | None, default_name: str) -> str:
 
 def _effective_jobs(cfg: dict, cli_jobs: int | None) -> int:
     env = os.environ.get("FEDRELAX_JOBS")
-    given = [j for j in (cli_jobs, int(env) if env else None, cfg["jobs"]) if j is not None]
+    try:
+        env_jobs = int(env) if env else None
+    except ValueError:
+        raise ConfigError(f"FEDRELAX_JOBS must be an integer, got {env!r}") from None
+    given = [j for j in (cli_jobs, env_jobs, cfg["jobs"]) if j is not None]
     jobs = given[0] if given else os.cpu_count() or 1
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

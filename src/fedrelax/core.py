@@ -180,8 +180,8 @@ class Simulation:
 
     With record=False a round neither evaluates nor keeps a RoundRecord, and
     step() returns None; it is for callers that read only the models: a paired
-    stability run, one simulation of a problems.PairedProblem that trains both
-    sides of its pair in one block. Such a round still refuses a non-finite new
+    stability run, one simulation of a DatasetProblem.side_by_side pair that
+    trains both sides in one block. Such a round still refuses a non-finite new
     global model or participant row with DivergedError.
     """
 
@@ -276,7 +276,7 @@ class Simulation:
             k_steps=k_steps,
             client_aux={k: m[ids] for k, m in self.client_aux.items()},
             server_aux=self.server.aux,
-            sides=getattr(self.problem, "sides", 1),  # models per row (see PairedProblem)
+            sides=self.problem.sides,
         )
         w_end = local_train(self.problem, self.spec, ids, ctx, self.client_rng, self.hp.batch_size)
         for k, v in strat.finish_local(self.spec, ctx, w_end).items():

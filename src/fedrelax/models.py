@@ -92,7 +92,7 @@ class Block:
     steps (full batches) or evaluations (a kept Batch's block) pays for its
     views, length columns and work buffers once. A paired stability run's
     block holds both sides' rows of each client, of equal length, so its runs
-    have 2 rows or more (problems.PairedProblem).
+    have 2 rows or more (problems.DatasetProblem.side_by_side).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, runs):

@@ -31,9 +31,9 @@ Two concrete kinds:
   the train accuracy; one forward pass over the test set gives test loss and
   accuracy.
 
-A paired stability run trains its two DatasetProblems as one PairedProblem,
-whose rows each hold both sides' models; its sides = 2 (a problem without the
-attribute has 1) is read only by FedSAM's per-model ascent radius.
+A problem's sides is the number of models side by side in each row: 1, or 2
+for the pair that DatasetProblem.side_by_side builds for a paired stability
+run. It is read only by FedSAM's per-model ascent radius.
 """
 from __future__ import annotations
 
@@ -49,6 +49,8 @@ from .quadratics import QuadraticFamily
 
 
 class QuadraticProblem:
+    sides = 1
+
     def __init__(self, family: QuadraticFamily, grad_noise: float = 0.0):
         if grad_noise < 0.0:
             raise ValueError("grad_noise must be >= 0")
@@ -122,31 +124,34 @@ def _full_batch(n: int, batch_size) -> bool:
     return batch_size is None or batch_size >= n
 
 
-def _index_batches(start: int, n: int, rng, batch_size):
-    """Epoch-wise mini-batches of the shard at pooled rows start..start+n-1, as
-    pooled row indices; rng is a zero-argument accessor of the client's
-    generator, called only at a reshuffle (never for full batches)."""
+def _index_batches(starts: np.ndarray, n: int, rng, batch_size):
+    """Epoch-wise mini-batches of a shard of n samples whose side r starts at
+    pooled row starts[r, 0], as pooled row indices of every side's batch in
+    turn: side r's batch is side 0's, r n rows on. rng is a zero-argument
+    accessor of the client's generator, called only at a reshuffle (never for
+    full batches)."""
     if _full_batch(n, batch_size):
-        yield from itertools.repeat(np.arange(start, start + n))  # never returns
+        yield from itertools.repeat((starts + np.arange(n)).ravel())  # never returns
     while True:
-        perm = rng().permutation(n) + start
+        perm = rng().permutation(n) + starts
         for s in range(0, n, batch_size):
-            yield perm[s:s + batch_size]
+            yield perm[:, s:s + batch_size].ravel()
 
 
-def _runs(lengths) -> list:
-    """The Block runs of rows with these batch lengths: stretches of equal length."""
+def _runs(lengths, sides: int) -> list:
+    """The Block runs of rows whose batches, every side's together, have these
+    lengths: stretches of equal length, each row sides rows of the Block."""
     # a list, not a tuple: tuples whose length varies per step made peak RSS climb from job to job
-    return [(len(list(rows)), n) for n, rows in itertools.groupby(lengths)]
+    return [(sides * len(list(rows)), n // sides) for n, rows in itertools.groupby(lengths)]
 
 
-def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, batches):
-    """The (N, d) gradient whose row j is that of the samples x[batches[j]].
+def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, sides: int, batches):
+    """The gradient whose row j is that of the samples x[batches[j]].
 
     The step's samples are gathered once, in row order, into a Block.
     """
     take = np.concatenate(batches)
-    return partial(block_grad, block=Block(x[take], y[take], _runs(map(len, batches))))
+    return partial(block_grad, block=Block(x[take], y[take], _runs(map(len, batches), sides)))
 
 
 class DatasetProblem:
@@ -170,6 +175,36 @@ class DatasetProblem:
         self.model = model
         self.shards = shards
         self.test = test
+        self._side_shards = (shards,)
+
+    @classmethod
+    def side_by_side(cls, problem_a: DatasetProblem, problem_b: DatasetProblem) -> DatasetProblem:
+        """Two dataset problems as one whose model is the pair (w_a, w_b), with sides = 2.
+
+        A block of N pairs trains as the (2N, d) block of both sides' models (row
+        2j side a, row 2j + 1 side b of client ids[j]), with one block gradient of
+        side a's model per step; FedSAM takes one ascent radius per side. The
+        pooled buffer interleaves the shards per client (a_0, b_0, a_1, ...).
+        Both sides of a client hold n_i samples and would draw from identically
+        seeded generators, so one batch stream per client, over side a, serves
+        side b n_i pooled rows on. The pair trains; it does not evaluate.
+        """
+        if _model_shape(problem_a.model) != _model_shape(problem_b.model):
+            raise ValueError("paired problems must have models of one kind and shape")
+        if problem_a.n_clients != problem_b.n_clients:
+            raise ValueError("paired problems must agree on client count")
+        for i, (sa, sb) in enumerate(zip(problem_a.shards, problem_b.shards)):
+            if len(sa) != len(sb):
+                raise ValueError(f"paired problems must agree on shard sizes: client {i} "
+                                 f"holds {len(sa)} samples on one side and {len(sb)} on the other")
+        pair = cls(problem_a.model, problem_a.shards, problem_a.test)
+        pair._side_shards = (problem_a.shards, problem_b.shards)
+        return pair
+
+    @property
+    def sides(self) -> int:
+        """Models side by side in each row (see side_by_side)."""
+        return len(self._side_shards)
 
     @property
     def n_clients(self) -> int:
@@ -177,13 +212,17 @@ class DatasetProblem:
 
     @property
     def dim(self) -> int:
-        return self.model.dim
+        return self.sides * self.model.dim
 
     def shard_size(self, i: int) -> int:
         return len(self.shards[i])
 
     def default_init(self, rng) -> np.ndarray:
-        return self.model.init_params(rng)
+        return np.tile(self.model.init_params(rng), self.sides)
+
+    def _block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
+        """The gradient of the rows w: the model's block gradient on their (sides N, d) view."""
+        return self.model.block_grad(w.reshape(-1, self.model.dim), block).reshape(w.shape)
 
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
         """Block gradients of the clients ids (distinct, ascending), one function
@@ -196,9 +235,9 @@ class DatasetProblem:
         """
         full = all(_full_batch(len(self.shards[i]), batch_size) for i in ids)
         if full and len(ids) == self.n_clients:
-            return itertools.repeat(partial(self.model.block_grad, block=self._population_block))
+            return itertools.repeat(partial(self._block_grad, block=self._population_block))
         pooled, _ = self._pooled
-        grad = partial(_gathered_grad, self.model.block_grad, pooled.x, pooled.y)
+        grad = partial(_gathered_grad, self._block_grad, pooled.x, pooled.y, self.sides)
         streams = [_index_batches(self._starts[i], len(self.shards[i]), partial(rngs, i), batch_size)
                    for i in ids]
         if full:
@@ -210,28 +249,32 @@ class DatasetProblem:
         return 1 if _full_batch(n, batch_size) else math.ceil(n / batch_size)
 
     @cached_property
-    def _starts(self) -> list[int]:
-        """Client i's samples are the pooled rows _starts[i] .. _starts[i] + n_i - 1."""
-        return np.cumsum([0] + [len(s) for s in self.shards[:-1]]).tolist()
+    def _starts(self) -> np.ndarray:
+        """Client i's side-r samples are the pooled rows _starts[i, r, 0] + 0 .. n_i - 1."""
+        sizes = np.array([len(s) for s in self.shards])
+        first = np.cumsum(self.sides * sizes) - self.sides * sizes
+        return (first[:, None] + np.arange(self.sides) * sizes[:, None])[:, :, None]
 
     @cached_property
     def _pooled(self) -> tuple[Batch, np.ndarray]:
-        """All shards as one batch, in client order, built on first use, with sample weights.
+        """All shards as one batch, in client order (every side's in turn), built on
+        first use, with sample weights.
 
         Sample j of client i weighs 1/(C n_i), so the weighted sum over the
         pooled set is the unweighted mean over clients of client means.
         """
         c = len(self.shards)
-        batch = Batch(np.concatenate([s.x for s in self.shards]),
-                      np.concatenate([s.y for s in self.shards]))
-        weights = np.concatenate([np.full(len(s), 1.0 / (c * len(s))) for s in self.shards])
+        shards = [s for per_client in zip(*self._side_shards) for s in per_client]
+        batch = Batch(np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards]))
+        weights = np.concatenate([np.full(len(s), 1.0 / (c * len(s))) for s in shards])
         return batch, weights
 
     @cached_property
     def _population_block(self) -> Block:
         """Every client's full batch, in client order: the pooled buffer as one Block."""
         pooled, _ = self._pooled
-        return Block(pooled.x, pooled.y, _runs(len(s) for s in self.shards))
+        lengths = (self.sides * len(s) for s in self.shards)
+        return Block(pooled.x, pooled.y, _runs(lengths, self.sides))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         batch, weights = self._pooled
@@ -271,85 +314,6 @@ class DatasetProblem:
 def _model_shape(model) -> tuple:
     """What fixes a dataset model's function of (w, samples): its kind and sizes."""
     return type(model), model.dim, model.n_features, getattr(model, "hidden", None)
-
-
-class PairedProblem:
-    """Two dataset problems side by side, trained as one; the model is the pair (w_a, w_b).
-
-    A block of N pairs trains as the (2N, d) block of both sides' models (row
-    2j side a, row 2j + 1 side b of client ids[j]), with one block gradient of
-    side a's model per step; FedSAM takes one ascent radius per side
-    (sides = 2). The pooled buffer interleaves the shards per client (a_0,
-    b_0, a_1, ...). Both sides of a client hold n_i samples and would draw
-    from identically seeded generators, so one batch stream per client, over
-    side a, serves side b n_i pooled rows on. The pair trains; it does not
-    evaluate.
-    """
-
-    sides = 2
-
-    def __init__(self, problem_a: DatasetProblem, problem_b: DatasetProblem):
-        if _model_shape(problem_a.model) != _model_shape(problem_b.model):
-            raise ValueError("paired problems must have models of one kind and shape")
-        if problem_a.n_clients != problem_b.n_clients:
-            raise ValueError("paired problems must agree on client count")
-        for i, (sa, sb) in enumerate(zip(problem_a.shards, problem_b.shards)):
-            if len(sa) != len(sb):
-                raise ValueError(f"paired problems must agree on shard sizes: client {i} "
-                                 f"holds {len(sa)} samples on one side and {len(sb)} on the other")
-        self.problem_a, self.problem_b = problem_a, problem_b
-        self.model = problem_a.model
-        self.n_clients = problem_a.n_clients
-        self.dim = 2 * self.model.dim
-        self._sizes = [len(s) for s in problem_a.shards]
-
-    def shard_size(self, i: int) -> int:
-        return self._sizes[i]
-
-    def steps_per_epoch(self, i: int, batch_size) -> int:
-        return self.problem_a.steps_per_epoch(i, batch_size)
-
-    def default_init(self, rng) -> np.ndarray:
-        return np.tile(self.problem_a.default_init(rng), 2)
-
-    def _block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        """The (N, 2d) gradient of the pairs w, from side a's model on their (2N, d) view."""
-        return self.model.block_grad(w.reshape(-1, self.model.dim), block).reshape(w.shape)
-
-    def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
-        """As DatasetProblem.start_local_pass, each row trained as its pair of models."""
-        sizes = [self._sizes[i] for i in ids]
-        full = all(_full_batch(n, batch_size) for n in sizes)
-        if full and len(ids) == self.n_clients:
-            return itertools.repeat(partial(self._block_grad, block=self._population_block))
-        x, y = self._pooled
-
-        def grad(batches):  # side a's batch of each row, then side b's: the same draws, n rows on
-            return _gathered_grad(self._block_grad, x, y,
-                                  [b for idx, n in zip(batches, sizes) for b in (idx, idx + n)])
-
-        streams = [_index_batches(self._starts[i], n, partial(rngs, i), batch_size)
-                   for i, n in zip(ids, sizes)]
-        if full:
-            return itertools.repeat(grad([next(s) for s in streams]))
-        return map(grad, zip(*streams))
-
-    @cached_property
-    def _starts(self) -> list[int]:
-        """Client i's side-a samples are the pooled rows _starts[i] .. _starts[i] + n_i - 1."""
-        return np.cumsum([0] + [2 * n for n in self._sizes[:-1]]).tolist()
-
-    @cached_property
-    def _pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Features and targets of both sides' shards, interleaved per client."""
-        shards = [s for pair in zip(self.problem_a.shards, self.problem_b.shards) for s in pair]
-        return np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards])
-
-    @cached_property
-    def _population_block(self) -> Block:
-        """Both sides' full batches of every client: the pooled buffer as one Block."""
-        x, y = self._pooled
-        return Block(x, y, _runs(n for n in self._sizes for _ in range(2)))
 
 
 def _accuracy(pred: np.ndarray | None, y: np.ndarray) -> float | None:

@@ -17,8 +17,9 @@ improvement factor of (1/(1+2 beta))^{1/(1+cKL)} at the optimal observation
 round t0.  U = sup f is reported as the max loss seen on the probe set plus a
 10% margin, never asserted.
 
-A pair trains as one simulation of a problems.PairedProblem, in one block per
-local step, and each side's rows round exactly as that side's run alone.
+A pair trains as one simulation of a DatasetProblem.side_by_side pair, in one
+block per local step, and each side's rows round exactly as that side's run
+alone.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 from .core import DivergedError, HyperParams, Simulation
 from .datasets import Dataset, blob_centers, dirichlet_partition, make_blobs, shard_dataset
 from .models import LogisticRegression, MLPClassifier
-from .problems import DatasetProblem, PairedProblem
+from .problems import DatasetProblem
 from .strategies import StrategySpec, compose_ri
 
 _KEY_PERTURB = 0x9E27
@@ -155,11 +156,11 @@ def paired_run(
 ) -> StabilityTrace:
     """Run the two problems in lockstep on shared random streams, as one simulation.
 
-    The pair trains as one PairedProblem: its model is (w_a, w_b), and each
-    local step takes one block gradient over both sides' rows, each row
-    rounding exactly as that side's run alone. The problems must agree on
-    client count, model kind and shape, and every shard size (ValueError
-    otherwise). The trace reads only the models, so the simulation neither
+    The pair trains as one DatasetProblem.side_by_side: its model is (w_a,
+    w_b), and each local step takes one block gradient over both sides' rows,
+    each row rounding exactly as that side's run alone. The problems must
+    agree on client count, model kind and shape, and every shard size
+    (ValueError otherwise). The trace reads only the models, so the simulation neither
     evaluates nor records its rounds. A non-finite model, paired distance or
     final test loss stops the run with DivergedError, which reports the
     overflow, so NumPy's warnings about it are silenced.
@@ -169,7 +170,7 @@ def paired_run(
             "the stability analysis assumes the decaying schedule eta_t = c/(t+1); "
             "set lr_schedule='inverse_t'"
         )
-    pair = PairedProblem(problem_a, problem_b)
+    pair = DatasetProblem.side_by_side(problem_a, problem_b)
     sim = Simulation(pair, spec, hp, seed, record=False)
     d = problem_a.dim
     deltas: list[float] = []
@@ -218,7 +219,7 @@ def stability_experiment(
 ) -> list[StabilityTrace]:
     """Paired runs for every (beta, seed), beta-major; factory(seed) -> (problem_a, problem_b, ...).
 
-    Each paired run is one simulation that trains both sides in one block.
+    Each paired run is one simulation of a DatasetProblem.side_by_side pair.
     One pair per seed serves every beta (a run never changes its problems), and
     every beta composes RI onto the base spec, overriding its beta; beta = 0
     starts every client at w exactly, which is plain averaging bit for bit.

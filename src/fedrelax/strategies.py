@@ -110,8 +110,8 @@ class LocalCtx:
 
     start and client_aux hold one row per participant; anchor and server_aux
     are shared by every row. A row may hold several models side by side
-    (sides of them, each of length d / sides: a paired stability run trains
-    both sides of its pair in one row). Every rule is coordinate-wise on the
+    (the problem's sides, each of length d / sides: 2 for a
+    DatasetProblem.side_by_side pair). Every rule is coordinate-wise on the
     row, except FedSAM's ascent radius, which it takes per model.
     """
 

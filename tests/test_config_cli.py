@@ -709,7 +709,7 @@ def test_cli_stability_echoes_default_betas(tmp_path):
     assert [row["beta"] for row in report["summary"]["per_beta"]] == [0.0, 0.05, 0.1]
 
 
-def test_jobs_zero_refused_from_every_source(monkeypatch):
+def test_jobs_zero_refused_from_every_source(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("FEDRELAX_JOBS", raising=False)
     with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
         _effective_jobs({"jobs": 0}, None)
@@ -718,6 +718,12 @@ def test_jobs_zero_refused_from_every_source(monkeypatch):
     monkeypatch.setenv("FEDRELAX_JOBS", "0")
     with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
         _effective_jobs({"jobs": 2}, None)
+    monkeypatch.setenv("FEDRELAX_JOBS", "abc")
+    with pytest.raises(ConfigError, match="FEDRELAX_JOBS must be an integer, got 'abc'"):
+        _effective_jobs({"jobs": 2}, None)
+    cfg = {"problem": "quadratic", "sweep": {"axis": "lr", "values": [0.1]}}
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "FEDRELAX_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_cli_partition_report(tmp_path):

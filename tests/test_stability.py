@@ -8,7 +8,7 @@ import pytest
 from fedrelax.core import DivergedError, HyperParams, Simulation
 from fedrelax.datasets import Dataset
 from fedrelax.models import LinearRegression, MLPClassifier
-from fedrelax.problems import DatasetProblem, PairedProblem
+from fedrelax.problems import DatasetProblem
 from fedrelax.stability import (
     StabilityTrace,
     improvement_factor,
@@ -336,15 +336,16 @@ def test_paired_run_equals_recording_loop(name, monkeypatch):
     steps = []
     real_step = Simulation.step
     monkeypatch.setattr(Simulation, "step", lambda sim: steps.append(sim) or real_step(sim))
-    for problem in (problem_a, problem_b):
-        monkeypatch.setattr(problem, "eval_metrics", None)  # a paired run must not evaluate
-    tr = paired_run(problem_a, problem_b, spec, hp, seed=2)
+    with monkeypatch.context() as m:  # a paired run must not evaluate, the fused pair included
+        for attr in ("eval_metrics", "global_grad", "global_loss"):
+            m.setattr(DatasetProblem, attr, None)
+        tr = paired_run(problem_a, problem_b, spec, hp, seed=2)
 
     got = {k: getattr(tr, k) for k in want}
     assert got == want
     assert len(steps) == hp.rounds and len(set(map(id, steps))) == 1  # one simulation of the pair
     fused = steps[0].problem
-    assert isinstance(fused, PairedProblem)
+    assert fused.sides == 2
     if same:
         assert tr.deltas == [0.0] * hp.rounds and tr.t0 is None
     else:

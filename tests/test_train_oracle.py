@@ -396,3 +396,63 @@ def test_block_gradient_returns_fresh_arrays(model):
     assert first.tobytes() == kept.tobytes()  # the second call left the first gradient as it was
     assert first.tobytes() == model.block_grad(w1, Block(x, y, runs)).tobytes()
     assert second.tobytes() == model.block_grad(w2, Block(x, y, runs)).tobytes()
+
+
+# -- two problems side by side ---------------------------------------------------------
+
+@st.composite
+def side_by_side_passes(draw):
+    """Two problems of one model kind and shard sizes, a participant set and a pass's shape."""
+    sizes = draw(st.lists(st.integers(1, 61), min_size=1, max_size=6))
+    return dict(
+        model_kind=draw(st.sampled_from(MODELS)), sizes=sizes,
+        data_seeds=draw(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))),
+        same=draw(st.booleans()), batch_size=draw(st.sampled_from([None, 1, 4, 8, 16, 64])),
+        n_active=draw(st.integers(1, len(sizes))), k=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=dict(model_kind="mlp", sizes=[5, 12, 5, 1], data_seeds=(1, 2), same=False,
+                   batch_size=None, n_active=4, k=2, seed=0))  # the whole-population block
+@example(case=dict(model_kind="logistic-regression", sizes=[1, 9, 18, 27], data_seeds=(3, 4),
+                   same=True, batch_size=8, n_active=3, k=5, seed=1))
+@given(case=side_by_side_passes())
+def test_side_by_side_gradient_is_each_sides_alone(case):
+    # each side's slice of every step's gradient rounds exactly as that side's
+    # one-side problem on that side's batches, and both draw the same batches
+    problem_a = dataset_problem(case["model_kind"], case["sizes"], case["data_seeds"][0])
+    problem_b = (problem_a if case["same"]
+                 else dataset_problem(case["model_kind"], case["sizes"], case["data_seeds"][1]))
+    pair = DatasetProblem.side_by_side(problem_a, problem_b)
+    d, c = problem_a.dim, problem_a.n_clients
+    assert (pair.sides, pair.dim) == (2, 2 * d)
+    rng = np.random.default_rng(case["seed"])
+    ids = np.sort(rng.choice(c, size=case["n_active"], replace=False))
+
+    def generators():
+        made = [np.random.default_rng([case["seed"], i]) for i in range(c)]
+        return made, made.__getitem__
+
+    gens, rngs = generators()
+    passes = [pair.start_local_pass(ids, rngs, case["batch_size"])]
+    side_gens = []
+    for problem in (problem_a, problem_b):
+        made, side_rngs = generators()
+        side_gens.append(made)
+        passes.append(problem.start_local_pass(ids, side_rngs, case["batch_size"]))
+    for _ in range(case["k"]):
+        w = rng.normal(size=(len(ids), 2 * d))
+        if case["same"]:
+            w[:, d:] = w[:, :d]
+        grad, grad_a, grad_b = (next(p) for p in passes)
+        g = grad(w)
+        assert g.shape == w.shape
+        assert g[:, :d].tobytes() == grad_a(np.ascontiguousarray(w[:, :d])).tobytes()
+        assert g[:, d:].tobytes() == grad_b(np.ascontiguousarray(w[:, d:])).tobytes()
+        if case["same"]:
+            assert g[:, :d].tobytes() == g[:, d:].tobytes()
+    # the pair draws from each client's generator exactly as each side alone does
+    for made in side_gens:
+        assert [g.bit_generator.state for g in made] == [g.bit_generator.state for g in gens]

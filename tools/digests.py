@@ -147,6 +147,12 @@ PAIRED = {
     "fedinit-mlp-full": ({"n_clients": 4, "perturb": (2, 1), "model_kind": "mlp", "n_classes": 3},
                          {"eta": 0.5, "n_active": 4, "k_local": 3},
                          {"name": "fedinit", "beta": 0.1}),
+    # shards of 28/28/29/25/40 samples: 4 or 5 steps per epoch, so a round that samples
+    # client 4 trains two blocks, each side's batches n_i rows past side 0's on uneven shards
+    "fedinit-epochs": ({"n_clients": 5, "perturb": (1, 2)},
+                       {"eta": 0.5, "n_active": 3, "local_epochs": 1, "batch_size": 8,
+                        "weighted_aggregation": True},
+                       {"name": "fedinit", "beta": 0.1}),
 }
 
 
