@@ -17,15 +17,18 @@ array is ``{"data": <base64>, "dtype": "float64", "shape": [...]}``.  Files of
 another version are refused.
 
 A checkpoint is encoded in one pass: ``json.dumps`` writes everything but the
-array data, with a placeholder where each array's base64 text goes, and each
-array is base64-encoded once, straight from its buffer, and spliced in at its
-placeholder.  Base64 holds no character JSON escapes, so the file is the one
-``json.dumps`` of the whole payload would write.  ``restore_simulation``
-refuses a payload that does not fit the run with a ValueError naming the
-field: a wrong shape, type or key set, data that is not base64 of the shape's
-byte count, or a record value that is not a number where one belongs (train_loss and
-divergence must also be finite, as a run stops before recording them
-otherwise; the other float columns keep the infinity or NaN a run recorded).
+array data and the records, with a placeholder where each array's base64 text
+goes, and each array is base64-encoded once, straight from its buffer, and
+spliced in at its placeholder.  Base64 holds no character JSON escapes, so the
+file is the one ``json.dumps`` of the whole payload would write.  Each record's
+JSON text is kept once encoded, and the records list is spliced in from those
+texts, so a save encodes only the records added since the one before.
+``restore_simulation`` refuses a payload that does not fit the run with a
+ValueError naming the field: a wrong shape, type or key set, data that is not
+base64 of the shape's byte count, or a record value that is not a number where
+one belongs (train_loss and divergence must also be finite, as a run stops
+before recording them otherwise; the other float columns keep the infinity or
+NaN a run recorded).
 """
 from __future__ import annotations
 
@@ -118,6 +121,17 @@ def restore_rng(state: dict) -> np.random.Generator:
 
 # -- checkpoints ---------------------------------------------------------------
 
+def _record_texts(sim) -> list[str]:
+    """The JSON text of each of sim's records, as json.dumps writes it inside the
+    payload. A record's text is kept on sim once encoded (sim.record_texts),
+    so a save encodes only the records added since the one before."""
+    kept, records = sim.record_texts, sim.records
+    if len(kept) > len(records) or (kept and kept[-1][0] is not records[len(kept) - 1]):
+        kept.clear()  # the records were replaced
+    kept += [(r, json.dumps(r.to_dict(), sort_keys=True)) for r in records[len(kept):]]
+    return [text for _, text in kept]
+
+
 def save_checkpoint(path, sim, config_hash: str | None = None) -> None:
     """Write sim's state to path in one encoding pass (see the module docstring)."""
     arrays = []
@@ -140,12 +154,15 @@ def save_checkpoint(path, sim, config_hash: str | None = None) -> None:
         "last_local": sim.last_local,
         "client_aux": sim.client_aux,
         "client_rngs": {str(i): rng_state(g) for i, g in enumerate(sim.client_rngs) if g is not None},
-        "records": [r.to_dict() for r in sim.records],
+        "records": "\x01",
     }
+    # the records list is spliced in from each record's kept text, at the only
+    # string that dumps as "\u0001"
+    text = json.dumps(payload, sort_keys=True, default=array_slot).replace(
+        '"records": "\\u0001"', '"records": [' + ", ".join(_record_texts(sim)) + "]", 1)
     # only an array's "data" entry dumps as this text: other strings escape their
     # quotes, and no other "data" key exists in the payload
-    parts = json.dumps(payload, sort_keys=True, default=array_slot).encode("ascii").split(
-        b'"data": "\\u0000"')
+    parts = text.encode("ascii").split(b'"data": "\\u0000"')
     chunks = [parts[0]]
     for a, rest in zip(arrays, parts[1:]):
         chunks += [b'"data": "', binascii.b2a_base64(a, newline=False), b'"', rest]

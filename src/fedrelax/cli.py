@@ -33,7 +33,7 @@ from .core import DivergedError, Simulation
 from .datasets import partition_statistics
 from .metrics import rounds_csv_text
 from .stability import make_paired_blob_problems, stability_experiment, summarize_traces
-from .theory import verify_convergence_bound
+from .theory import check_beta_admissible, verify_convergence_bound
 
 CHECKPOINT_NAME = "checkpoint.json"
 
@@ -167,6 +167,9 @@ def cmd_sweep(args, cfg: dict, h: str, out_dir: str) -> int:
 
 
 def cmd_verify_bounds(args, cfg: dict, h: str, out_dir: str) -> int:
+    # the beta refusals read only the config: refuse before simulating
+    spec = build_strategy(cfg, allow_negative_beta=args.allow_negative_beta)
+    check_beta_admissible(cfg["theorem"], spec.beta)
     result, problem, spec = _run_once(
         cfg, allow_negative_beta=args.allow_negative_beta, out_dir=None,
     )

@@ -225,6 +225,8 @@ class Simulation:
         self.client_aux = {k: np.tile(v, (c, 1)) for k, v in strat.init_client_aux(spec, dim).items()}
         self.client_rngs: list[np.random.Generator | None] = [None] * c
         self.records: list[RoundRecord] = []
+        # (record, its JSON text) for records[:len], kept by artifacts.save_checkpoint
+        self.record_texts: list[tuple[RoundRecord, str]] = []
         self.agg_weights = None
         if hp.weighted_aggregation:
             if not hasattr(problem, "shard_size"):

@@ -11,25 +11,32 @@ the engine ever reshapes them except inside a model's own forward pass.
 Dataset models train through one gradient, ``block_grad(w, block)``: the
 (N, d) block w of models, each row with its own mini-batch, over a ``Block``
 that holds the samples of all rows gathered in one buffer, in row order;
-each stretch of consecutive rows with equal batch length is a run.
-Element-wise work (activations, softmax, residuals, the division by each
-row's batch length) runs once over the whole buffer; every product (and each
-bias add and batch sum) runs once per run, as one stacked NumPy call whose
-slices have exactly the shapes of a row alone. Padding rows to a common
-length would change those shapes, and OpenBLAS rounds a product differently
-when its row count changes; so each row of a block rounds exactly as that
-row alone, and ``grad(w, batch)`` is the block gradient of a one-row block.
+each stretch of consecutive rows with equal batch length is a run. A local
+step gathers its rows grouped by batch length (problems.DatasetProblem), so
+it has one run per distinct length. Element-wise work (activations, the
+MLP's bias adds, softmax, residuals, the division by each row's batch
+length) runs once over the whole buffer; every product and batch sum runs
+once per run, as one stacked NumPy call whose slices have exactly the shapes
+of a row alone. A bias is added as a per-sample array (each row's bias
+repeated over its samples), the same additions as one add per row. Padding
+rows to a common length would change the products' shapes, and OpenBLAS
+rounds a product differently when its row count changes; a bias-gradient sum
+over all runs at once (np.add.reduceat) adds in another order. So each row of
+a block rounds exactly as that row alone, and ``grad(w, batch)`` is the block
+gradient of a one-row block.
 
 A block gradient's per-sample work (the MLP's activations, logits, softmax
 and back-propagated errors; a linear model's residuals) lives in buffers the
-Block owns, allocated on its first call and reused by every later one. MLP
-evaluation runs in the buffers of the batch's one-row Block, which each Batch
-keeps, so evaluating the same set every round allocates them once. Losses,
-predictions and gradients are always new arrays, never views of those
-buffers.
+Block keeps, made on its first call and reused by every later one: its own,
+or, for the Blocks of local steps, views of one Arena the problem's Blocks
+share. MLP evaluation runs in the buffers of the batch's one-row Block, which
+each Batch keeps, so evaluating the same set every round allocates them once.
+Losses, predictions and gradients are always new arrays, never views of
+those buffers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -83,45 +90,79 @@ def as_params(w) -> np.ndarray:
     return w
 
 
+class Arena:
+    """Memory shared by Blocks that are used one at a time: per name, one
+    buffer whose start a Block's array of that name views. A Block that needs
+    more than the buffer holds gets a new, larger one; Blocks made before keep
+    the old one."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def empty(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 class Block:
     """Gathered samples of an (N, d) block of models, one mini-batch per row.
 
     x (M, p) and y (M,) hold the rows' samples run by run: runs = [(k, n), ...],
     in buffer order, says that the next k rows each own the next n samples,
-    one row after another. Built once per gather, so a block that serves many
-    steps (full batches) or evaluations (a kept Batch's block) pays for its
-    views, length columns and work buffers once. A paired stability run's
-    block holds both sides' rows of each client, of equal length, so its runs
-    have 2 rows or more (problems.DatasetProblem.side_by_side).
+    one row after another. A block that serves many steps (full batches) or
+    evaluations (a kept Batch's block) pays for its views, length columns and
+    work buffers once, and so do mini-batch steps: a problem keeps one Block
+    per run layout, and a later step of that layout refills the Block's x and
+    y in place (refill). Such Blocks take x, y and their work buffers from one
+    shared Arena, so only one of them is in use at a time. A paired stability
+    run's block holds both sides' rows of each client, of equal length, so its
+    runs have 2 rows or more (problems.DatasetProblem.side_by_side).
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, runs):
-        self.x, self.y, self.runs = x, y, runs
+    def __init__(self, x: np.ndarray, y: np.ndarray, runs, arena: Arena | None = None):
+        self.x, self.y, self.runs, self.arena = x, y, runs, arena
         self._buffers = {}
+        self._of_y = {}  # what derives from y's values, dropped by refill
         # per run: its row slice, and its (start, stop, k, n) in the sample buffer
         rows, self._cuts, r, s = [], [], 0, 0
         for k, n in runs:
             rows.append(slice(r, r + k))
             self._cuts.append((s, s + k * n, k, n))
             r, s = r + k, s + k * n
-        # per run: row slice, samples as a (k, n, p) stack, its (k, p, n) transpose
-        self.parts = [(rs, xs, xs.transpose(0, 2, 1)) for rs, xs in zip(rows, self.split(x))]
+        # per run: row slice, samples as a (k, n, p) stack
+        self.parts = list(zip(rows, self.split(x)))
+
+    def refill(self, x: np.ndarray, y: np.ndarray, take: np.ndarray) -> None:
+        """Gather x[take] and y[take] into this block's x and y: another step's
+        samples in the same runs. Views and work buffers stay; the label index
+        and float targets are rebuilt from the new y on their next use."""
+        # mode="clip" writes straight into out ("raise" buffers it); every index is in range
+        x.take(take, axis=0, out=self.x, mode="clip")
+        y.take(take, out=self.y, mode="clip")
+        self._of_y.clear()
+
+    def empty(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A work buffer over this block: new, or the arena's buffer of that name."""
+        return np.empty(shape, dtype) if self.arena is None else self.arena.empty(name, shape, dtype)
 
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         """Views of an (M,) or (M, w) array of per-sample values, one (k, n, 1 or w) stack per run."""
         return [a[s:e].reshape(k, n, -1) for s, e, k, n in self._cuts]
 
     @cached_property
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-        """An (M,) buffer, the targets as floats, and per run its parts plus the buffer's (k, n, 1) view.
+    def scratch(self) -> tuple[np.ndarray, list[tuple]]:
+        """An (M,) buffer, and per run its parts, the samples' (k, p, n) transpose
+        and the buffer's (k, n, 1) view.
 
         A linear model's block gradient keeps its margins and residuals there
         on every call, so a block that serves K full-batch steps splits them
-        once; it never returns a view of the buffer. Float targets subtract
-        as the int ones do.
+        once; it never returns a view of the buffer.
         """
-        z = np.empty(len(self.x))
-        return z, self.y.astype(np.float64), [(*p, zs) for p, zs in zip(self.parts, self.split(z))]
+        z = self.empty("z", (len(self.x),))
+        return z, [(rows, xs, xs.transpose(0, 2, 1), zs) for (rows, xs), zs in zip(self.parts, self.split(z))]
 
     def buffers(self, kind, *sizes):
         """kind(self, *sizes): a model's work buffers over this block, built on
@@ -132,20 +173,38 @@ class Block:
             made = self._buffers[key] = kind(self, *sizes)
         return made
 
+    @property
+    def targets(self) -> np.ndarray:
+        """The targets as floats; they subtract as the int ones do."""
+        made = self._of_y.get("targets")
+        if made is None:
+            made = self._of_y["targets"] = self.empty("targets", (len(self.y),))
+            np.copyto(made, self.y)
+        return made
+
+    def labels(self, classes: int) -> np.ndarray:
+        """The flat index of each sample's target in an (M, classes) array."""
+        made = self._of_y.get(classes)
+        if made is None:
+            made = self._of_y[classes] = self.empty("labels", (len(self.y),), np.int64)
+            np.multiply(np.arange(len(made)), classes, out=made)
+            made += self.y.astype(np.int64, copy=False)
+        return made
+
     @cached_property
-    def labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The index (sample, class id) of each sample's target in an (M, classes) array."""
-        return np.arange(len(self.y)), self.y.astype(np.int64, copy=False)
+    def row_counts(self) -> np.ndarray:
+        """(N,) batch length of each row."""
+        return np.repeat(np.array([n for _, n in self.runs], dtype=np.int64), [k for k, _ in self.runs])
 
     @cached_property
     def row_n(self) -> np.ndarray:
         """(N, 1) batch length of each row, as floats."""
-        return np.repeat([float(n) for _, n in self.runs], [k for k, _ in self.runs])[:, None]
+        return self.row_counts[:, None].astype(np.float64)
 
     @cached_property
     def sample_n(self) -> np.ndarray:
         """(M, 1) batch length of each sample's row, as floats."""
-        return np.repeat(self.row_n, self.row_n[:, 0].astype(np.int64), axis=0)
+        return np.repeat(self.row_n, self.row_counts, axis=0)
 
 
 def _one_row(x: np.ndarray, y: np.ndarray | None) -> Block:
@@ -224,7 +283,8 @@ def _glm_block_grad(w: np.ndarray, block: Block, link) -> np.ndarray:
     link applies the link function in place (None: identity); margins and
     residuals live in the block's scratch buffer, the gradient in a new array.
     """
-    z, y, runs = block.scratch
+    z, runs = block.scratch
+    y = block.targets
     w_cols = w[:, :, None]
     for rows, xs, _, zs in runs:
         np.matmul(xs, w_cols[rows], out=zs)
@@ -327,18 +387,19 @@ class MLPClassifier(_BlockGradModel):
         b2 = w[..., o:o + m]
         return w1, b1, w2, b2
 
-    def _forward(self, w: np.ndarray, block: Block) -> _MLPBuffers:
-        """The block's buffers, holding the hidden activations and logits of the block w."""
+    def _forward(self, block: Block, w1, b1, w2, b2) -> _MLPBuffers:
+        """The block's buffers, holding the hidden activations and logits of the
+        block of models whose unpacked parameters are w1, b1, w2, b2."""
         buf = block.buffers(_MLPBuffers, self.hidden, self.n_classes)
-        w1, b1, w2, b2 = self.unpack(w)
         w1t, w2t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
-        for (rows, xs, _), z1 in zip(block.parts, buf.a1_runs):
+        # each bias is added once, repeated per sample: the same additions as one per row
+        for rows, xs, z1, *_ in buf.runs:
             np.matmul(xs, w1t[rows], out=z1)
-            z1 += b1[rows, None]
+        buf.a1 += b1.repeat(block.row_counts, axis=0)
         np.tanh(buf.a1, out=buf.a1)
-        for (rows, _, _), a, z2 in zip(block.parts, buf.a1_runs, buf.logit_runs):
+        for rows, _, a, z2, *_ in buf.runs:
             np.matmul(a, w2t[rows], out=z2)
-            z2 += b2[rows, None]
+        buf.logits += b2.repeat(block.row_counts, axis=0)
         return buf
 
     @staticmethod
@@ -356,54 +417,57 @@ class MLPClassifier(_BlockGradModel):
     def _dlogits(buf: _MLPBuffers, block: Block) -> None:
         """Softmax minus one-hot labels, per sample, from the log-probabilities, in buf.dl."""
         np.exp(buf.logits, out=buf.dl)
-        buf.dl[block.labels] -= 1.0
+        buf.dl.reshape(-1)[block.labels(buf.dl.shape[1])] -= 1.0
 
-    def _backward(self, w: np.ndarray, block: Block, buf: _MLPBuffers) -> np.ndarray:
-        """Parameter gradients (N, d) of the block w from buf's hidden activations
-        and per-sample d(loss)/d(logits); overwrites the activations."""
-        _, _, w2, _ = self.unpack(w)
-        out = np.empty(w.shape)
+    def _backward(self, block: Block, buf: _MLPBuffers, w2: np.ndarray) -> np.ndarray:
+        """Parameter gradients (N, d) of the block of models with output weights w2
+        from buf's hidden activations and per-sample d(loss)/d(logits); overwrites
+        the activations."""
+        out = np.empty((len(w2), self.dim))
         dw1, db1, dw2, db2 = self.unpack(out)
-        for (rows, _, _), a, dl, dz in zip(block.parts, buf.a1_runs, buf.dl_runs, buf.dz_runs):
+        for rows, _, a, _, dl, dl_t, dz, _ in buf.runs:
             np.matmul(dl, w2[rows], out=dz)
-            np.matmul(dl.transpose(0, 2, 1), a, out=dw2[rows])
-            dl.sum(axis=1, out=db2[rows])
+            np.matmul(dl_t, a, out=dw2[rows])
+            np.add.reduce(dl, axis=1, out=db2[rows])
         a1 = buf.a1  # dW2 and db2 have read a1, so 1 - a1^2 may overwrite it
         np.multiply(a1, a1, out=a1)
         np.subtract(1.0, a1, out=a1)
         buf.dz *= a1
-        for (rows, xs, _), dz in zip(block.parts, buf.dz_runs):
-            np.matmul(dz.transpose(0, 2, 1), xs, out=dw1[rows])
-            dz.sum(axis=1, out=db1[rows])
+        for rows, xs, _, _, _, _, dz, dz_t in buf.runs:
+            np.matmul(dz_t, xs, out=dw1[rows])
+            np.add.reduce(dz, axis=1, out=db1[rows])
         return out
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
 
     def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        buf = self._forward(w, block)
+        w1, b1, w2, b2 = self.unpack(w)
+        buf = self._forward(block, w1, b1, w2, b2)
         self._log_softmax(buf)
         self._dlogits(buf, block)
         buf.dl /= block.sample_n
-        return self._backward(w, block, buf)
+        return self._backward(block, buf, w2)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         """Per-sample losses, predictions and (with weights) the gradient, as new arrays;
         the work runs in the buffers of the batch's Block."""
         block = batch.block
-        buf = self._forward(w[None], block)
+        w1, b1, w2, b2 = self.unpack(w[None])
+        buf = self._forward(block, w1, b1, w2, b2)
         pred = buf.logits.argmax(axis=1).astype(np.int64, copy=False)
         self._log_softmax(buf)
-        losses = -buf.logits[block.labels]
+        losses = -buf.logits.take(block.labels(self.n_classes))
         grad = None
         if weights is not None:
             self._dlogits(buf, block)
             buf.dl *= weights[:, None]
-            grad = self._backward(w[None], block, buf)[0]
+            grad = self._backward(block, buf, w2)[0]
         return Evaluation(losses, grad, pred)
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._forward(w[None], _one_row(x, None)).logits.argmax(axis=1).astype(np.int64)
+        buf = self._forward(_one_row(x, None), *self.unpack(w[None]))
+        return buf.logits.argmax(axis=1).astype(np.int64)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         # per-layer 1/sqrt(fan_in) gaussian weights, zero biases
@@ -414,18 +478,21 @@ class MLPClassifier(_BlockGradModel):
 
 
 class _MLPBuffers:
-    """An MLP's per-sample arrays over one Block, each with its per-run views:
-    hidden activations a1 and their back-propagated errors dz (M, hidden),
-    logits (then log-probabilities) and softmax errors dl (M, classes), and one
-    (M, 1) column for the row max, then the log of the row sum."""
+    """An MLP's per-sample work buffers over one Block: hidden activations a1
+    and their back-propagated errors dz (M, hidden), logits (then
+    log-probabilities) and softmax errors dl (M, classes), and one (M, 1)
+    column for the row max, then the log of the row sum. runs holds per run
+    its Block.parts, then its (k, n, w) stacks of a1 and the logits, and of dl
+    and dz, each of those two followed by its (k, w, n) transpose."""
 
     def __init__(self, block: Block, hidden: int, n_classes: int):
         m = len(block.x)
-        self.a1, self.dz = np.empty((m, hidden)), np.empty((m, hidden))
-        self.logits, self.dl = np.empty((m, n_classes)), np.empty((m, n_classes))
-        self.col = np.empty((m, 1))
-        self.a1_runs, self.dz_runs = block.split(self.a1), block.split(self.dz)
-        self.logit_runs, self.dl_runs = block.split(self.logits), block.split(self.dl)
+        self.a1, self.dz = block.empty("a1", (m, hidden)), block.empty("dz", (m, hidden))
+        self.logits, self.dl = block.empty("logits", (m, n_classes)), block.empty("dl", (m, n_classes))
+        self.col = block.empty("col", (m, 1))
+        self.runs = [(*part, a, z, dl, dl.transpose(0, 2, 1), dz, dz.transpose(0, 2, 1))
+                     for part, a, z, dl, dz
+                     in zip(block.parts, *map(block.split, (self.a1, self.logits, self.dl, self.dz)))]
 
 
 def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-6) -> np.ndarray:

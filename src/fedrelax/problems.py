@@ -20,10 +20,13 @@ Two concrete kinds:
   client's mini-batches are a stream of pooled row indices, drawn without
   replacement within an epoch and reshuffled each epoch from the client's own
   random stream; batch_size None (or >= shard) means full batch and consumes
-  no randomness.  A local step gathers the participants' batches with one
-  fancy index into the pooled buffer (a pass of full batches gathers once;
-  one over every client trains on the pooled buffer itself, gathering
-  nothing) and takes the model's block gradient over them (see models.py).  For
+  no randomness.  A local step gathers the participants' batches, its rows
+  grouped by batch length, with one fancy index into the pooled buffer (a
+  pass of full batches gathers once; one over every client trains on the
+  pooled buffer itself, gathering nothing) and takes the model's block
+  gradient over them (see models.py), in a Block the problem keeps for that
+  run layout; so a step's gradient is valid until the next step of any of
+  the problem's passes is drawn.  For
   evaluation the pooled samples carry weights 1/(C n_i) for a sample of
   client i, so that the weighted sum of per-sample losses is the unweighted
   mean of client means.  One forward and one backward pass over the pooled
@@ -33,7 +36,8 @@ Two concrete kinds:
 
 A problem's sides is the number of models side by side in each row: 1, or 2
 for the pair that DatasetProblem.side_by_side builds for a paired stability
-run. It is read only by FedSAM's per-model ascent radius.
+run. It is read only by FedSAM's per-model ascent radius. A pair trains but
+does not evaluate: its evaluation methods raise ValueError.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .datasets import Dataset
-from .models import Batch, Block
+from .models import Arena, Batch, Block
 from .quadratics import QuadraticFamily
 
 
@@ -138,6 +142,13 @@ def _index_batches(starts: np.ndarray, n: int, rng, batch_size):
             yield perm[:, s:s + batch_size].ravel()
 
 
+# Blocks and row-length sorts a problem keeps; on mlp-noniid a job meets 100-130
+# run layouts and 100-180 tuples of row lengths, and a kept Block's views and
+# length columns take ~18 KB, its samples and work buffers none (see Arena)
+_BLOCKS = 128
+_PLANS = 1024
+
+
 def _runs(lengths, sides: int) -> list:
     """The Block runs of rows whose batches, every side's together, have these
     lengths: stretches of equal length, each row sides rows of the Block."""
@@ -145,13 +156,61 @@ def _runs(lengths, sides: int) -> list:
     return [(sides * len(list(rows)), n // sides) for n, rows in itertools.groupby(lengths)]
 
 
-def _gathered_grad(block_grad, x: np.ndarray, y: np.ndarray, sides: int, batches):
-    """The gradient whose row j is that of the samples x[batches[j]].
+class _GatheredGrads:
+    """A problem's step gradients over gathered samples: called with the rows'
+    batches (pooled row indices), the gradient whose row j is that of the
+    samples x[batches[j]].
 
-    The step's samples are gathered once, in row order, into a Block.
+    A step's samples are gathered once into a Block with the rows ordered by
+    batch length (a stable sort), so each distinct length is one run; the
+    gradient is taken on the rows in that order and returned in row order.
+    The sort of each tuple of row lengths is kept, and so is one Block per
+    run layout for the first _BLOCKS layouts met: a later step of a kept
+    layout refills its Block's samples in place. Past that, a step builds a
+    new Block; evicting the least recently used instead would thrash, as a
+    run meets its layouts in cycles. Every Block draws its samples and work
+    buffers from one Arena, so a step's gradient is valid only until the next
+    step is gathered.
     """
-    take = np.concatenate(batches)
-    return partial(block_grad, block=Block(x[take], y[take], _runs(map(len, batches), sides)))
+
+    def __init__(self, block_grad, x: np.ndarray, y: np.ndarray, sides: int):
+        self.block_grad, self.x, self.y, self.sides = block_grad, x, y, sides
+        self.plans = {}   # row lengths -> (run layout, order, inverse); None, None in row order
+        self.blocks = {}  # run layout -> Block
+        self.arena = Arena()
+
+    def _plan(self, lengths: tuple) -> tuple:
+        if len(self.plans) >= _PLANS:
+            self.plans.clear()
+        order = sorted(range(len(lengths)), key=lengths.__getitem__)
+        layout = tuple(_runs([lengths[j] for j in order], self.sides))
+        if order == sorted(order):
+            plan = layout, None, None
+        else:
+            order = np.array(order)
+            plan = layout, order, np.argsort(order)
+        self.plans[lengths] = plan
+        return plan
+
+    def _block(self, layout: tuple) -> Block:
+        block = self.blocks.get(layout)
+        if block is None:
+            m = sum(k * n for k, n in layout)
+            x = self.arena.empty("x", (m, self.x.shape[1]), self.x.dtype)
+            y = self.arena.empty("y", (m,), self.y.dtype)
+            block = Block(x, y, list(layout), self.arena)
+            if len(self.blocks) < _BLOCKS:
+                self.blocks[layout] = block
+        return block
+
+    def __call__(self, batches):
+        lengths = tuple(map(len, batches))
+        layout, order, inverse = self.plans.get(lengths) or self._plan(lengths)
+        block = self._block(layout)
+        block.refill(self.x, self.y, np.concatenate(batches if order is None else [batches[j] for j in order]))
+        if order is None:
+            return partial(self.block_grad, block=block)
+        return lambda w: self.block_grad(w[order], block)[inverse]
 
 
 class DatasetProblem:
@@ -232,12 +291,14 @@ class DatasetProblem:
         Each step gathers its batches from the pooled shards once; a pass whose
         rows are all full-batch gathers once for all its steps, and a full-batch
         pass over every client uses the pooled buffer itself, gathering nothing.
+        A step's function is valid until the next step of any pass over this
+        problem is drawn, as the kept Blocks share their buffers (see
+        _GatheredGrads).
         """
         full = all(_full_batch(len(self.shards[i]), batch_size) for i in ids)
         if full and len(ids) == self.n_clients:
             return itertools.repeat(partial(self._block_grad, block=self._population_block))
-        pooled, _ = self._pooled
-        grad = partial(_gathered_grad, self._block_grad, pooled.x, pooled.y, self.sides)
+        grad = self._gathered_grads
         streams = [_index_batches(self._starts[i], len(self.shards[i]), partial(rngs, i), batch_size)
                    for i in ids]
         if full:
@@ -270,18 +331,30 @@ class DatasetProblem:
         return batch, weights
 
     @cached_property
+    def _gathered_grads(self) -> _GatheredGrads:
+        pooled, _ = self._pooled
+        return _GatheredGrads(self._block_grad, pooled.x, pooled.y, self.sides)
+
+    @cached_property
     def _population_block(self) -> Block:
         """Every client's full batch, in client order: the pooled buffer as one Block."""
         pooled, _ = self._pooled
         lengths = (self.sides * len(s) for s in self.shards)
         return Block(pooled.x, pooled.y, _runs(lengths, self.sides))
 
+    def _evaluated(self) -> tuple[Batch, np.ndarray]:
+        """The pooled batch and its weights, for evaluation; a pair refuses by name."""
+        if self.sides > 1:
+            raise ValueError("a side-by-side pair trains but does not evaluate; "
+                             "evaluate each side's own problem")
+        return self._pooled
+
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        batch, weights = self._pooled
+        batch, weights = self._evaluated()
         return self.model.evaluate(w, batch, weights).grad
 
     def global_loss(self, w: np.ndarray) -> float:
-        batch, weights = self._pooled
+        batch, weights = self._evaluated()
         return float(weights @ self.model.evaluate(w, batch).losses)
 
     @cached_property
@@ -290,12 +363,13 @@ class DatasetProblem:
         return None if self.test is None else Batch(self.test.x, self.test.y)
 
     def per_sample_test_losses(self, w: np.ndarray) -> np.ndarray | None:
+        self._evaluated()
         if self.test is None:
             return None
         return self.model.evaluate(w, self._test_batch).losses
 
     def eval_metrics(self, w: np.ndarray) -> dict:
-        batch, weights = self._pooled
+        batch, weights = self._evaluated()
         train = self.model.evaluate(w, batch, weights)
         out = {
             "train_loss": float(weights @ train.losses),

@@ -181,6 +181,15 @@ def _check_trace(result: RunResult, problem) -> tuple[float, int]:
     return lrs.pop(), hp.k_local
 
 
+def check_beta_admissible(theorem: int, beta: float) -> None:
+    """Refuse a beta for which the theorem's constants are undefined:
+    theorems 1-2 need 141 beta^2 < 1, theorems 3-4 need 39 beta^2 < 1. It
+    reads only the config, so the CLI checks it before running anything."""
+    factor = 141.0 if theorem in (1, 2) else 39.0
+    if factor * beta * beta >= 1.0:
+        raise TheoryAssumptionError(f"beta={beta}: {factor:g}*beta^2 >= 1, constants undefined")
+
+
 def verify_convergence_bound(
     theorem: int,
     result: RunResult,
@@ -211,22 +220,18 @@ def verify_convergence_bound(
         notes.append("sigma_g estimated from probe points (heterogeneous curvature)")
     stochastic = result.sim.uses_batch_randomness()
 
+    check_beta_admissible(theorem, beta)
     if theorem in (1, 2):
-        if 141.0 * beta * beta >= 1.0:
-            raise TheoryAssumptionError(f"beta={beta}: 141*beta^2 >= 1, constants undefined")
         eta_cap = 1.0 / (n * k * big_l)
         if eta > eta_cap * (1.0 + 1e-12):
             raise TheoryAssumptionError(
                 f"eta={eta} violates the admissibility eta <= 1/(NKL) = {eta_cap:.6g}"
             )
-    else:
-        if 39.0 * beta * beta >= 1.0:
-            raise TheoryAssumptionError(f"beta={beta}: 39*beta^2 >= 1, constants undefined")
-        if stochastic:
-            raise TheoryAssumptionError(
-                "the interpolation-regime guarantees assume exact local gradients; "
-                "this trace used stochastic batches"
-            )
+    elif stochastic:
+        raise TheoryAssumptionError(
+            "the interpolation-regime guarantees assume exact local gradients; "
+            "this trace used stochastic batches"
+        )
 
     a_ratio = 1.0  # full-batch quadratic gradients are exact
     b_ratio = est["b"]

@@ -23,7 +23,7 @@ from fedrelax.artifacts import (
 )
 from fedrelax.core import DivergedError, HyperParams, Simulation, run_experiment
 from fedrelax.datasets import dirichlet_partition, make_blobs, shard_dataset
-from fedrelax.metrics import rounds_csv_text
+from fedrelax.metrics import RoundRecord, rounds_csv_text
 from fedrelax.models import LogisticRegression
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
@@ -292,6 +292,40 @@ def test_checkpoint_bytes_match_reference_encoder(tmp_path, name, dim, noise, st
     restored = restore_simulation(sim.problem, spec, hp, load_checkpoint(path))
     save_checkpoint(resaved, restored)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_a_save_encodes_only_the_records_added_since_the_last(tmp_path, monkeypatch):
+    encoded = []
+    to_dict = RoundRecord.to_dict
+    monkeypatch.setattr(RoundRecord, "to_dict", lambda r: encoded.append(r.round) or to_dict(r))
+    fam = make_quadratic_family(5, 3, spread=1.0, cond=4.0, seed=1)
+    hp = HyperParams(eta=0.1, rounds=8, n_active=3, k_local=2)
+    spec = make_strategy("scaffold", beta=0.1)
+    sim = Simulation(QuadraticProblem(fam, grad_noise=0.1), spec, hp, seed=7)
+    path = tmp_path / "ck.json"
+    per_save = []
+    for rounds in (0, 3, 3, 5, 8):
+        while sim.server.round < rounds:
+            sim.step()
+        encoded.clear()
+        save_checkpoint(path, sim, config_hash="c" * 64)
+        per_save.append(list(encoded))
+        encoded.clear()
+        assert path.read_bytes() == reference_checkpoint_bytes(sim, "c" * 64)
+    assert per_save == [[], [0, 1, 2], [], [3, 4], [5, 6, 7]]
+    # a restored simulation encodes its records on its first save, then only new ones
+    restored = restore_simulation(sim.problem, spec, hp, load_checkpoint(path))
+    encoded.clear()
+    save_checkpoint(tmp_path / "again.json", restored, config_hash="c" * 64)
+    assert encoded == list(range(8))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    # records replaced wholesale are encoded afresh
+    sim.records = sim.records[:4]
+    sim.server.round = 4
+    encoded.clear()
+    save_checkpoint(path, sim, config_hash="c" * 64)
+    assert encoded == [0, 1, 2, 3]
+    assert path.read_bytes() == reference_checkpoint_bytes(sim, "c" * 64)
 
 
 def test_checkpoint_with_an_infinite_grad_norm_resumes(tmp_path):

@@ -442,6 +442,22 @@ def test_cli_verify_bounds_pass_and_fail(tmp_path):
     assert report2["report"]["holds_at_most_favorable"] is False
 
 
+@pytest.mark.parametrize("theorem,beta,factor", [(1, 0.1, 141), (2, 0.1, 141), (3, 0.2, 39), (4, 0.2, 39)])
+def test_verify_bounds_refuses_inadmissible_beta_before_simulating(tmp_path, monkeypatch, capsys,
+                                                                   theorem, beta, factor):
+    # the beta refusal reads only the config: not one round is simulated before it
+    def step(self):
+        raise AssertionError("a round was simulated before the beta check")
+
+    monkeypatch.setattr(Simulation, "step", step)
+    cfg = {"problem": "quadratic", "n_clients": 4, "dim": 3, "strategy": "fedinit", "beta": beta,
+           "lr": 0.05, "rounds": 5, "local_iters": 3, "lr_schedule": "constant", "theorem": theorem}
+    out = tmp_path / "o"
+    assert main(["verify-bounds", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"error: beta={beta}: {factor}*beta^2 >= 1, constants undefined" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_bounds_needs_quadratic(tmp_path):
     cfg_path = write_cfg(tmp_path, {"problem": "blobs"})
     r = cli("verify-bounds", "--config", cfg_path, "--out", str(tmp_path / "o"))

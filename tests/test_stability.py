@@ -181,6 +181,19 @@ def test_unfusable_pair_rejected():
                    spec, hp, seed=0)
 
 
+@pytest.mark.parametrize("model_kind,n_classes", [("logistic-regression", 2), ("mlp", 3)])
+def test_side_by_side_pair_refuses_to_evaluate(model_kind, n_classes):
+    # a pair's model is (w_a, w_b); each side evaluates on its own problem, never the pair
+    prob_a, prob_b, _ = small_pair(model_kind=model_kind, n_classes=n_classes)
+    pair = DatasetProblem.side_by_side(prob_a, prob_b)
+    w = np.zeros(pair.dim)
+    for evaluate in (pair.eval_metrics, pair.global_grad, pair.global_loss, pair.per_sample_test_losses):
+        with pytest.raises(ValueError, match="side-by-side pair trains but does not evaluate"):
+            evaluate(w)
+    # each side still evaluates
+    assert prob_a.eval_metrics(w[:prob_a.dim])["test_loss"] is not None
+
+
 def test_stability_experiment_and_summary():
     def factory(seed):
         return small_pair(seed=seed)

@@ -25,7 +25,7 @@ from fedrelax import strategies as strat
 from fedrelax.core import HyperParams, Simulation, aggregate, relaxed_init, sample_clients
 from fedrelax.datasets import Dataset, make_blobs
 from fedrelax.metrics import FLOAT_BYTES, RoundRecord, rounds_csv_text
-from fedrelax.models import Batch, Block, LinearRegression, LogisticRegression, MLPClassifier
+from fedrelax.models import Arena, Batch, Block, LinearRegression, LogisticRegression, MLPClassifier
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
 from fedrelax.strategies import LocalCtx, make_strategy
@@ -396,6 +396,90 @@ def test_block_gradient_returns_fresh_arrays(model):
     assert first.tobytes() == kept.tobytes()  # the second call left the first gradient as it was
     assert first.tobytes() == model.block_grad(w1, Block(x, y, runs)).tobytes()
     assert second.tobytes() == model.block_grad(w2, Block(x, y, runs)).tobytes()
+
+
+# -- gathered steps: rows grouped by batch length, Blocks kept and refilled ----------
+
+@st.composite
+def gathered_steps(draw):
+    """A model kind, shard sizes, models per row (sides), a seed, and local steps:
+    per step, rows of (client, sample indices into its shard) in random order,
+    whose lengths repeat, so runs of several rows and unsorted rows both occur."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(1, 6))):
+            i = draw(st.integers(0, len(sizes) - 1))
+            n = min(sizes[i], draw(st.sampled_from([1, 2, 3, 5, 8, 40])))
+            rows.append((i, draw(st.permutations(range(sizes[i])))[:n]))
+        steps.append(rows)
+    return dict(model_kind=draw(st.sampled_from(MODELS)), sizes=sizes,
+                sides=draw(st.sampled_from([1, 2])), seed=draw(st.integers(0, 2**16)), steps=steps)
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=dict(model_kind="mlp", sizes=[12, 12, 5], sides=2, seed=1, steps=[
+    [(0, [3, 1, 4, 0, 2]), (2, [4, 0]), (1, [7, 2, 9, 11, 0]), (2, [1, 3])],   # rows out of order
+    [(1, [0, 2]), (0, [5, 6]), (2, [0, 1, 2, 3, 4]), (1, [3, 1, 4, 0, 2])],    # its layout again
+    [(0, [0]), (1, [1, 2]), (2, [3, 4, 0])]]))                                 # ascending already
+@given(case=gathered_steps())
+def test_gathered_gradient_rows_match_one_row_gradients(case):
+    # each row of a step's gathered gradient, at both points FedSAM evaluates, rounds
+    # exactly as the gradient of that row's samples alone, side by side
+    one = dataset_problem(case["model_kind"], case["sizes"], case["seed"])
+    problem = one if case["sides"] == 1 else DatasetProblem.side_by_side(
+        one, dataset_problem(case["model_kind"], case["sizes"], case["seed"] + 1))
+    pooled, _ = problem._pooled
+    d, sides = one.dim, problem.sides
+    rng = np.random.default_rng(case["seed"])
+    spec = make_strategy("fedsam", rho=0.5)
+    for rows in case["steps"]:
+        batches = [(problem._starts[i] + np.array(idx)).ravel() for i, idx in rows]
+        grad = problem._gathered_grads(batches)
+        w = rng.normal(size=(len(rows), problem.dim))
+        ctx = LocalCtx(anchor=w[0], start=w, eta=0.1, k_steps=1, sides=sides)
+        stepped = strat.client_step(spec, w, grad, ctx)
+        for point in (w, rng.normal(size=w.shape)):
+            got = grad(point)
+            for j, b in enumerate(batches):
+                for r, idx in enumerate(b.reshape(sides, -1)):
+                    alone = partial(REFERENCE_GRADS[one.model.kind], one.model,
+                                    x=pooled.x[idx], y=pooled.y[idx])
+                    cols = slice(r * d, (r + 1) * d)
+                    assert got[j, cols].tobytes() == alone(w=point[j, cols]).tobytes()
+                    want = oracle_client_step(spec, w[j, cols], lambda v: alone(w=v), ctx)
+                    assert stepped[j, cols].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", [LinearRegression(3), LogisticRegression(3), MLPClassifier(3, 4, 3)],
+                         ids=lambda m: m.kind)
+@pytest.mark.parametrize("in_arena", [False, True], ids=["own-buffers", "arena"])
+def test_refilled_block_matches_a_fresh_one(model, in_arena):
+    # a refill must rebuild what derives from y: the label index and the float targets
+    rng = np.random.default_rng(4)
+    runs = [(1, 3), (2, 5), (1, 7)]
+    m = sum(k * n for k, n in runs)
+    x = rng.normal(size=(60, 3))
+    y = rng.normal(size=60) if model.kind == "linear-regression" else rng.integers(
+        getattr(model, "n_classes", 2), size=60)
+    first, second = rng.permutation(60)[:m], rng.permutation(60)[:m]
+    assert (y[first] != y[second]).sum() > m // 3
+    if in_arena:
+        arena = Arena()
+        kept = Block(arena.empty("x", (m, 3)), arena.empty("y", (m,), y.dtype), runs, arena)
+        kept.refill(x, y, first)
+    else:
+        kept = Block(x[first], y[first], runs)
+    w = rng.normal(size=(4, model.dim))
+
+    def same_as_fresh(take):
+        fresh = Block(x[take], y[take], runs)
+        return model.block_grad(w, kept).tobytes() == model.block_grad(w, fresh).tobytes()
+
+    assert same_as_fresh(first)  # the label index or float targets now hold y[first]'s
+    kept.refill(x, y, second)
+    assert same_as_fresh(second)
 
 
 # -- two problems side by side ---------------------------------------------------------

@@ -147,6 +147,12 @@ PAIRED = {
     "fedinit-mlp-full": ({"n_clients": 4, "perturb": (2, 1), "model_kind": "mlp", "n_classes": 3},
                          {"eta": 0.5, "n_active": 4, "k_local": 3},
                          {"name": "fedinit", "beta": 0.1}),
+    # MLP pairs on shards of 26/16/14/17/37/40, batches of 8, N = 3 of C = 6: short last
+    # batches make steps of several runs, whose biases go in once per block over both sides
+    "fedinit-mlp-mini": ({"n_clients": 6, "perturb": (1, 2), "model_kind": "mlp", "n_classes": 3,
+                          "concentration": 0.3},
+                         {"eta": 0.5, "n_active": 3, "k_local": 3, "batch_size": 8},
+                         {"name": "fedinit", "beta": 0.1}),
     # shards of 28/28/29/25/40 samples: 4 or 5 steps per epoch, so a round that samples
     # client 4 trains two blocks, each side's batches n_i rows past side 0's on uneven shards
     "fedinit-epochs": ({"n_clients": 5, "perturb": (1, 2)},
