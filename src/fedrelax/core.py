@@ -26,7 +26,9 @@ ascending id, so reruns are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -138,7 +140,7 @@ def aggregate(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray
         acc[1:] = rows
         return np.add.accumulate(acc, axis=0, out=acc)[-1] / len(rows)
     weights = weights.tolist()
-    total = sum(weights)
+    total = reduce(operator.add, weights, 0.0)  # left to right: sum() compensates from 3.12
     if total <= 0.0:
         raise ValueError("aggregation weights must sum to a positive value")
     np.multiply(np.array([wi / total for wi in weights])[:, None], rows, out=acc[1:])

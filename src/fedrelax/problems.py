@@ -49,7 +49,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .models import Arena, Batch, Block
-from .quadratics import QuadraticFamily
+from .quadratics import QuadraticFamily, block_grad
 
 
 class QuadraticProblem:
@@ -89,9 +89,7 @@ class QuadraticProblem:
         if batch_size is not None:
             raise ValueError("quadratic problems have no mini-batches; leave batch_size unset")
         a, b, noise = self.family.a_matrices[ids], self.family.b_vectors[ids], self.grad_noise
-
-        def grad(w: np.ndarray) -> np.ndarray:
-            return np.matmul(a, (w - b)[:, :, None])[:, :, 0]
+        grad = partial(block_grad, a, b)  # the clients' A and b gathered once per pass
 
         def noisy():
             while True:

@@ -12,11 +12,17 @@ family (f* as the mean of the client losses at w*), so an evaluation costs one
 d x d product instead of a pass over the C clients. The quadratic is kept in
 gap form rather than expanded into w^T A_bar w - 2 ..., which would cancel away
 the small loss gaps near w* that the convergence checks look at.
+
+Drawing a family costs a QR factorization per client. make_quadratic_family
+factors the clients in stacks of STACK_BYTES of matrices, one QR and one
+product call per stack, with the draw order and every byte of a per-client
+loop; A_i = Q E Q^T needs no sign fix of Q (see its docstring).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -77,9 +83,11 @@ class QuadraticFamily:
 
     @cached_property
     def f_star(self) -> float:
-        """Mean client loss at w*, summed once over the clients in ascending id."""
+        """Mean client loss at w*, folded left to right over the clients in ascending id
+        (sum() compensates from Python 3.12 on)."""
         w = self.w_star
-        return sum(self.client_loss(i, w) for i in range(self.n_clients)) / self.n_clients
+        losses = (self.client_loss(i, w) for i in range(self.n_clients))
+        return reduce(operator.add, losses, 0.0) / self.n_clients
 
     @property
     def smoothness(self) -> float:
@@ -104,12 +112,17 @@ class QuadraticFamily:
         return float(max(np.linalg.norm(a0 @ (b_bar - b)) for b in self.b_vectors))
 
 
-def _random_spd(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
-    """SPD matrix with eigenvalues log-uniform in [1, cond], random orientation."""
-    eigs = np.exp(rng.uniform(0.0, np.log(cond), size=dim))
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-    q = q * np.sign(np.diag(r))  # fix QR sign ambiguity so the draw is reproducible
-    return (q * eigs) @ q.T
+# bytes of (d, d) float64 matrices that make_quadratic_family factors per QR
+# call: 13 clients at d = 50, one client for d > 181. A stack's temporaries (the
+# QR's copy, Q, the scaled Q) stay under 1 MB, where one stack of all C
+# matrices allocates (C, d, d) arrays and runs slower than a loop per client.
+STACK_BYTES = 256 * 1024
+
+
+def block_grad(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows A_j (w_j - b_j) for stacked (n, d, d) curvatures, (n, d) targets and
+    w of shape (d,) or (n, d): one matmul call, bit for bit the per-row product."""
+    return np.matmul(a, (w - b)[:, :, None])[:, :, 0]
 
 
 def make_quadratic_family(
@@ -127,6 +140,18 @@ def make_quadratic_family(
     (cond == 1 short-circuits to the exact identity so homogeneous-curvature
     families are homogeneous to the last bit).  Targets are b_i = b0 + spread * u_i
     with u_i standard normal and b0 itself drawn N(0, I) unless given.
+
+    A_i = Q E Q^T with E client i's eigenvalues and Q the QR factor of a
+    standard-normal (d, d) matrix. Client by client the generator draws the
+    eigenvalues, then the normal matrix straight into the client's slot of the
+    output; the targets come after all clients. The QR and the product run
+    once per stack of STACK_BYTES of matrices (at least one client), through
+    the same gufunc inner loops as one call per client, so every byte matches
+    a per-client draw. Q's column signs need no fix (such as multiplying by
+    sign(diag(R))): flipping column k of Q leaves every term Q_ik E_k Q_jk of
+    A unchanged, since IEEE rounding is sign-symmetric, so such a fix is a
+    no-op on every byte. It differs only on an exact zero of diag(R), a
+    probability-zero draw for which it would make A singular.
     """
     if n_clients < 1 or dim < 1:
         raise ValueError("need n_clients >= 1 and dim >= 1")
@@ -140,8 +165,16 @@ def make_quadratic_family(
         a = np.broadcast_to(np.eye(dim), (n_clients, dim, dim)).copy()
     else:
         a = np.empty((n_clients, dim, dim))  # filled in place: no second (C, d, d) copy
-        for i in range(n_clients):
-            a[i] = _random_spd(dim, cond, rng)
+        log_cond = np.log(cond)
+        size = max(1, STACK_BYTES // (8 * dim * dim))
+        eigs = np.empty((size, 1, dim))
+        for lo in range(0, n_clients, size):
+            stack = a[lo:lo + size]
+            for j in range(len(stack)):
+                np.exp(rng.uniform(0.0, log_cond, size=dim), out=eigs[j, 0])
+                rng.standard_normal(out=stack[j])  # rng.normal(size=(dim, dim)), bit for bit
+            q = np.linalg.qr(stack)[0]
+            np.matmul(q * eigs[:len(stack)], q.swapaxes(-1, -2), out=stack)
     if spread == 0.0:
         b = np.tile(b0, (n_clients, 1))
     else:

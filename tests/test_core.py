@@ -130,7 +130,9 @@ def reference_aggregate(rows, weights=None):
             out += w
         return out / len(rows)
     weights = weights.tolist()
-    total = sum(weights)
+    total = 0.0
+    for wi in weights:
+        total += wi
     for wi, w in zip(weights, rows):
         out += (wi / total) * w
     return out
@@ -161,6 +163,16 @@ def test_aggregate_of_a_negative_zero_column_is_positive_zero():
     for weights in (None, np.array([1.0, 2.0, 3.0])):
         assert aggregate(rows, weights).tobytes() == reference_aggregate(rows, weights).tobytes()
         assert not np.signbit(aggregate(rows, weights)[0])  # the running sum starts at +0
+
+
+def test_weighted_aggregate_folds_the_weight_total_left_to_right():
+    # (1e16 + 1) + 1 rounds to 1e16, while the compensated sum() of Python >= 3.12
+    # gives 1e16 + 2 and the first weight would normalize to 0.9999999999999998
+    rows = np.array([[1.0], [0.0], [0.0]])
+    weights = np.array([1e16, 1.0, 1.0])
+    got = aggregate(rows, weights)
+    assert got.tobytes() == reference_aggregate(rows, weights).tobytes()
+    assert got[0] == 1.0
 
 
 def test_aggregate_weighted():

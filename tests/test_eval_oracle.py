@@ -4,8 +4,11 @@ The loops below are the definition of the federated objective,
 f(w) = (1/C) sum_i f_i(w), summed client by client in ascending id. The
 program evaluates it in one pass instead: the quadratic gap form around w*,
 and a weighted pass over the pooled shards of a dataset problem. Both reorder
-floating-point sums, so the comparison states its tolerance.
+floating-point sums, so the comparison states its tolerance. The constant
+estimator's stacked probe gradients and the sums the program folds left to
+right (f*, a bound's right-hand side) match their loops bit for bit.
 """
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +26,7 @@ from fedrelax.models import (Batch, Evaluation, LinearRegression, LogisticRegres
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import make_quadratic_family
 from fedrelax.strategies import make_strategy
+from fedrelax.theory import estimate_problem_constants, verify_convergence_bound
 
 TOL = 1e-12
 
@@ -30,7 +34,10 @@ TOL = 1e-12
 # -- the per-client oracles -----------------------------------------------------
 
 def quad_loop_loss(fam, w):
-    return sum(fam.client_loss(i, w) for i in range(fam.n_clients)) / fam.n_clients
+    total = 0.0  # a left fold: sum() compensates from Python 3.12 on
+    for i in range(fam.n_clients):
+        total += fam.client_loss(i, w)
+    return total / fam.n_clients
 
 
 def quad_loop_grad(fam, w):
@@ -135,6 +142,61 @@ def test_quadratic_eval_metrics_use_no_client_pass():
         prob.eval_metrics(np.full(4, float(t)))
     # f* is the only per-client sum, and it is taken once
     assert calls == {"loss": 50, "grad": 0}
+
+
+def test_f_star_is_the_left_fold_of_the_client_losses():
+    for seed in range(5):
+        fam = make_quadratic_family(40, 3, spread=2.0, cond=8.0, seed=seed)
+        assert fam.f_star == quad_loop_loss(fam, fam.w_star)
+
+
+def loop_probe_sups(family, w0, probe_budget):
+    """The per-client probe loop of estimate_problem_constants, before it took one
+    stacked gradient per probe: (sup_i ||g_i - g||, sup_i ||g_i|| / ||g||)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0x7E0,)))
+    radius = max(float(np.linalg.norm(np.asarray(w0) - family.w_star)), 1.0)
+    sup_gap, sup_ratio = 0.0, 1.0
+    for _ in range(probe_budget):
+        scale = radius * math.exp(rng.uniform(math.log(1e-3), 0.0))
+        w = family.w_star + scale * rng.normal(size=family.dim)
+        g = family.global_grad(w)
+        g_norm = float(np.linalg.norm(g))
+        for i in range(family.n_clients):
+            gi = family.client_grad(i, w)
+            sup_gap = max(sup_gap, float(np.linalg.norm(gi - g)))
+            if g_norm > 1e-12:
+                sup_ratio = max(sup_ratio, float(np.linalg.norm(gi)) / g_norm)
+    return sup_gap, sup_ratio
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_clients=st.integers(1, 30), dim=st.integers(1, 8), cond=st.floats(1.0, 20.0),
+       spread=st.sampled_from([0.0, 1.0, 3.0]), seed=st.integers(0, 2**20),
+       offset=st.sampled_from([0.0, 0.5, 10.0]))
+def test_estimated_constants_are_the_per_client_loop_bit_for_bit(n_clients, dim, cond, spread,
+                                                                  seed, offset):
+    fam = make_quadratic_family(n_clients, dim, spread=spread, cond=cond, seed=seed)
+    w0 = fam.w_star + offset
+    est = estimate_problem_constants(fam, w0, probe_budget=30)
+    sup_gap, sup_ratio = loop_probe_sups(fam, w0, 30)
+    assert est["b"] == sup_ratio
+    if not est["sigma_g_exact"]:
+        assert est["sigma_g"] == sup_gap
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3, 4])
+def test_bound_rhs_is_the_left_fold_of_its_terms(theorem):
+    fam = make_quadratic_family(4, 3, spread=0.5, cond=2.0, seed=2)
+    prob = QuadraticProblem(fam)
+    hp = HyperParams(eta=0.02, rounds=40, n_active=2, k_local=3)
+    rep = verify_convergence_bound(theorem, run_experiment(prob, make_strategy("fedinit", beta=0.05),
+                                                           hp, seed=0), prob)
+    for entry in rep["grid"]:
+        rhs = 0.0
+        for name, v in entry["terms"].items():
+            if name != "relaxation_bias_appendix_variant":
+                rhs += v
+        assert entry["rhs"] == rhs
 
 
 # -- dataset problems -----------------------------------------------------------

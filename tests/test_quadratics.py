@@ -1,11 +1,13 @@
-"""Quadratic family oracles: optima, curvature moduli, heterogeneity."""
+"""Quadratic family oracles: optima, curvature moduli, heterogeneity, the stacked draw."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from fedrelax.quadratics import QuadraticFamily, make_quadratic_family
+from fedrelax.quadratics import STACK_BYTES, QuadraticFamily, make_quadratic_family
 
 
 def test_two_client_scalar_family_by_hand():
@@ -126,3 +128,55 @@ def test_w_star_is_a_minimum(seed, scale):
     rng = np.random.default_rng(seed)
     probe = fam.w_star + scale * rng.normal(size=3)
     assert fam.global_loss(probe) >= fam.f_star - 1e-12
+
+
+def reference_family(n_clients, dim, cond, seed):
+    """The per-client draw the stacked one replaced: one QR and one product per
+    client, with Q's columns signed by diag(R)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x51AD,)))
+    b0 = rng.normal(size=dim)
+    a = np.empty((n_clients, dim, dim))
+    for i in range(n_clients):
+        eigs = np.exp(rng.uniform(0.0, np.log(cond), size=dim))
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+        q = q * np.sign(np.diag(r))
+        a[i] = (q * eigs) @ q.T
+    return a, b0 + rng.normal(size=(n_clients, dim))
+
+
+def check_stacked_draw(n_clients, dim, cond, seed):
+    ref_a, ref_b = reference_family(n_clients, dim, cond, seed)
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return qr(m, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "qr", recording_qr):
+        fam = make_quadratic_family(n_clients, dim, spread=1.0, cond=cond, seed=seed)
+    assert fam.a_matrices.tobytes() == ref_a.tobytes()
+    assert fam.b_vectors.tobytes() == ref_b.tobytes()
+    # full stacks of the byte budget (at least one client), in client order, then the rest
+    size = max(1, STACK_BYTES // (8 * dim * dim))
+    full, rest = divmod(n_clients, size)
+    assert shapes == [(size, dim, dim)] * full + [(rest, dim, dim)] * (rest > 0)
+    assert all(8 * c * dim * dim <= max(STACK_BYTES, 8 * dim * dim) for c, _, _ in shapes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_clients=st.integers(1, 70), dim=st.integers(1, 80),
+       cond=st.floats(1.0, 50.0, exclude_min=True), seed=st.integers(0, 2**20))
+def test_stacked_draw_is_the_per_client_draw(n_clients, dim, cond, seed):
+    check_stacked_draw(n_clients, dim, cond, seed)
+
+
+@pytest.mark.parametrize("n_clients, dim, cond", [
+    (1, 50, 10.0),   # one client in a stack of 13
+    (13, 50, 10.0),  # exactly one full stack
+    (27, 50, 10.0),  # two full stacks and a one-client tail
+    (37, 60, 4.0),   # stacks of 9 and a tail of 1
+    (3, 200, 9.0),   # one matrix exceeds the budget: stacks of one client
+])
+def test_stacked_draw_at_stack_boundaries(n_clients, dim, cond):
+    check_stacked_draw(n_clients, dim, cond, seed=7)

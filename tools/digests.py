@@ -12,7 +12,9 @@ is checked with
 Each run hashes the bytes of every checkpoint it writes, each as soon as
 ``save_checkpoint`` returns (a later one overwrites it), then its rounds.csv
 text, its summary, the final global model, the ``last_local`` matrix and the
-client and server aux arrays. Each paired stability run hashes its whole
+client and server aux arrays. The ``family-stacks`` line hashes the arrays of
+two quadratic families whose draws cross the QR stack boundaries of
+``make_quadratic_family``. Each paired stability run hashes its whole
 trace: deltas, global distances, t0, loss gap and U. Each run of the CLI grid
 calls ``fedrelax.cli.main`` in-process from its own scratch directory, with
 relative paths only, so no temporary path reaches an artifact; it hashes
@@ -162,6 +164,19 @@ PAIRED = {
 }
 
 
+# (C, d, cond) of the families hashed by the family-stacks line: 37 clients at d = 60
+# fill four stacks of 9 and a one-client tail; at d = 200 every stack holds one client
+FAMILY_STACKS = ((37, 60, 4.0), (3, 200, 9.0))
+
+
+def family_digest(fr) -> str:
+    h = hashlib.sha256()
+    for c, d, cond in FAMILY_STACKS:
+        fam = fr.quadratics.make_quadratic_family(c, d, spread=1.0, cond=cond, seed=c)
+        _arrays(h, {"a_matrices": fam.a_matrices, "b_vectors": fam.b_vectors})
+    return h.hexdigest()
+
+
 def paired_digest(fr, shape: dict, hp_args: dict, strategy_args: dict) -> str:
     a, b, _ = fr.stability.make_paired_blob_problems(
         **{"model_kind": "logistic-regression", "n_classes": 2, **shape},
@@ -249,6 +264,7 @@ def main(argv=None) -> int:
             for pname, build in problems.items():
                 problem, hp = build()
                 print(f"{sname:<12} {pname:<20} {run_digest(fr, make(), problem, hp, tmp)}")
+        print(f"{'quadratic':<12} {'family-stacks':<20} {family_digest(fr)}")
         for name, (shape, hp_args, strategy_args) in PAIRED.items():
             print(f"{'paired':<12} {name:<20} {paired_digest(fr, shape, hp_args, strategy_args)}")
         for name, (argvs, cfg) in CLI_GRID.items():
