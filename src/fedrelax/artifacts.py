@@ -43,7 +43,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import strategies as strat
-from .metrics import RoundRecord
+from .metrics import FINITE_COLUMNS, RoundRecord
 
 CHECKPOINT_VERSION = 2
 
@@ -185,9 +185,6 @@ _PAYLOAD_FIELDS = ("seed", "round", "global_params", "server_aux", "server_rng",
 
 # record column -> (holds an int, may be null), read off RoundRecord's annotations
 _RECORD_COLUMNS = {f.name: (f.type == "int", "None" in f.type) for f in fields(RoundRecord)}
-# the columns core._check_finite stops a run on; the other float columns may
-# hold an infinity or NaN the run recorded (saved as JSON's Infinity and NaN)
-_FINITE_COLUMNS = frozenset({"train_loss", "divergence"})
 
 
 def _check_type(field: str, value, kind: type) -> None:
@@ -229,7 +226,7 @@ def _decode_record(i: int, r) -> RoundRecord:
         raise ValueError(f"checkpoint {field} keys {sorted(r)} are not the record "
                          f"columns {sorted(_RECORD_COLUMNS)}")
     for k, (integer, nullable) in _RECORD_COLUMNS.items():
-        v, finite = r[k], k in _FINITE_COLUMNS
+        v, finite = r[k], k in FINITE_COLUMNS
         if (v is None and nullable) or type(v) is int:
             continue
         if not integer and type(v) is float and not (finite and not math.isfinite(v)):

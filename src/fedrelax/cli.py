@@ -29,11 +29,11 @@ from .config import (
     load_config,
     resolve_config,
 )
-from .core import DivergedError, Simulation
+from .core import DivergedError, Simulation, run_experiment
 from .datasets import partition_statistics
 from .metrics import rounds_csv_text
 from .stability import make_paired_blob_problems, stability_experiment, summarize_traces
-from .theory import check_beta_admissible, verify_convergence_bound
+from .theory import check_assumptions, verify_convergence_bound
 
 CHECKPOINT_NAME = "checkpoint.json"
 
@@ -94,12 +94,12 @@ def _run_once(cfg: dict, *, allow_negative_beta: bool, out_dir: str | None,
     if out_dir:
         artifacts.atomic_write_text(os.path.join(out_dir, "rounds.csv"), rounds_csv_text(result.records, h))
         _write_report(out_dir, "summary.json", cfg, h, {"strategy": spec.name, **result.summary})
-    return result, problem, spec
+    return result, spec
 
 
 def cmd_run(args, cfg: dict, h: str, out_dir: str) -> int:
     cfg["out"] = out_dir
-    result, _, spec = _run_once(
+    result, spec = _run_once(
         cfg, allow_negative_beta=args.allow_negative_beta,
         out_dir=out_dir, resume=args.resume,
     )
@@ -114,7 +114,7 @@ def _sweep_cell(job: dict) -> dict:
     """One sweep point; runs in a worker process when jobs > 1."""
     cfg = job["cfg"]
     try:
-        result, _, _ = _run_once(cfg, allow_negative_beta=job["allow_negative_beta"], out_dir=None)
+        result, _ = _run_once(cfg, allow_negative_beta=job["allow_negative_beta"], out_dir=None)
     except DivergedError as e:
         raise DivergedError(f"sweep point {job['axis']}={job['value']!r}, seed {cfg['seed']}: {e}") from None
     final = result.summary["final"]
@@ -167,12 +167,11 @@ def cmd_sweep(args, cfg: dict, h: str, out_dir: str) -> int:
 
 
 def cmd_verify_bounds(args, cfg: dict, h: str, out_dir: str) -> int:
-    # the beta refusals read only the config: refuse before simulating
+    problem, _ = build_problem(cfg)
     spec = build_strategy(cfg, allow_negative_beta=args.allow_negative_beta)
-    check_beta_admissible(cfg["theorem"], spec.beta)
-    result, problem, spec = _run_once(
-        cfg, allow_negative_beta=args.allow_negative_beta, out_dir=None,
-    )
+    hp = build_hp(cfg)
+    check_assumptions(cfg["theorem"], problem, spec, hp)  # every refusal, before the first round
+    result = run_experiment(problem, spec, hp, cfg["seed"])
     report = verify_convergence_bound(cfg["theorem"], result, problem)
     path = _write_report(out_dir, "bounds_report.json", cfg, h,
                          {"strategy": spec.name, "report": report})

@@ -33,7 +33,7 @@ from functools import reduce
 import numpy as np
 
 from . import strategies as strat
-from .metrics import FLOAT_BYTES, RoundRecord, divergence, smoothed_max_last
+from .metrics import FINITE_COLUMNS, FLOAT_BYTES, RoundRecord, divergence, smoothed_max_last
 from .strategies import LocalCtx, StrategySpec
 
 # spawn keys namespacing the per-run random streams
@@ -46,9 +46,10 @@ class DivergedError(ArithmeticError):
     """A run reached a non-finite train loss, divergence or model; the message names the round."""
 
 
-def _check_finite(t: int, train_loss: float, div: float) -> None:
-    if not (math.isfinite(train_loss) and math.isfinite(div)):
-        raise DivergedError(f"run diverged at round {t}: train_loss={train_loss}, divergence={div}")
+def _check_finite(t: int, values: dict) -> None:
+    if not all(math.isfinite(values[k]) for k in FINITE_COLUMNS):
+        shown = ", ".join(f"{k}={values[k]}" for k in FINITE_COLUMNS)
+        raise DivergedError(f"run diverged at round {t}: {shown}")
 
 
 @dataclass
@@ -254,14 +255,6 @@ class Simulation:
             return self.hp.k_local
         return self.hp.local_epochs * self.problem.steps_per_epoch(i, self.hp.batch_size)
 
-    def uses_batch_randomness(self) -> bool:
-        if hasattr(self.problem, "grad_noise"):
-            return self.problem.grad_noise > 0.0
-        if self.hp.batch_size is None:
-            return False
-        return any(self.hp.batch_size < self.problem.shard_size(i)
-                   for i in range(self.problem.n_clients))
-
     # -- the round ----------------------------------------------------------
 
     def _step_groups(self, active: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -296,7 +289,7 @@ class Simulation:
         with np.errstate(over="ignore", invalid="ignore"):
             metrics = self.problem.eval_metrics(self.server.global_params)
             div = self.current_divergence()
-        _check_finite(self.server.round, metrics["train_loss"], div)
+        _check_finite(self.server.round, {**metrics, "divergence": div})
         return metrics, div
 
     def step(self) -> RoundRecord | None:

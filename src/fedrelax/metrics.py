@@ -45,6 +45,12 @@ class RoundRecord:
         return cls(**d)
 
 
+# the record columns a run stops on when they are not finite (core raises
+# DivergedError); the other float columns may hold an infinity or NaN the run
+# recorded, which checkpoints save as JSON's Infinity and NaN
+FINITE_COLUMNS = ("train_loss", "divergence")
+
+
 def divergence(global_w: np.ndarray, last_locals: np.ndarray) -> float:
     """Mean over all clients (stragglers included) of ||last_local_i - global||^2."""
     last_locals = np.asarray(last_locals)

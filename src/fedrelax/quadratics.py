@@ -89,10 +89,10 @@ class QuadraticFamily:
         losses = (self.client_loss(i, w) for i in range(self.n_clients))
         return reduce(operator.add, losses, 0.0) / self.n_clients
 
-    @property
+    @cached_property
     def smoothness(self) -> float:
-        """Local smoothness modulus: max over clients of lambda_max(A_i)."""
-        return float(max(np.linalg.eigvalsh(a)[-1] for a in self.a_matrices))
+        """Local smoothness modulus: max over clients of lambda_max(A_i), in one stacked eigvalsh."""
+        return float(np.linalg.eigvalsh(self.a_matrices)[:, -1].max())
 
     @property
     def pl_constant(self) -> float:

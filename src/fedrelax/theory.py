@@ -12,9 +12,8 @@ The four checkable statements (selected by number on the CLI):
 
 lam and zeta are only pinned to (0, 1/2) by the statements, so every check
 scans the grid {0.05, ..., 0.45} and reports each point plus the most
-favorable one.  Checks refuse to run when the trace violates an assumption
-(non-constant learning rate, inadmissible eta, stochastic gradients where
-exact noise levels are unavailable, beta outside the contraction region).
+favorable one.  check_assumptions holds every refusal; it reads no trace,
+so the CLI refuses a run before its first round.
 """
 from __future__ import annotations
 
@@ -54,13 +53,15 @@ class BoundConstants:
     c_beta     = kappa_beta/(1 - 48 beta^2 kappa_beta)   (needs the denominator > 0)
     j_beta     = c_beta (132 + 804 kappa/(lam N))        (needs lam and N)
     r_beta     = 228 mu gamma_beta beta^2 a^2 b^2; the appendix variant squares gamma_beta
+
+    A constant whose condition fails, or that is built from one, is None.
     """
 
     beta: float
-    kappa_beta: float
-    kappa: float
-    gamma_beta: float
-    c_beta: float
+    kappa_beta: float | None
+    kappa: float | None
+    gamma_beta: float | None
+    c_beta: float | None
     lam: float | None = None
     n_active: int | None = None
     j_beta: float | None = None
@@ -83,29 +84,23 @@ def compute_constants(
     a: float = 1.0,
     b: float = 1.0,
 ) -> BoundConstants:
-    """Evaluate the bound constants at a given beta; raises outside the valid region."""
+    """Evaluate the bound constants at a given beta; undefined ones are None."""
     b2 = beta * beta
-    if 141.0 * b2 >= 1.0:
-        raise ValueError(
-            f"beta={beta} outside the contraction region: 141*beta^2 = {141.0 * b2:.6g} >= 1"
-        )
-    kappa_beta = 1.0 / (1.0 - 141.0 * b2)
-    kappa = 8.0 + 78.0 * b2 * kappa_beta * kappa_beta
-    gamma_beta = 1.0 / (1.0 - 39.0 * b2)
-    c_denom = 1.0 - 48.0 * b2 * kappa_beta
-    if c_denom <= 0.0:
-        raise ValueError(
-            f"beta={beta} outside the contraction region: 48*beta^2*kappa_beta = "
-            f"{48.0 * b2 * kappa_beta:.6g} >= 1"
-        )
-    c_beta = kappa_beta / c_denom
-    j_beta = None
+    kappa_beta = kappa = gamma_beta = c_beta = j_beta = r_beta = r_beta_appendix = None
+    if 141.0 * b2 < 1.0:
+        kappa_beta = 1.0 / (1.0 - 141.0 * b2)
+        kappa = 8.0 + 78.0 * b2 * kappa_beta * kappa_beta
+        c_denom = 1.0 - 48.0 * b2 * kappa_beta
+        if c_denom > 0.0:
+            c_beta = kappa_beta / c_denom
+    if 39.0 * b2 < 1.0:
+        gamma_beta = 1.0 / (1.0 - 39.0 * b2)
     if lam is not None and n_active is not None:
         if not 0.0 < lam < 0.5:
             raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-        j_beta = c_beta * (132.0 + 804.0 * kappa / (lam * n_active))
-    r_beta = r_beta_appendix = None
-    if mu is not None:
+        if c_beta is not None:
+            j_beta = c_beta * (132.0 + 804.0 * kappa / (lam * n_active))
+    if mu is not None and gamma_beta is not None:
         r_beta = 228.0 * mu * gamma_beta * b2 * a * a * b * b
         r_beta_appendix = 228.0 * mu * gamma_beta * gamma_beta * b2 * a * a * b * b
     return BoundConstants(
@@ -164,34 +159,54 @@ def estimate_problem_constants(
     return out
 
 
-def _check_trace(result: RunResult, problem) -> tuple[float, int]:
-    """Shared refusals; returns (eta, K)."""
+def check_assumptions(theorem: int, problem, spec: StrategySpec, hp: HyperParams) -> None:
+    """Refuse a run the theorem cannot be checked on: a problem without exact
+    constants, K not uniform or below 2, more than one learning rate, noisy
+    gradients under theorems 3-4, eta above the cap, or a beta at which a
+    constant the theorem reads is undefined. Theorem 1 reads kappa_beta
+    (141 beta^2 < 1), theorem 2 also c_beta (48 beta^2 kappa_beta < 1), and
+    theorems 3-4 read gamma_beta (39 beta^2 < 1).
+    """
+    if theorem not in THEOREM_LABELS:
+        raise ValueError(f"theorem must be one of {sorted(THEOREM_LABELS)}, got {theorem}")
     if not isinstance(problem, QuadraticProblem):
         raise TheoryAssumptionError(
             "bound verification needs a quadratic family (exact constants); "
             f"got {type(problem).__name__}"
         )
-    hp = result.sim.hp
-    if hp.k_local is None:
+    k = hp.k_local
+    if k is None:
         raise TheoryAssumptionError("bound verification needs a uniform local step count (local_iters)")
-    if hp.k_local < 2:
-        raise TheoryAssumptionError(f"the guarantees assume K > 1 local steps, got K={hp.k_local}")
-    lrs = {r.lr for r in result.records}
+    if k < 2:
+        raise TheoryAssumptionError(f"the guarantees assume K > 1 local steps, got K={k}")
+    lrs = {hp.lr_at(t) for t in range(hp.rounds)}
     if len(lrs) != 1:
         raise TheoryAssumptionError(
             "the guarantees assume a constant learning rate; this trace used "
             f"{len(lrs)} distinct values (schedule {hp.lr_schedule!r}, decay {hp.lr_decay})"
         )
-    return lrs.pop(), hp.k_local
-
-
-def check_beta_admissible(theorem: int, beta: float) -> None:
-    """Refuse a beta for which the theorem's constants are undefined:
-    theorems 1-2 need 141 beta^2 < 1, theorems 3-4 need 39 beta^2 < 1. It
-    reads only the config, so the CLI checks it before running anything."""
-    factor = 141.0 if theorem in (1, 2) else 39.0
-    if factor * beta * beta >= 1.0:
-        raise TheoryAssumptionError(f"beta={beta}: {factor:g}*beta^2 >= 1, constants undefined")
+    beta = spec.beta
+    consts = compute_constants(beta)
+    factor, base = (141, consts.kappa_beta) if theorem in (1, 2) else (39, consts.gamma_beta)
+    if base is None:
+        raise TheoryAssumptionError(f"beta={beta}: {factor}*beta^2 >= 1, constants undefined")
+    if theorem == 2 and consts.c_beta is None:
+        raise TheoryAssumptionError(
+            f"beta={beta} outside the contraction region: 48*beta^2*kappa_beta = "
+            f"{48.0 * beta * beta * consts.kappa_beta:.6g} >= 1"
+        )
+    if theorem in (3, 4) and problem.grad_noise > 0.0:
+        raise TheoryAssumptionError(
+            "the interpolation-regime guarantees assume exact local gradients; "
+            "this trace used stochastic batches"
+        )
+    big_l = problem.family.smoothness
+    if theorem in (1, 2):
+        eta_cap, rule = 1.0 / (hp.n_active * k * big_l), "1/(NKL)"
+    else:  # a = 1: full-batch quadratic gradients are exact
+        eta_cap, rule = 1.0 / (k * big_l), "1/(aKL)"
+    if hp.eta > eta_cap * (1.0 + 1e-12):  # lr_at(0) == eta, the one learning rate
+        raise TheoryAssumptionError(f"eta={hp.eta} violates the admissibility eta <= {rule} = {eta_cap:.6g}")
 
 
 def verify_convergence_bound(
@@ -200,11 +215,10 @@ def verify_convergence_bound(
     problem: QuadraticProblem,
 ) -> dict:
     """Check a guarantee against a finished run; returns the per-grid report."""
-    if theorem not in THEOREM_LABELS:
-        raise ValueError(f"theorem must be one of {sorted(THEOREM_LABELS)}, got {theorem}")
-    eta, k = _check_trace(result, problem)
     spec: StrategySpec = result.sim.spec
     hp = result.sim.hp
+    check_assumptions(theorem, problem, spec, hp)
+    eta, k = hp.eta, hp.k_local  # check_assumptions admits only runs at eta throughout
     beta = spec.beta
     t_rounds = len(result.records)
     n = hp.n_active
@@ -222,29 +236,8 @@ def verify_convergence_bound(
     notes = []
     if not est["sigma_g_exact"]:
         notes.append("sigma_g estimated from probe points (heterogeneous curvature)")
-    stochastic = result.sim.uses_batch_randomness()
-
-    check_beta_admissible(theorem, beta)
-    if theorem in (1, 2):
-        eta_cap = 1.0 / (n * k * big_l)
-        if eta > eta_cap * (1.0 + 1e-12):
-            raise TheoryAssumptionError(
-                f"eta={eta} violates the admissibility eta <= 1/(NKL) = {eta_cap:.6g}"
-            )
-    elif stochastic:
-        raise TheoryAssumptionError(
-            "the interpolation-regime guarantees assume exact local gradients; "
-            "this trace used stochastic batches"
-        )
-
     a_ratio = 1.0  # full-batch quadratic gradients are exact
     b_ratio = est["b"]
-    if theorem in (3, 4):
-        eta_cap = 1.0 / (a_ratio * k * big_l)
-        if eta > eta_cap * (1.0 + 1e-12):
-            raise TheoryAssumptionError(
-                f"eta={eta} violates the admissibility eta <= 1/(aKL) = {eta_cap:.6g}"
-            )
 
     if n == c_clients:
         notes.append("full participation: the statements are posed for 1 < N < C")

@@ -357,8 +357,8 @@ def test_no_batch_randomness_checkpoints_no_client_streams(tmp_path):
         (data, HyperParams(eta=0.3, rounds=3, n_active=3, k_local=2)),  # full batches
     ):
         sim = Simulation(problem, make_strategy("scaffold", beta=0.1), hp, seed=1)
-        assert not sim.uses_batch_randomness()
         sim.run(checkpoint_every=1, checkpoint_path=tmp_path / "ck.json")
+        assert sim.client_rngs == [None] * problem.n_clients  # no client generator was created
         assert load_checkpoint(tmp_path / "ck.json")["client_rngs"] == {}
 
 

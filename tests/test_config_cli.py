@@ -442,20 +442,55 @@ def test_cli_verify_bounds_pass_and_fail(tmp_path):
     assert report2["report"]["holds_at_most_favorable"] is False
 
 
-@pytest.mark.parametrize("theorem,beta,factor", [(1, 0.1, 141), (2, 0.1, 141), (3, 0.2, 39), (4, 0.2, 39)])
+BETA_UNDEFINED = "beta={}: {}*beta^2 >= 1, constants undefined"
+VERIFY_REFUSALS = [
+    pytest.param({"theorem": 1, "beta": 0.1}, BETA_UNDEFINED.format(0.1, 141), id="1-0.1-141"),
+    pytest.param({"theorem": 2, "beta": 0.1}, BETA_UNDEFINED.format(0.1, 141), id="2-0.1-141"),
+    pytest.param({"theorem": 3, "beta": 0.2}, BETA_UNDEFINED.format(0.2, 39), id="3-0.2-39"),
+    pytest.param({"theorem": 4, "beta": 0.2}, BETA_UNDEFINED.format(0.2, 39), id="4-0.2-39"),
+    # 141 beta^2 < 1 <= 48 beta^2 kappa_beta: c_beta, which only theorem 2 reads, is undefined
+    pytest.param({"theorem": 2, "beta": 0.08}, "beta=0.08 outside the contraction region: "
+                 "48*beta^2*kappa_beta = 3.14754 >= 1", id="2-0.08-48"),
+    pytest.param({"theorem": 1, "lr": 0.1},
+                 "eta=0.1 violates the admissibility eta <= 1/(NKL) = 0.0833333", id="1-eta-cap"),
+    pytest.param({"theorem": 3, "lr": 0.5},
+                 "eta=0.5 violates the admissibility eta <= 1/(aKL) = 0.333333", id="3-eta-cap"),
+    pytest.param({"theorem": 1, "lr_decay": 0.99},
+                 "the guarantees assume a constant learning rate; this trace used 5 distinct "
+                 "values (schedule 'constant', decay 0.99)", id="1-lr_decay"),
+    pytest.param({"theorem": 3, "grad_noise": 0.1},
+                 "the interpolation-regime guarantees assume exact local gradients; "
+                 "this trace used stochastic batches", id="3-grad_noise"),
+    pytest.param({"theorem": 1, "local_iters": 1}, "the guarantees assume K > 1 local steps, got K=1",
+                 id="1-local_iters-1"),
+]
+VERIFY_BASE = {"problem": "quadratic", "n_clients": 4, "dim": 3, "strategy": "fedinit", "beta": 0.05,
+               "lr": 0.05, "rounds": 5, "local_iters": 3, "lr_schedule": "constant"}
+
+
+@pytest.mark.parametrize("overrides,message", VERIFY_REFUSALS)
 def test_verify_bounds_refuses_inadmissible_beta_before_simulating(tmp_path, monkeypatch, capsys,
-                                                                   theorem, beta, factor):
-    # the beta refusal reads only the config: not one round is simulated before it
+                                                                   overrides, message):
+    # every refusal reads only the config and the drawn family: not one round is simulated first
     def step(self):
-        raise AssertionError("a round was simulated before the beta check")
+        raise AssertionError("a round was simulated before the assumption check")
 
     monkeypatch.setattr(Simulation, "step", step)
-    cfg = {"problem": "quadratic", "n_clients": 4, "dim": 3, "strategy": "fedinit", "beta": beta,
-           "lr": 0.05, "rounds": 5, "local_iters": 3, "lr_schedule": "constant", "theorem": theorem}
     out = tmp_path / "o"
+    cfg = {**VERIFY_BASE, **overrides}
     assert main(["verify-bounds", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
-    assert f"error: beta={beta}: {factor}*beta^2 >= 1, constants undefined" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem,beta", [(1, 0.08), (3, 0.1), (4, 0.1)])
+def test_verify_bounds_runs_where_the_read_constants_are_defined(tmp_path, capsys, theorem, beta):
+    # theorem 1 reads kappa_beta but not c_beta; theorems 3-4 read only gamma_beta
+    out = tmp_path / "o"
+    cfg = {**VERIFY_BASE, "theorem": theorem, "beta": beta}
+    assert main(["verify-bounds", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) in (0, 3)
+    report = json.loads((out / "bounds_report.json").read_text())
+    assert (report["report"]["theorem"], report["report"]["beta"]) == (theorem, beta)
 
 
 def test_cli_verify_bounds_needs_quadratic(tmp_path):

@@ -291,19 +291,6 @@ def test_quadratic_rejects_batch_size():
         sim.step()
 
 
-def test_uses_batch_randomness():
-    quad = scalar_pair_problem()
-    hp = HyperParams(eta=0.1, rounds=1, n_active=2, k_local=2)
-    assert not Simulation(quad, make_strategy("fedavg"), hp, 0).uses_batch_randomness()
-    noisy = QuadraticProblem(quad.family, grad_noise=0.5)
-    assert Simulation(noisy, make_strategy("fedavg"), hp, 0).uses_batch_randomness()
-    data = blob_problem()
-    hp_full = HyperParams(eta=0.1, rounds=1, n_active=3, k_local=2)
-    assert not Simulation(data, make_strategy("fedavg"), hp_full, 0).uses_batch_randomness()
-    hp_batch = HyperParams(eta=0.1, rounds=1, n_active=3, k_local=2, batch_size=4)
-    assert Simulation(data, make_strategy("fedavg"), hp_batch, 0).uses_batch_randomness()
-
-
 def test_weighted_aggregation_requires_counts_and_weights_correctly():
     quad = scalar_pair_problem()
     hp = HyperParams(eta=0.1, rounds=1, n_active=2, k_local=1, weighted_aggregation=True)

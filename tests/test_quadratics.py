@@ -49,6 +49,16 @@ def test_smoothness_matches_power_iteration():
     assert 0.0 < fam.pl_constant <= mean_lmax
 
 
+@pytest.mark.parametrize("c,d", [(200, 50), (37, 60), (5, 4), (3, 1)])
+def test_smoothness_is_the_per_client_maximum_computed_once(c, d):
+    fam = make_quadratic_family(c, d, spread=1.0, cond=10.0, seed=c)
+    per_client = float(max(np.linalg.eigvalsh(a)[-1] for a in fam.a_matrices))
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        first, second = fam.smoothness, fam.smoothness
+    assert first == second == per_client
+    assert eigvalsh.call_count == 1
+
+
 def test_family_matrices_spd_with_bounded_spectrum():
     cond = 7.0
     fam = make_quadratic_family(8, 5, spread=1.0, cond=cond, seed=11)

@@ -16,6 +16,7 @@ from fedrelax.theory import (
     LAMBDA_GRID,
     THEOREM_LABELS,
     TheoryAssumptionError,
+    check_assumptions,
     compute_constants,
     divergence_decay_check,
     estimate_problem_constants,
@@ -83,11 +84,22 @@ def test_constants_even_in_beta():
 
 
 def test_constants_region_errors():
-    with pytest.raises(ValueError, match="141"):
-        compute_constants(0.1)  # 141 * 0.01 = 1.41
-    # 141 b^2 < 1 but 48 b^2 kappa_beta >= 1 for b^2 in [1/189, 1/141)
-    with pytest.raises(ValueError, match="48"):
-        compute_constants(0.075)
+    # 141 * 0.01 = 1.41: kappa_beta and all built from it are undefined, gamma_beta is not
+    got = compute_constants(0.1, lam=0.1, n_active=4, mu=1.0)
+    assert (got.kappa_beta, got.kappa, got.c_beta, got.j_beta) == (None, None, None, None)
+    assert got.gamma_beta == pytest.approx(1 / 0.61) and got.r_beta is not None
+    for theorem in (1, 2):
+        with pytest.raises(TheoryAssumptionError, match="141"):
+            check_assumptions(theorem, *admissible_setup(beta=0.1))
+    for theorem in (3, 4):
+        check_assumptions(theorem, *admissible_setup(beta=0.1))
+    # 141 b^2 < 1 but 48 b^2 kappa_beta >= 1 for b^2 in [1/189, 1/141): only c_beta is undefined
+    got = compute_constants(0.075, lam=0.1, n_active=4)
+    assert got.kappa_beta is not None and (got.c_beta, got.j_beta) == (None, None)
+    with pytest.raises(TheoryAssumptionError, match="48"):
+        check_assumptions(2, *admissible_setup(beta=0.075))
+    for theorem in (1, 3, 4):
+        check_assumptions(theorem, *admissible_setup(beta=0.075))
     with pytest.raises(ValueError, match="lam"):
         compute_constants(0.05, lam=0.5, n_active=10)
     with pytest.raises(ValueError, match="lam"):
@@ -151,6 +163,12 @@ def test_estimate_noise_scaling():
     est = estimate_problem_constants(fam, np.zeros(4), grad_noise=0.5)
     assert est["sigma_l"] == pytest.approx(0.5 * math.sqrt(4))
     assert est["a"] is None  # exact-gradient ratio undefined for noisy oracles
+
+
+def admissible_setup(beta):
+    """(problem, spec, hp) with eta under both caps, so that only beta can be refused."""
+    hp = HyperParams(eta=0.1, rounds=5, n_active=2, k_local=2)
+    return pair_problem(), make_strategy("fedinit", beta=beta), hp
 
 
 def pair_problem(grad_noise=0.0):
