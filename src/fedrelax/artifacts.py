@@ -287,9 +287,11 @@ def restore_simulation(
     records = [_decode_record(i, r) for i, r in enumerate(records)]
     server_rng = _decode_rng("server_rng", payload["server_rng"])
     _check_type("client_rngs", payload["client_rngs"], dict)
-    bad = [k for k in payload["client_rngs"] if not (k.isdecimal() and int(k) < c)]
+    # only the ids the writer spells, str(i): "01" or a full-width digit would
+    # otherwise load as another key's client
+    bad = [k for k in payload["client_rngs"] if not (k.isdecimal() and int(k) < c and k == str(int(k)))]
     if bad:
-        raise ValueError(f"checkpoint client_rngs ids {bad} lie outside [0, {c})")
+        raise ValueError(f"checkpoint client_rngs ids {bad} are not client ids in [0, {c})")
     client_rngs = {int(k): _decode_rng(f"client_rngs[{k!r}]", state)
                    for k, state in payload["client_rngs"].items()}
 

@@ -25,14 +25,19 @@ over all runs at once (np.add.reduceat) adds in another order. So each row of
 a block rounds exactly as that row alone, and ``grad(w, batch)`` is the block
 gradient of a one-row block.
 
-A block gradient's per-sample work (the MLP's activations, logits, softmax
-and back-propagated errors; a linear model's residuals) lives in buffers the
-Block keeps, made on its first call and reused by every later one: its own,
-or, for the Blocks of local steps, views of one Arena the problem's Blocks
-share. MLP evaluation runs in the buffers of the batch's one-row Block, which
-each Batch keeps, so evaluating the same set every round allocates them once.
-Losses, predictions and gradients are always new arrays, never views of
-those buffers.
+``bind(block, width)`` is that gradient bound to one Block (a BlockGrad): made
+on the block's first gradient call and kept on it, it holds an input buffer
+for the rows' parameters, an output buffer, the model's per-sample work
+buffers (the MLP's activations, logits, softmax and back-propagated errors; a
+linear model's margins and residuals) and, per run, the views of those that
+the run's products read and write. A call copies the rows in, runs on those
+views and returns a new array, so a Block that serves K steps, or a kept
+Block that a later step refills, builds no view per call. The buffers are
+the Block's own or, for the Blocks of local steps, views of one Arena that
+the problem's Blocks share. MLP evaluation runs in the buffers of the batch's
+one-row Block, which each Batch keeps, so evaluating the same set every round
+allocates them once. Losses, predictions and gradients are always new arrays,
+never views of those buffers or of one another.
 """
 from __future__ import annotations
 
@@ -69,7 +74,7 @@ class Batch:
 
     @cached_property
     def block(self) -> Block:
-        return _one_row(self.x, self.y)
+        return Block(self.x, self.y, ((1, len(self.x)),))
 
 
 class Evaluation(NamedTuple):
@@ -94,16 +99,19 @@ class Arena:
     """Memory shared by Blocks that are used one at a time: per name, one
     buffer whose start a Block's array of that name views. A Block that needs
     more than the buffer holds gets a new, larger one; Blocks made before keep
-    the old one."""
+    the old one. shared holds views of the current buffers that every Block
+    would make alike (Block.shared); a new buffer drops them."""
 
     def __init__(self):
         self._buffers = {}
+        self.shared = {}
 
     def empty(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size, dtype)
+            self.shared.clear()
         return buf[:size].reshape(shape)
 
 
@@ -114,18 +122,20 @@ class Block:
     in buffer order, says that the next k rows each own the next n samples,
     one row after another. A block that serves many steps (full batches) or
     evaluations (a kept Batch's block) pays for its views, length columns and
-    work buffers once, and so do mini-batch steps: a problem keeps one Block
+    bound gradients once, and so do mini-batch steps: a problem keeps one Block
     per run layout, and a later step of that layout refills the Block's x and
-    y in place (refill). Such Blocks take x, y and their work buffers from one
-    shared Arena, so only one of them is in use at a time. A paired stability
-    run's block holds both sides' rows of each client, of equal length, so its
-    runs have 2 rows or more (problems.DatasetProblem.side_by_side).
+    y in place (refill). Such Blocks take x, y and every buffer of their bound
+    gradients from one shared Arena, so only one of them is in use at a time.
+    A paired stability run's block holds both sides' rows of each client, of
+    equal length, so its runs have 2 rows or more
+    (problems.DatasetProblem.side_by_side).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, runs, arena: Arena | None = None):
         self.x, self.y, self.runs, self.arena = x, y, runs, arena
         self._buffers = {}
-        self._of_y = {}  # what derives from y's values, dropped by refill
+        self._targets = None
+        self._labels = {}  # classes -> (arange(M) * classes, the label index)
         # per run: its row slice, and its (start, stop, k, n) in the sample buffer
         rows, self._cuts, r, s = [], [], 0, 0
         for k, n in runs:
@@ -137,12 +147,15 @@ class Block:
 
     def refill(self, x: np.ndarray, y: np.ndarray, take: np.ndarray) -> None:
         """Gather x[take] and y[take] into this block's x and y: another step's
-        samples in the same runs. Views and work buffers stay; the label index
-        and float targets are rebuilt from the new y on their next use."""
+        samples in the same runs. Views and buffers stay; the float targets and
+        label index, where made, are rewritten in place from the new y."""
         # mode="clip" writes straight into out ("raise" buffers it); every index is in range
         x.take(take, axis=0, out=self.x, mode="clip")
         y.take(take, out=self.y, mode="clip")
-        self._of_y.clear()
+        if self._targets is not None:
+            np.copyto(self._targets, self.y)
+        for base, labels in self._labels.values():
+            np.add(base, self.y, out=labels)
 
     def empty(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A work buffer over this block: new, or the arena's buffer of that name."""
@@ -152,44 +165,44 @@ class Block:
         """Views of an (M,) or (M, w) array of per-sample values, one (k, n, 1 or w) stack per run."""
         return [a[s:e].reshape(k, n, -1) for s, e, k, n in self._cuts]
 
-    @cached_property
-    def scratch(self) -> tuple[np.ndarray, list[tuple]]:
-        """An (M,) buffer, and per run its parts, the samples' (k, p, n) transpose
-        and the buffer's (k, n, 1) view.
+    def shared(self, key: tuple, make):
+        """make(): arrays that depend on key alone, such as views of this block's
+        arena buffers, made once for all the arena's Blocks (a kept Block's bound
+        gradient views the same rows of w and g as another's); a Block of its own
+        makes them."""
+        if self.arena is None:
+            return make()
+        made = self.arena.shared.get(key)
+        if made is None:
+            made = self.arena.shared[key] = make()
+        return made
 
-        A linear model's block gradient keeps its margins and residuals there
-        on every call, so a block that serves K full-batch steps splits them
-        once; it never returns a view of the buffer.
-        """
-        z = self.empty("z", (len(self.x),))
-        return z, [(rows, xs, xs.transpose(0, 2, 1), zs) for (rows, xs), zs in zip(self.parts, self.split(z))]
-
-    def buffers(self, kind, *sizes):
-        """kind(self, *sizes): a model's work buffers over this block, built on
-        the first call with these sizes and returned by every later one."""
-        key = (kind, *sizes)
+    def buffers(self, kind, *args):
+        """kind(self, *args): a model's bound gradient over this block, built on
+        the first call with these arguments and returned by every later one."""
+        key = (kind, *args)
         made = self._buffers.get(key)
         if made is None:
-            made = self._buffers[key] = kind(self, *sizes)
+            made = self._buffers[key] = kind(self, *args)
         return made
 
     @property
     def targets(self) -> np.ndarray:
         """The targets as floats; they subtract as the int ones do."""
-        made = self._of_y.get("targets")
-        if made is None:
-            made = self._of_y["targets"] = self.empty("targets", (len(self.y),))
-            np.copyto(made, self.y)
-        return made
+        if self._targets is None:
+            self._targets = self.empty("targets", (len(self.y),))
+            np.copyto(self._targets, self.y)
+        return self._targets
 
     def labels(self, classes: int) -> np.ndarray:
         """The flat index of each sample's target in an (M, classes) array."""
-        made = self._of_y.get(classes)
+        made = self._labels.get(classes)
         if made is None:
-            made = self._of_y[classes] = self.empty("labels", (len(self.y),), np.int64)
-            np.multiply(np.arange(len(made)), classes, out=made)
-            made += self.y.astype(np.int64, copy=False)
-        return made
+            m = len(self.y)
+            base = self.shared(("labels", classes, m), lambda: np.arange(m) * classes)
+            made = self._labels[classes] = base, self.empty("labels", base.shape, np.int64)
+            np.add(base, self.y, out=made[1])
+        return made[1]
 
     @cached_property
     def row_counts(self) -> np.ndarray:
@@ -207,9 +220,41 @@ class Block:
         return np.repeat(self.row_n, self.row_counts, axis=0)
 
 
-def _one_row(x: np.ndarray, y: np.ndarray | None) -> Block:
-    """The block of one row whose mini-batch is all of x."""
-    return Block(x, y, ((1, len(x)),))
+class BlockGrad:
+    """A dataset model's block gradient over one Block, its operands bound once.
+
+    The model's bind(block, width) makes it on the block's first gradient call
+    and keeps it there (Block.buffers). It holds an input buffer w and an
+    output buffer g, each (R, d) for the block's R rows of models, and per run
+    the views of w, g and the model's work buffers that the run's products
+    read and write. Its rows of width parameters hold sides = width / d models
+    side by side: row j is the models of the block's rows j sides to
+    j sides + sides - 1. A call copies the rows in (or gathers them in a given
+    order), runs the model's work on those views and returns a new array: the
+    gradient never aliases w, g, a work buffer or another gradient.
+    """
+
+    def __init__(self, block: Block, dim: int, width: int):
+        rows = len(block.row_counts)
+        self.w, self.g = block.empty("w", (rows, dim)), block.empty("g", (rows, dim))
+        self.w_rows, self.g_rows = self.w.reshape(-1, width), self.g.reshape(-1, width)
+        self.shape = self.w_rows.shape
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """The gradient of the (R / sides, width) rows w, as a new array of that shape."""
+        np.copyto(self.w_rows, w)
+        return self.run()
+
+    def taken(self, order: np.ndarray, inverse: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The gradient of the rows w when the block's row j (of width parameters) trains w[order[j]];
+        inverse, the inverse permutation of order, puts it back in w's row order."""
+        # mode="clip" writes straight into out ("raise" buffers it); every index is in range
+        np.take(w, order, axis=0, out=self.w_rows, mode="clip")
+        return self.run()[inverse]
+
+    def run(self) -> np.ndarray:
+        """The gradient at the parameters in w, as a new (R / sides, width) array."""
+        raise NotImplementedError
 
 
 def _row_max(z: np.ndarray, out: np.ndarray) -> None:
@@ -271,38 +316,65 @@ class QuadraticModel:
 
 
 class _BlockGradModel:
-    """A dataset model's grad(w, batch): its block gradient on a one-row block."""
+    """A dataset model's gradients, each through its bound gradient of a Block,
+    of the BlockGrad kind the subclass names _bound."""
+
+    def bind(self, block: Block, width: int) -> BlockGrad:
+        """The model's gradient over block for rows of width parameters (width / dim
+        models side by side), built on first use and kept."""
+        return block.buffers(self._bound, self, width)
+
+    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
+        """The gradient of the (N, width) rows w over the block (see BlockGrad)."""
+        grad = self.bind(block, w.shape[-1])
+        if w.shape != grad.shape:
+            raise ValueError(f"expected a block of shape {grad.shape}, got {w.shape}")
+        return grad(w)
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
+        """The gradient over the batch: the block gradient of its one-row Block."""
         return self.block_grad(w[None], batch.block)[0]
 
 
-def _glm_block_grad(w: np.ndarray, block: Block, link) -> np.ndarray:
+class _GLMGrad(BlockGrad):
     """Rows x_j^T (link(x_j w_j) - y_j) / n_j of a linear model's block.
 
-    link applies the link function in place (None: identity); margins and
-    residuals live in the block's scratch buffer, the gradient in a new array.
+    The model's link applies the link function in place (None: identity);
+    margins and residuals live in an (M,) buffer z, the gradient in the final
+    division's new array.
     """
-    z, runs = block.scratch
-    y = block.targets
-    w_cols = w[:, :, None]
-    for rows, xs, _, zs in runs:
-        np.matmul(xs, w_cols[rows], out=zs)
-    if link is not None:
-        link(z)
-    np.subtract(z, y, out=z)  # residuals, in place
-    out = np.empty(w.shape)
-    out_cols = out[:, :, None]
-    for rows, _, xt, rs in runs:
-        np.matmul(xt, rs, out=out_cols[rows])
-    out /= block.row_n
-    return out
+
+    def __init__(self, block: Block, model, width: int):
+        super().__init__(block, model.dim, width)
+        self.link, self.targets = model.link, block.targets
+        # each parameter's divisor, its row's batch length, laid out as the result
+        self.row_n = np.repeat(block.row_n, self.w.shape[1], axis=1).reshape(self.shape)
+        self.z = block.empty("z", (len(block.x),))
+        w_cols, g_cols = self.w[:, :, None], self.g[:, :, None]
+        self.margins, self.products = [], []
+        for (rows, xs), zs in zip(block.parts, block.split(self.z)):
+            w, g = block.shared((_GLMGrad, model, width, rows.start, rows.stop),
+                                lambda: (w_cols[rows], g_cols[rows]))
+            self.margins.append((xs, w, zs))
+            self.products.append((xs.transpose(0, 2, 1), zs, g))
+
+    def run(self) -> np.ndarray:
+        z = self.z
+        for xs, w, zs in self.margins:
+            np.matmul(xs, w, out=zs)
+        if self.link is not None:
+            self.link(z)
+        np.subtract(z, self.targets, out=z)  # residuals, in place
+        for xt, rs, g in self.products:
+            np.matmul(xt, rs, out=g)
+        return np.divide(self.g_rows, self.row_n)
 
 
 class LinearRegression(_BlockGradModel):
     """f(w) = 0.5 * mean_j (x_j . w - y_j)^2, no intercept."""
 
     kind = "linear-regression"
+    _bound, link = _GLMGrad, None
 
     def __init__(self, n_features: int):
         self.n_features = n_features
@@ -311,9 +383,6 @@ class LinearRegression(_BlockGradModel):
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         r = batch.x @ w - batch.y
         return 0.5 * float(np.mean(r * r))
-
-    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        return _glm_block_grad(w, block, None)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         r = batch.x @ w - batch.y
@@ -332,6 +401,7 @@ class LogisticRegression(_BlockGradModel):
     """
 
     kind = "logistic-regression"
+    _bound, link = _GLMGrad, staticmethod(_sigmoid_in_place)
 
     def __init__(self, n_features: int):
         self.n_features = n_features
@@ -339,9 +409,6 @@ class LogisticRegression(_BlockGradModel):
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
-
-    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        return _glm_block_grad(w, block, _sigmoid_in_place)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         z = batch.x @ w
@@ -357,6 +424,76 @@ class LogisticRegression(_BlockGradModel):
         return np.zeros(self.dim)
 
 
+class _MLPGrad(BlockGrad):
+    """An MLP's block gradient over one Block (see BlockGrad), and the work
+    buffers its evaluation runs in: hidden activations a1 and their
+    back-propagated errors dz (M, hidden), logits (then log-probabilities) and
+    softmax errors dl (M, classes), and one (M, 1) column for the row max,
+    then the log of the row sum. Per run, the stacks that each layer's
+    products read and write, views of those buffers and of w and g, are made
+    once; a bias is added as a per-sample array (each row's bias repeated over
+    its samples), the same additions as one add per row."""
+
+    def __init__(self, block: Block, model: MLPClassifier, width: int):
+        super().__init__(block, model.dim, width)
+        m, hidden, n_classes = len(block.x), model.hidden, model.n_classes
+        self.a1, self.dz = block.empty("a1", (m, hidden)), block.empty("dz", (m, hidden))
+        self.logits, self.dl = block.empty("logits", (m, n_classes)), block.empty("dl", (m, n_classes))
+        self.col = block.empty("col", (m, 1))
+        self.labels, self.dl_flat = block.labels(n_classes), self.dl.reshape(-1)
+        self.counts, self.sample_n = block.row_counts, block.sample_n
+        w1, self.b1, w2, self.b2 = model.unpack(self.w)
+        dw1, db1, dw2, db2 = model.unpack(self.g)
+        w1t, w2t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
+        self.layer1, self.layer2, self.back2, self.back1 = [], [], [], []
+        for (rows, xs), a, z, dl, dz in zip(block.parts, *map(block.split, (self.a1, self.logits, self.dl, self.dz))):
+            w1t_r, w2t_r, w2_r, dw1_r, db1_r, dw2_r, db2_r = block.shared(
+                (_MLPGrad, model, width, rows.start, rows.stop),
+                lambda: tuple(v[rows] for v in (w1t, w2t, w2, dw1, db1, dw2, db2)))
+            self.layer1.append((xs, w1t_r, a))
+            self.layer2.append((a, w2t_r, z))
+            self.back2.append((dl, w2_r, dz, dl.transpose(0, 2, 1), a, dw2_r, db2_r))
+            self.back1.append((dz.transpose(0, 2, 1), xs, dw1_r, dz, db1_r))
+
+    def forward(self) -> None:
+        """The hidden activations and logits of the models in w."""
+        for xs, w1t, a in self.layer1:
+            np.matmul(xs, w1t, out=a)
+        self.a1 += self.b1.repeat(self.counts, axis=0)
+        np.tanh(self.a1, out=self.a1)
+        for a, w2t, z in self.layer2:
+            np.matmul(a, w2t, out=z)
+        self.logits += self.b2.repeat(self.counts, axis=0)
+
+    def dlogits(self) -> None:
+        """Softmax minus one-hot labels, per sample, from the log-probabilities, in dl."""
+        np.exp(self.logits, out=self.dl)
+        self.dl_flat[self.labels] -= 1.0
+
+    def backward(self) -> None:
+        """The parameter gradients, into g, from the hidden activations and the
+        per-sample d(loss)/d(logits) in dl; overwrites the activations."""
+        for dl, w2, dz, dl_t, a, dw2, db2 in self.back2:
+            np.matmul(dl, w2, out=dz)
+            np.matmul(dl_t, a, out=dw2)
+            np.add.reduce(dl, axis=1, out=db2)
+        a1 = self.a1  # dW2 and db2 have read a1, so 1 - a1^2 may overwrite it
+        np.multiply(a1, a1, out=a1)
+        np.subtract(1.0, a1, out=a1)
+        self.dz *= a1
+        for dz_t, xs, dw1, dz, db1 in self.back1:
+            np.matmul(dz_t, xs, out=dw1)
+            np.add.reduce(dz, axis=1, out=db1)
+
+    def run(self) -> np.ndarray:
+        self.forward()
+        MLPClassifier._log_softmax(self)
+        self.dlogits()
+        self.dl /= self.sample_n
+        self.backward()
+        return self.g_rows.copy()
+
+
 class MLPClassifier(_BlockGradModel):
     """One-hidden-layer tanh network with softmax cross-entropy.
 
@@ -365,6 +502,7 @@ class MLPClassifier(_BlockGradModel):
     """
 
     kind = "mlp"
+    _bound = _MLPGrad
 
     def __init__(self, n_features: int, hidden: int, n_classes: int):
         if hidden < 1 or n_classes < 2:
@@ -387,23 +525,8 @@ class MLPClassifier(_BlockGradModel):
         b2 = w[..., o:o + m]
         return w1, b1, w2, b2
 
-    def _forward(self, block: Block, w1, b1, w2, b2) -> _MLPBuffers:
-        """The block's buffers, holding the hidden activations and logits of the
-        block of models whose unpacked parameters are w1, b1, w2, b2."""
-        buf = block.buffers(_MLPBuffers, self.hidden, self.n_classes)
-        w1t, w2t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
-        # each bias is added once, repeated per sample: the same additions as one per row
-        for rows, xs, z1, *_ in buf.runs:
-            np.matmul(xs, w1t[rows], out=z1)
-        buf.a1 += b1.repeat(block.row_counts, axis=0)
-        np.tanh(buf.a1, out=buf.a1)
-        for rows, _, a, z2, *_ in buf.runs:
-            np.matmul(a, w2t[rows], out=z2)
-        buf.logits += b2.repeat(block.row_counts, axis=0)
-        return buf
-
     @staticmethod
-    def _log_softmax(buf: _MLPBuffers) -> None:
+    def _log_softmax(buf: _MLPGrad) -> None:
         """Logits to log-probabilities, in the logits buffer."""
         z, col = buf.logits, buf.col
         _row_max(z, col)
@@ -413,61 +536,28 @@ class MLPClassifier(_BlockGradModel):
         np.log(col, out=col)
         z -= col
 
-    @staticmethod
-    def _dlogits(buf: _MLPBuffers, block: Block) -> None:
-        """Softmax minus one-hot labels, per sample, from the log-probabilities, in buf.dl."""
-        np.exp(buf.logits, out=buf.dl)
-        buf.dl.reshape(-1)[block.labels(buf.dl.shape[1])] -= 1.0
-
-    def _backward(self, block: Block, buf: _MLPBuffers, w2: np.ndarray) -> np.ndarray:
-        """Parameter gradients (N, d) of the block of models with output weights w2
-        from buf's hidden activations and per-sample d(loss)/d(logits); overwrites
-        the activations."""
-        out = np.empty((len(w2), self.dim))
-        dw1, db1, dw2, db2 = self.unpack(out)
-        for rows, _, a, _, dl, dl_t, dz, _ in buf.runs:
-            np.matmul(dl, w2[rows], out=dz)
-            np.matmul(dl_t, a, out=dw2[rows])
-            np.add.reduce(dl, axis=1, out=db2[rows])
-        a1 = buf.a1  # dW2 and db2 have read a1, so 1 - a1^2 may overwrite it
-        np.multiply(a1, a1, out=a1)
-        np.subtract(1.0, a1, out=a1)
-        buf.dz *= a1
-        for rows, xs, _, _, _, _, dz, dz_t in buf.runs:
-            np.matmul(dz_t, xs, out=dw1[rows])
-            np.add.reduce(dz, axis=1, out=db1[rows])
-        return out
-
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
-
-    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        w1, b1, w2, b2 = self.unpack(w)
-        buf = self._forward(block, w1, b1, w2, b2)
-        self._log_softmax(buf)
-        self._dlogits(buf, block)
-        buf.dl /= block.sample_n
-        return self._backward(block, buf, w2)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         """Per-sample losses, predictions and (with weights) the gradient, as new arrays;
         the work runs in the buffers of the batch's Block."""
-        block = batch.block
-        w1, b1, w2, b2 = self.unpack(w[None])
-        buf = self._forward(block, w1, b1, w2, b2)
+        buf = self.bind(batch.block, self.dim)
+        np.copyto(buf.w, w)
+        buf.forward()
         pred = buf.logits.argmax(axis=1).astype(np.int64, copy=False)
         self._log_softmax(buf)
-        losses = -buf.logits.take(block.labels(self.n_classes))
+        losses = -buf.logits.take(buf.labels)
         grad = None
         if weights is not None:
-            self._dlogits(buf, block)
+            buf.dlogits()
             buf.dl *= weights[:, None]
-            grad = self._backward(block, buf, w2)[0]
+            buf.backward()
+            grad = buf.g[0].copy()
         return Evaluation(losses, grad, pred)
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        buf = self._forward(_one_row(x, None), *self.unpack(w[None]))
-        return buf.logits.argmax(axis=1).astype(np.int64)
+        return self.evaluate(w, Batch(x, np.zeros(len(x), np.int64))).pred
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         # per-layer 1/sqrt(fan_in) gaussian weights, zero biases
@@ -475,24 +565,6 @@ class MLPClassifier(_BlockGradModel):
         w1 = rng.normal(0.0, 1.0 / np.sqrt(p), size=(h, p))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(m, h))
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(m)])
-
-
-class _MLPBuffers:
-    """An MLP's per-sample work buffers over one Block: hidden activations a1
-    and their back-propagated errors dz (M, hidden), logits (then
-    log-probabilities) and softmax errors dl (M, classes), and one (M, 1)
-    column for the row max, then the log of the row sum. runs holds per run
-    its Block.parts, then its (k, n, w) stacks of a1 and the logits, and of dl
-    and dz, each of those two followed by its (k, w, n) transpose."""
-
-    def __init__(self, block: Block, hidden: int, n_classes: int):
-        m = len(block.x)
-        self.a1, self.dz = block.empty("a1", (m, hidden)), block.empty("dz", (m, hidden))
-        self.logits, self.dl = block.empty("logits", (m, n_classes)), block.empty("dl", (m, n_classes))
-        self.col = block.empty("col", (m, 1))
-        self.runs = [(*part, a, z, dl, dl.transpose(0, 2, 1), dz, dz.transpose(0, 2, 1))
-                     for part, a, z, dl, dz
-                     in zip(block.parts, *map(block.split, (self.a1, self.logits, self.dl, self.dz)))]
 
 
 def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-6) -> np.ndarray:

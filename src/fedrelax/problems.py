@@ -23,10 +23,11 @@ Two concrete kinds:
   no randomness.  A local step gathers the participants' batches, its rows
   grouped by batch length, with one fancy index into the pooled buffer (a
   pass of full batches gathers once; one over every client trains on the
-  pooled buffer itself, gathering nothing) and takes the model's block
-  gradient over them (see models.py), in a Block the problem keeps for that
-  run layout; so a step's gradient is valid until the next step of any of
-  the problem's passes is drawn.  For
+  pooled buffer itself, gathering nothing), into a Block the problem keeps
+  for that run layout, and its function is the model's gradient bound to
+  that Block (models.BlockGrad), whose views are made once per Block, not
+  per call; so a step's gradient is valid until the next step of any of the
+  problem's passes is drawn. Each call returns a new array.  For
   evaluation the pooled samples carry weights 1/(C n_i) for a sample of
   client i, so that the weighted sum of per-sample losses is the unweighted
   mean of client means.  One forward and one backward pass over the pooled
@@ -141,8 +142,8 @@ def _index_batches(starts: np.ndarray, n: int, rng, batch_size):
 
 
 # Blocks and row-length sorts a problem keeps; on mlp-noniid a job meets 100-130
-# run layouts and 100-180 tuples of row lengths, and a kept Block's views and
-# length columns take ~18 KB, its samples and work buffers none (see Arena)
+# run layouts and 100-180 tuples of row lengths, and a kept Block's views, length
+# columns and bound gradient's views take ~19 KB, its samples and buffers none (see Arena)
 _BLOCKS = 128
 _PLANS = 1024
 
@@ -161,18 +162,20 @@ class _GatheredGrads:
 
     A step's samples are gathered once into a Block with the rows ordered by
     batch length (a stable sort), so each distinct length is one run; the
-    gradient is taken on the rows in that order and returned in row order.
-    The sort of each tuple of row lengths is kept, and so is one Block per
-    run layout for the first _BLOCKS layouts met: a later step of a kept
-    layout refills its Block's samples in place. Past that, a step builds a
-    new Block; evicting the least recently used instead would thrash, as a
-    run meets its layouts in cycles. Every Block draws its samples and work
-    buffers from one Arena, so a step's gradient is valid only until the next
-    step is gathered.
+    step's function is the Block's bound gradient (models.BlockGrad), which
+    takes the rows in that order with one gather and returns the gradient in
+    row order. The sort of each tuple of row lengths is kept, and so is one
+    Block per run layout for the first _BLOCKS layouts met: a later step of a
+    kept layout refills its Block's samples in place, and its bound gradient
+    stays. Past that, a step builds a new Block; evicting the least recently
+    used instead would thrash, as a run meets its layouts in cycles. Every
+    Block draws its samples and its bound gradient's buffers from one Arena,
+    so a step's gradient is valid only until the next step is gathered.
     """
 
-    def __init__(self, block_grad, x: np.ndarray, y: np.ndarray, sides: int):
-        self.block_grad, self.x, self.y, self.sides = block_grad, x, y, sides
+    def __init__(self, model, x: np.ndarray, y: np.ndarray, sides: int):
+        self.model, self.x, self.y, self.sides = model, x, y, sides
+        self.width = sides * model.dim
         self.plans = {}   # row lengths -> (run layout, order, inverse); None, None in row order
         self.blocks = {}  # run layout -> Block
         self.arena = Arena()
@@ -206,9 +209,8 @@ class _GatheredGrads:
         layout, order, inverse = self.plans.get(lengths) or self._plan(lengths)
         block = self._block(layout)
         block.refill(self.x, self.y, np.concatenate(batches if order is None else [batches[j] for j in order]))
-        if order is None:
-            return partial(self.block_grad, block=block)
-        return lambda w: self.block_grad(w[order], block)[inverse]
+        grad = self.model.bind(block, self.width)
+        return grad if order is None else partial(grad.taken, order, inverse)
 
 
 class DatasetProblem:
@@ -277,10 +279,6 @@ class DatasetProblem:
     def default_init(self, rng) -> np.ndarray:
         return np.tile(self.model.init_params(rng), self.sides)
 
-    def _block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        """The gradient of the rows w: the model's block gradient on their (sides N, d) view."""
-        return self.model.block_grad(w.reshape(-1, self.model.dim), block).reshape(w.shape)
-
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
         """Block gradients of the clients ids (distinct, ascending), one function
         per local step; row j takes its batches from client ids[j]'s shard and
@@ -295,7 +293,7 @@ class DatasetProblem:
         """
         full = all(_full_batch(len(self.shards[i]), batch_size) for i in ids)
         if full and len(ids) == self.n_clients:
-            return itertools.repeat(partial(self._block_grad, block=self._population_block))
+            return itertools.repeat(self.model.bind(self._population_block, self.dim))
         grad = self._gathered_grads
         streams = [_index_batches(self._starts[i], len(self.shards[i]), partial(rngs, i), batch_size)
                    for i in ids]
@@ -331,7 +329,7 @@ class DatasetProblem:
     @cached_property
     def _gathered_grads(self) -> _GatheredGrads:
         pooled, _ = self._pooled
-        return _GatheredGrads(self._block_grad, pooled.x, pooled.y, self.sides)
+        return _GatheredGrads(self.model, pooled.x, pooled.y, self.sides)
 
     @cached_property
     def _population_block(self) -> Block:

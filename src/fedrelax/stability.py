@@ -147,6 +147,21 @@ def make_paired_blob_problems(
     return problem_a, problem_b, meta
 
 
+def _paired_distances(last_local: np.ndarray, w: np.ndarray, d: int) -> tuple[float, float]:
+    """delta, the mean over clients of ||w_a - w_b|| for each client's pair of end
+    models (the rows of last_local), and the global pair w's distance.
+
+    Each norm rounds as np.linalg.norm of that one vector, sqrt(x . x), and delta
+    adds the clients' norms left to right before it divides by C.
+    """
+    diffs = last_local[:, :d] - last_local[:, d:]
+    gap = 0.0
+    for norm in np.sqrt(np.vecdot(diffs, diffs)).tolist():
+        gap += norm
+    g = w[:d] - w[d:]
+    return gap / len(diffs), math.sqrt(g @ g)
+
+
 def paired_run(
     problem_a,
     problem_b,
@@ -179,12 +194,9 @@ def paired_run(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hp.rounds):
             sim.step()
-            gap = 0.0
-            for diff in sim.last_local[:, :d] - sim.last_local[:, d:]:
-                gap += float(np.linalg.norm(diff))
-            deltas.append(gap / pair.n_clients)
-            w = sim.server.global_params
-            global_dists.append(float(np.linalg.norm(w[:d] - w[d:])))
+            delta, global_dist = _paired_distances(sim.last_local, sim.server.global_params, d)
+            deltas.append(delta)
+            global_dists.append(global_dist)
             if not (math.isfinite(deltas[-1]) and math.isfinite(global_dists[-1])):
                 raise DivergedError(f"run diverged at round {t}: non-finite paired distance")
         if getattr(problem_a, "test", None) is not None:

@@ -192,6 +192,11 @@ BAD_PAYLOADS = {
     "client_rngs_id": (lambda p: p["client_rngs"].update({"5": p["server_rng"]}), "client_rngs"),
     "client_rngs_negative_id": (lambda p: p["client_rngs"].update({"-1": p["server_rng"]}),
                                 "client_rngs"),
+    # ids spelled other than str(i) would load as client i, beside or instead of "i"
+    "client_rngs_leading_zero": (lambda p: p["client_rngs"].update({"01": p["server_rng"]}),
+                                 "client_rngs"),
+    "client_rngs_full_width_digit": (lambda p: p["client_rngs"].update({"\uff12": p["server_rng"]}),
+                                     "client_rngs"),
     "missing_field": (lambda p: p.pop("last_local"), r"lacks the fields \['last_local'\]"),
 }
 

@@ -357,6 +357,8 @@ MALFORMED_CHECKPOINTS = {
     "server_rng_int": (lambda p: p.update(server_rng=5), "server_rng"),
     "client_rng_empty": (lambda p: p["client_rngs"].update({"0": {}}), "client_rngs['0']"),
     "client_rngs_list": (lambda p: p.update(client_rngs=[]), "client_rngs"),
+    "client_rngs_id_not_canonical": (lambda p: p["client_rngs"].update({"01": p["server_rng"]}),
+                                     "client_rngs"),
     "client_aux_list": (lambda p: p.update(client_aux=[]), "client_aux"),
     "server_aux_list": (lambda p: p.update(server_aux=[]), "server_aux"),
     "round_text": (lambda p: p.update(round="3"), "round"),

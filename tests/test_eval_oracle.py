@@ -22,7 +22,7 @@ from fedrelax.core import HyperParams, run_experiment
 from fedrelax.datasets import Dataset, dirichlet_partition, make_blobs, shard_dataset
 from fedrelax.metrics import CSV_HEADER, rounds_csv_text
 from fedrelax.models import (Batch, Evaluation, LinearRegression, LogisticRegression, MLPClassifier,
-                             _MLPBuffers, accuracy)
+                             _MLPGrad, accuracy)
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import make_quadratic_family
 from fedrelax.strategies import make_strategy
@@ -355,13 +355,13 @@ def test_evaluation_sets_keep_their_buffers(monkeypatch):
     prob = build("mlp", SHARD_SIZES, 0)
     wa, wb = np.random.default_rng(0).normal(size=(2, prob.dim))
     prob.eval_metrics(wa)
-    made, init = [], _MLPBuffers.__init__
+    made, init = [], _MLPGrad.__init__
 
     def counting_init(self, *args):
         made.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(_MLPBuffers, "__init__", counting_init)
+    monkeypatch.setattr(_MLPGrad, "__init__", counting_init)
     prob.eval_metrics(wb)
     prob.per_sample_test_losses(wa)
     prob.global_grad(wb)

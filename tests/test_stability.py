@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedrelax.core import DivergedError, HyperParams, Simulation
 from fedrelax.datasets import Dataset
@@ -11,6 +14,7 @@ from fedrelax.models import LinearRegression, MLPClassifier
 from fedrelax.problems import DatasetProblem
 from fedrelax.stability import (
     StabilityTrace,
+    _paired_distances,
     improvement_factor,
     make_paired_blob_problems,
     paired_run,
@@ -28,6 +32,27 @@ def small_pair(perturb=(0, 0), **kw):
     )
     args.update(kw)
     return make_paired_blob_problems(**args)
+
+
+# (C, 2d) end models of C paired clients and the (2d,) global pair, at mixed magnitudes
+_PAIRED_MODELS = st.tuples(st.integers(1, 7), st.integers(1, 346), st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150])
+                           ).flatmap(lambda cds: st.tuples(
+                               hnp.arrays(np.float64, (cds[0] + 1, 2 * cds[1]), elements=st.floats(-1e3, 1e3)),
+                               st.just(cds[1]), st.just(cds[2])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_PAIRED_MODELS)
+def test_paired_distances_match_the_per_row_norm_loop(case):
+    models, d, scale = case
+    models = scale * models
+    last_local, w = models[:-1], models[-1]
+    gap = 0.0
+    for diff in last_local[:, :d] - last_local[:, d:]:
+        gap += float(np.linalg.norm(diff))
+    want = gap / len(last_local), float(np.linalg.norm(w[:d] - w[d:]))
+    got = _paired_distances(last_local, w, d)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_replace_sample_copy_and_values():

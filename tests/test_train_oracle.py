@@ -482,6 +482,78 @@ def test_refilled_block_matches_a_fresh_one(model, in_arena):
     assert same_as_fresh(second)
 
 
+@st.composite
+def bound_gradient_steps(draw):
+    """A model, models per row (sides), a run layout and steps over one kept Block: per
+    step, whether another Block of its arena ran first, whether the rows come out of
+    order, and how many points it evaluates (two, each from the last, is FedSAM's)."""
+    p = draw(st.integers(1, 5))
+    model = draw(st.sampled_from([LinearRegression(p), LogisticRegression(p),
+                                  MLPClassifier(p, draw(st.integers(1, 6)), draw(st.integers(2, 5)))]))
+    sides = draw(st.sampled_from([1, 2]))
+    runs = [(sides * k, n) for k, n in draw(st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 5, 8, 13])), min_size=1, max_size=4))]
+    other = [(sides * draw(st.integers(1, 6)), draw(st.sampled_from([1, 4, 20])))]
+    steps = draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(1, 3)), min_size=1, max_size=4))
+    return dict(model=model, sides=sides, runs=runs, other=other, steps=steps, in_arena=draw(st.booleans()),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bound_gradient_steps())
+def test_bound_gradient_calls_match_a_fresh_block(case):
+    # one Block's bound gradient, called again and again: at successive points as
+    # FedSAM calls it, after refills (with another Block of the same arena run in
+    # between, overwriting the shared buffers or growing them), rows in and out of
+    # order, one or two models per row; then a Block of the same layout made after
+    # the arena grew. Each result equals a fresh Block's gradient by tobytes and
+    # aliases no kept buffer and no other result
+    model, sides, runs = case["model"], case["sides"], case["runs"]
+    rng = np.random.default_rng(case["seed"])
+    n_classes = getattr(model, "n_classes", 2)
+    pool_x, pool_y = 3.0 * rng.normal(size=(90, model.n_features)), rng.integers(n_classes, size=90)
+    arena = Arena() if case["in_arena"] else None
+
+    def kept_block(runs):
+        m = sum(k * n for k, n in runs)
+        if arena is None:
+            return Block(np.empty((m, model.n_features)), np.empty(m, pool_y.dtype), runs)
+        return Block(arena.empty("x", (m, model.n_features)), arena.empty("y", (m,), pool_y.dtype), runs, arena)
+
+    block, other = kept_block(runs), kept_block(case["other"])
+    width, rows = sides * model.dim, sum(k for k, _ in runs) // sides
+    grad = model.bind(block, width)
+    results = []
+
+    def step(block, grad, unsorted, points):
+        take = rng.integers(90, size=len(block.x))
+        block.refill(pool_x, pool_y, take)
+        fresh = Block(pool_x[take], pool_y[take], runs)
+        order = rng.permutation(rows) if unsorted else np.arange(rows)
+        inverse = np.argsort(order)
+        w = rng.normal(size=(rows, width))
+        for _ in range(points):
+            got = grad.taken(order, inverse, w) if unsorted else grad(w)
+            want = model.block_grad(w[order].reshape(-1, model.dim), fresh).reshape(w.shape)[inverse]
+            assert got.tobytes() == want.tobytes()
+            results.append((got, want))
+            w = w + 0.5 * got
+
+    for other_first, unsorted, points in case["steps"]:
+        if other_first:
+            other.refill(pool_x, pool_y, rng.integers(90, size=len(other.x)))
+            model.bind(other, width)(rng.normal(size=(len(other.row_counts) // sides, width)))
+        step(block, grad, unsorted, points)
+    assert model.bind(block, width) is grad
+    late = kept_block(runs)
+    step(late, model.bind(late, width), False, 1)
+    kept = [a for b in (block, other, late) for a in block_buffers(b) + [b.x, b.y]]
+    for i, (got, want) in enumerate(results):
+        assert got.tobytes() == want.tobytes()  # later calls left it as it was
+        assert not any(np.shares_memory(got, b) for b in kept)
+        assert not any(np.shares_memory(got, later) for later, _ in results[i + 1:])
+
+
 # -- two problems side by side ---------------------------------------------------------
 
 @st.composite
