@@ -26,9 +26,7 @@ texts, so a save encodes only the records added since the one before.
 ``restore_simulation`` refuses a payload that does not fit the run with a
 ValueError naming the field: a wrong shape, type or key set, data that is not
 base64 of the shape's byte count, or a record value that is not a number where
-one belongs (train_loss and divergence must also be finite, as a run stops
-before recording them otherwise; the other float columns keep the infinity or
-NaN a run recorded).
+one belongs (or not finite in a metrics.FINITE_COLUMNS column).
 """
 from __future__ import annotations
 
@@ -123,8 +121,7 @@ def restore_rng(state: dict) -> np.random.Generator:
 
 def _record_texts(sim) -> list[str]:
     """The JSON text of each of sim's records, as json.dumps writes it inside the
-    payload. A record's text is kept on sim once encoded (sim.record_texts),
-    so a save encodes only the records added since the one before."""
+    payload, kept on sim once encoded (sim.record_texts)."""
     kept, records = sim.record_texts, sim.records
     if len(kept) > len(records) or (kept and kept[-1][0] is not records[len(kept) - 1]):
         kept.clear()  # the records were replaced
@@ -145,7 +142,7 @@ def save_checkpoint(path, sim, config_hash: str | None = None) -> None:
 
     payload = {
         "version": CHECKPOINT_VERSION,
-        "config_hash": config_hash if config_hash is not None else getattr(sim, "config_hash", None),
+        "config_hash": config_hash if config_hash is not None else sim.config_hash,
         "seed": sim.seed,
         "round": sim.server.round,
         "global_params": sim.server.global_params,
@@ -247,12 +244,9 @@ def restore_simulation(
     *,
     expect_config_hash: str | None = None,
 ):
-    """Rebuild a Simulation mid-run from a checkpoint payload.
-
-    Raises ValueError naming the field when the payload does not fit the
-    problem, strategy or hyperparameters it is restored into, or when a field
-    does not have its type.
-    """
+    """Rebuild a Simulation mid-run from a checkpoint payload; a payload that
+    does not fit the problem, strategy and hyperparameters is refused as the
+    module docstring says."""
     from .core import Simulation
 
     saved_hash = payload.get("config_hash")
@@ -305,6 +299,5 @@ def restore_simulation(
     for i, gen in client_rngs.items():
         sim.client_rngs[i] = gen
     sim.records = records
-    if saved_hash is not None:
-        sim.config_hash = saved_hash
+    sim.config_hash = saved_hash
     return sim

@@ -3,8 +3,7 @@
 Subcommands: run, sweep, verify-bounds, stability, partition-report.
 Config is a flat JSON file (--config); --seed/--out (and --jobs on sweep)
 override file values; FEDRELAX_OUT and FEDRELAX_JOBS may override output
-directory and parallelism only.  --resume belongs to run, --allow-negative-beta
-to run, sweep and verify-bounds.  Every subcommand takes one path: main resolves
+directory and parallelism only.  Every subcommand takes one path: main resolves
 the config for its mode (config.py holds the mode rules), hashes it and picks the
 output directory; the handler builds, runs and writes its report.  Every
 artifact embeds the config hash, and reruns of the same config + seed are

@@ -6,8 +6,8 @@ config's problem kind or subcommand does not read (SCHEMA names each key's
 readers).  Every defaulted value is echoed back into the resolved config so
 runs are self-describing, and the sha256 of the resolved config
 (minus the purely operational keys: output directory, job count, checkpoint
-cadence) stamps every artifact.  Environment variables may override only
-FEDRELAX_OUT and FEDRELAX_JOBS.
+cadence) stamps every artifact.  Only the output directory and job count may
+come from the environment (cli.py).
 """
 from __future__ import annotations
 
@@ -261,20 +261,10 @@ def config_hash(cfg: dict) -> str:
 # -- builders -------------------------------------------------------------------
 
 def build_strategy(cfg: dict, *, allow_negative_beta: bool = False):
-    overrides = {
-        "rho": cfg["rho"],
-        "dyn_alpha": cfg["dyn_alpha"],
-        "cm_alpha": cfg["cm_alpha"],
-        "adam_beta1": cfg["adam_beta1"],
-        "adam_beta2": cfg["adam_beta2"],
-        "adam_tau": cfg["adam_tau"],
-    }
+    overrides = {k: cfg[k] for k in ("rho", "dyn_alpha", "cm_alpha", "adam_beta1", "adam_beta2", "adam_tau")}
     if cfg["server_lr"] is not None:
         overrides["server_lr"] = cfg["server_lr"]
-    return make_strategy(
-        cfg["strategy"], beta=cfg["beta"], allow_negative_beta=allow_negative_beta,
-        **overrides,
-    )
+    return make_strategy(cfg["strategy"], beta=cfg["beta"], allow_negative_beta=allow_negative_beta, **overrides)
 
 
 def build_hp(cfg: dict) -> HyperParams:

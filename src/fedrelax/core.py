@@ -17,11 +17,9 @@ private generator seeded from (seed, client id) that only advances when that
 client trains. The generator is created the first time the client's row
 draws from it; until then the stream sits at its seeded start, so creating it
 later changes no draw. Client sampling uses its own server stream, which
-feeds nothing else. A round with N == C takes every client without a draw
-(a sorted permutation of all C ids was the same ids), so an N == C run's
-checkpoints keep that stream at its seeded state, and older ones, whose
-stream had advanced, resume to the same results. Aggregation order is always
-ascending id, so reruns are bit-for-bit reproducible.
+feeds nothing else, and a round with N == C draws nothing from it (see
+sample_clients). Aggregation order is always ascending id, so reruns are
+bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -71,7 +69,7 @@ class HyperParams:
             raise ValueError("need at least one round")
         if not 1 <= self.n_active <= n_clients:
             raise ValueError(
-                f"active clients must satisfy 1 <= N <= C, got N={self.n_active}, C={n_clients}"
+                f"active clients must satisfy 1 <= N <= C, got n_active={self.n_active}, n_clients={n_clients}"
             )
         if (self.k_local is None) == (self.local_epochs is None):
             raise ValueError("set exactly one of k_local (local_iters) and local_epochs")
@@ -115,7 +113,10 @@ def relaxed_init(global_w: np.ndarray, last_local: np.ndarray, beta: float) -> n
 def sample_clients(rng: np.random.Generator, n_clients: int, n_active: int) -> np.ndarray:
     """Uniform sample of n_active distinct ids, returned ascending.
 
-    With n_active == n_clients that is every id, returned without a draw from rng.
+    With n_active == n_clients that is every id, returned without a draw from rng
+    (a sorted permutation of all C ids was the same ids), so an N == C run's
+    checkpoints keep the stream at its seeded state, and older ones, whose
+    stream had advanced, resume to the same results.
     """
     if not 1 <= n_active <= n_clients:
         raise ValueError(f"cannot pick {n_active} of {n_clients} clients")
@@ -182,10 +183,9 @@ class Simulation:
     sample count when aggregation is weighted, else None.
 
     With record=False a round neither evaluates nor keeps a RoundRecord, and
-    step() returns None; it is for callers that read only the models: a paired
-    stability run, one simulation of a DatasetProblem.side_by_side pair that
-    trains both sides in one block. Such a round still refuses a non-finite new
-    global model or participant row with DivergedError.
+    step() returns None, for callers that read only the models (a paired
+    stability run); such a round still refuses a non-finite new global model
+    or participant row with DivergedError.
     """
 
     def __init__(
@@ -228,6 +228,7 @@ class Simulation:
         self.client_aux = {k: np.tile(v, (c, 1)) for k, v in strat.init_client_aux(spec, dim).items()}
         self.client_rngs: list[np.random.Generator | None] = [None] * c
         self.records: list[RoundRecord] = []
+        self.config_hash = None  # stamped into checkpoints (artifacts.save_checkpoint)
         # (record, its JSON text) for records[:len], kept by artifacts.save_checkpoint
         self.record_texts: list[tuple[RoundRecord, str]] = []
         self.agg_weights = None
@@ -281,17 +282,15 @@ class Simulation:
         self.last_local[ids] = w_end
 
     def _checked_metrics(self) -> tuple[dict, float]:
-        """Evaluation of the global model and the divergence, refused when not finite.
-
-        The overflow of a diverging run is reported by the DivergedError, so
-        NumPy's warnings about it are silenced here.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            metrics = self.problem.eval_metrics(self.server.global_params)
-            div = self.current_divergence()
+        """Evaluation of the global model and the divergence, refused when not finite."""
+        metrics = self.problem.eval_metrics(self.server.global_params)
+        div = self.current_divergence()
         _check_finite(self.server.round, {**metrics, "divergence": div})
         return metrics, div
 
+    # a round or summary that meets a non-finite value is refused with DivergedError,
+    # which reports the overflow, so NumPy's warnings about it are silenced
+    @np.errstate(all="ignore")
     def step(self) -> RoundRecord | None:
         t = self.server.round
         eta = self.hp.lr_at(t)
@@ -352,6 +351,7 @@ class Simulation:
                 artifacts.save_checkpoint(checkpoint_path, self)
         return RunResult(records=self.records, summary=self.build_summary(), sim=self)
 
+    @np.errstate(all="ignore")  # as in step
     def build_summary(self) -> dict:
         final_metrics, div = self._checked_metrics()
         out = {

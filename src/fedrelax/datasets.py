@@ -57,6 +57,7 @@ def sample_blobs(centers: np.ndarray, n_samples: int, rng: np.random.Generator,
     return Dataset(x[order], y[order])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a DatasetProblem refuses non-finite samples
 def make_blobs(
     n_samples: int,
     n_features: int,
@@ -74,6 +75,8 @@ def make_blobs(
     """
     if n_classes < 2:
         raise ValueError("need at least two classes")
+    if n_features < 1:
+        raise ValueError("need at least one feature")
     centers = blob_centers(n_classes, n_features, separation, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB10B, 1)))
     train = sample_blobs(centers, n_samples, rng, cluster_std)
@@ -186,7 +189,7 @@ def dirichlet_partition(
     Without replacement each class's indices are split across clients
     proportionally to the normalized client weights for that class, so the
     assignment is a disjoint cover of the dataset. Plans that leave any client
-    empty are redrawn, up to _PARTITION_DRAWS draws in all; then an error is raised.
+    empty are redrawn, up to _PARTITION_DRAWS draws in all; then ValueError is raised.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or len(labels) == 0:
@@ -200,9 +203,10 @@ def dirichlet_partition(
         assignments, props = _draw_partition(labels, n_clients, concentration, rng, with_replacement)
         if all(len(a) > 0 for a in assignments):
             return PartitionPlan(assignments, props, concentration, seed, with_replacement, labels)
-    raise RuntimeError(
-        f"dirichlet_partition left a client with no samples after {_PARTITION_DRAWS} attempts; "
-        "increase the dataset size, the concentration, or reduce the client count"
+    raise ValueError(
+        f"dirichlet_partition left a client with no samples after {_PARTITION_DRAWS} attempts "
+        f"(n_samples={len(labels)}, n_clients={n_clients}, concentration={concentration}); "
+        "increase n_samples or concentration, or lower n_clients"
     )
 
 
@@ -211,6 +215,7 @@ def shard_dataset(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
     return [dataset.subset(idx) for idx in plan.assignments]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_category_bias(dataset: Dataset, shift_sigma: float, seed: int = 0) -> Dataset:
     """Add a per-class scalar shift ~ N(0, shift_sigma^2) to all features of that class.
 
@@ -227,6 +232,7 @@ def apply_category_bias(dataset: Dataset, shift_sigma: float, seed: int = 0) -> 
     return Dataset(x, dataset.y.copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_client_bias(shards: list[Dataset], scale_sigma: float, seed: int = 0) -> list[Dataset]:
     """Multiply each client's features by a per-client scale vector ~ N(1, scale_sigma^2).
 

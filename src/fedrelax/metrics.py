@@ -40,10 +40,6 @@ class RoundRecord:
     def to_dict(self) -> dict:
         return dict(self.__dict__)  # every field is a scalar, so a shallow copy suffices
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoundRecord":
-        return cls(**d)
-
 
 # the record columns a run stops on when they are not finite (core raises
 # DivergedError); the other float columns may hold an infinity or NaN the run

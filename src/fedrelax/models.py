@@ -1,43 +1,41 @@
 """Model parameterizations over flat float64 vectors.
 
-Every model exposes the same small surface: ``dim`` (parameter count),
-``loss(w, batch)``, ``grad(w, batch)``, and for classifiers ``predict``.
-Dataset models also have ``evaluate(w, batch, weights)``, which serves
-evaluation with one forward pass (per-sample losses and predictions) and,
-when sample weights are given, one backward pass (the gradient of the
-weighted loss sum). Parameters are always 1-D ``float64`` arrays; nothing in
-the engine ever reshapes them except inside a model's own forward pass.
+Every model exposes ``dim`` (parameter count), ``loss(w, batch)``,
+``grad(w, batch)`` and, for classifiers, ``predict``. Dataset models also
+have ``evaluate(w, batch, weights)``: one forward pass (per-sample losses and
+predictions) and, given sample weights, one backward pass (the gradient of
+the weighted loss sum). Parameters are always 1-D ``float64`` arrays; only a
+model's own forward pass reshapes them.
 
 Dataset models train through one gradient, ``block_grad(w, block)``: the
 (N, d) block w of models, each row with its own mini-batch, over a ``Block``
 that holds the samples of all rows gathered in one buffer, in row order;
-each stretch of consecutive rows with equal batch length is a run. A local
-step gathers its rows grouped by batch length (problems.DatasetProblem), so
-it has one run per distinct length. Element-wise work (activations, the
-MLP's bias adds, softmax, residuals, the division by each row's batch
-length) runs once over the whole buffer; every product and batch sum runs
-once per run, as one stacked NumPy call whose slices have exactly the shapes
-of a row alone. A bias is added as a per-sample array (each row's bias
-repeated over its samples), the same additions as one add per row. Padding
-rows to a common length would change the products' shapes, and OpenBLAS
-rounds a product differently when its row count changes; a bias-gradient sum
-over all runs at once (np.add.reduceat) adds in another order. So each row of
-a block rounds exactly as that row alone, and ``grad(w, batch)`` is the block
-gradient of a one-row block.
+each stretch of consecutive rows with equal batch length is a run.
+Element-wise work (activations, bias adds, softmax, residuals, the division
+by each row's batch length) runs once over the whole buffer; every product
+and batch sum runs once per run, as one stacked NumPy call whose slices have
+exactly the shapes of a row alone, and a bias is added as a per-sample array
+(each row's bias repeated over its samples). Padding rows to a common length
+would change the products' shapes, which OpenBLAS rounds differently, and a
+bias-gradient sum over all runs at once (np.add.reduceat) would add in
+another order. So each row of a block rounds exactly as that row alone, and
+``grad(w, batch)`` is the block gradient of a one-row block.
 
-``bind(block, width)`` is that gradient bound to one Block (a BlockGrad): made
-on the block's first gradient call and kept on it, it holds an input buffer
-for the rows' parameters, an output buffer, the model's per-sample work
-buffers (the MLP's activations, logits, softmax and back-propagated errors; a
-linear model's margins and residuals) and, per run, the views of those that
-the run's products read and write. A call copies the rows in, runs on those
-views and returns a new array, so a Block that serves K steps, or a kept
-Block that a later step refills, builds no view per call. The buffers are
-the Block's own or, for the Blocks of local steps, views of one Arena that
-the problem's Blocks share. MLP evaluation runs in the buffers of the batch's
-one-row Block, which each Batch keeps, so evaluating the same set every round
-allocates them once. Losses, predictions and gradients are always new arrays,
-never views of those buffers or of one another.
+A Block holds samples only. ``bind(block, width)`` is the model's gradient
+bound to one Block (a BlockGrad), made on the first call and kept on the
+block, with all the model derives from the samples: input and output buffers
+for the rows' parameters, per-sample work buffers and targets (a linear
+model's float targets, margins and residuals; the MLP's activations, logits,
+softmax, errors and label index) and, per run, the views of those that the
+run's products read and write. A call copies the rows in, runs on those
+views and returns a new array; losses, predictions and gradients are never
+views of those buffers or of one another. MLP evaluation runs in the
+buffers of the one-row Block that each Batch keeps. Blocks used one at a
+time may share an Arena: per name, one buffer whose start a Block's array of
+that name views, and the views every such Block would make alike
+(Block.shared). A kept Block refilled with another step's samples
+(problems._GatheredGrads) has each bound gradient rewrite what it derived
+from them in place (BlockGrad.refill), so its views stay valid.
 """
 from __future__ import annotations
 
@@ -96,11 +94,9 @@ def as_params(w) -> np.ndarray:
 
 
 class Arena:
-    """Memory shared by Blocks that are used one at a time: per name, one
-    buffer whose start a Block's array of that name views. A Block that needs
-    more than the buffer holds gets a new, larger one; Blocks made before keep
-    the old one. shared holds views of the current buffers that every Block
-    would make alike (Block.shared); a new buffer drops them."""
+    """Buffers and views shared by Blocks used one at a time (see the module
+    docstring). A Block that needs more than a buffer holds gets a new, larger
+    one, which drops the shared views; Blocks made before keep the old one."""
 
     def __init__(self):
         self._buffers = {}
@@ -116,26 +112,14 @@ class Arena:
 
 
 class Block:
-    """Gathered samples of an (N, d) block of models, one mini-batch per row.
-
-    x (M, p) and y (M,) hold the rows' samples run by run: runs = [(k, n), ...],
-    in buffer order, says that the next k rows each own the next n samples,
-    one row after another. A block that serves many steps (full batches) or
-    evaluations (a kept Batch's block) pays for its views, length columns and
-    bound gradients once, and so do mini-batch steps: a problem keeps one Block
-    per run layout, and a later step of that layout refills the Block's x and
-    y in place (refill). Such Blocks take x, y and every buffer of their bound
-    gradients from one shared Arena, so only one of them is in use at a time.
-    A paired stability run's block holds both sides' rows of each client, of
-    equal length, so its runs have 2 rows or more
-    (problems.DatasetProblem.side_by_side).
-    """
+    """Gathered samples of an (N, d) block of models, one mini-batch per row
+    (see the module docstring). x (M, p) and y (M,) hold the rows' samples run
+    by run: runs = [(k, n), ...], in buffer order, says that the next k rows
+    each own the next n samples, one row after another."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, runs, arena: Arena | None = None):
         self.x, self.y, self.runs, self.arena = x, y, runs, arena
         self._buffers = {}
-        self._targets = None
-        self._labels = {}  # classes -> (arange(M) * classes, the label index)
         # per run: its row slice, and its (start, stop, k, n) in the sample buffer
         rows, self._cuts, r, s = [], [], 0, 0
         for k, n in runs:
@@ -146,16 +130,13 @@ class Block:
         self.parts = list(zip(rows, self.split(x)))
 
     def refill(self, x: np.ndarray, y: np.ndarray, take: np.ndarray) -> None:
-        """Gather x[take] and y[take] into this block's x and y: another step's
-        samples in the same runs. Views and buffers stay; the float targets and
-        label index, where made, are rewritten in place from the new y."""
+        """Gather x[take] and y[take] into this block's x and y, another step's
+        samples in the same runs, and refill each bound gradient."""
         # mode="clip" writes straight into out ("raise" buffers it); every index is in range
         x.take(take, axis=0, out=self.x, mode="clip")
         y.take(take, out=self.y, mode="clip")
-        if self._targets is not None:
-            np.copyto(self._targets, self.y)
-        for base, labels in self._labels.values():
-            np.add(base, self.y, out=labels)
+        for grad in self._buffers.values():
+            grad.refill()
 
     def empty(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A work buffer over this block: new, or the arena's buffer of that name."""
@@ -167,8 +148,7 @@ class Block:
 
     def shared(self, key: tuple, make):
         """make(): arrays that depend on key alone, such as views of this block's
-        arena buffers, made once for all the arena's Blocks (a kept Block's bound
-        gradient views the same rows of w and g as another's); a Block of its own
+        arena buffers, made once for all the arena's Blocks; a Block of its own
         makes them."""
         if self.arena is None:
             return make()
@@ -185,24 +165,6 @@ class Block:
         if made is None:
             made = self._buffers[key] = kind(self, *args)
         return made
-
-    @property
-    def targets(self) -> np.ndarray:
-        """The targets as floats; they subtract as the int ones do."""
-        if self._targets is None:
-            self._targets = self.empty("targets", (len(self.y),))
-            np.copyto(self._targets, self.y)
-        return self._targets
-
-    def labels(self, classes: int) -> np.ndarray:
-        """The flat index of each sample's target in an (M, classes) array."""
-        made = self._labels.get(classes)
-        if made is None:
-            m = len(self.y)
-            base = self.shared(("labels", classes, m), lambda: np.arange(m) * classes)
-            made = self._labels[classes] = base, self.empty("labels", base.shape, np.int64)
-            np.add(base, self.y, out=made[1])
-        return made[1]
 
     @cached_property
     def row_counts(self) -> np.ndarray:
@@ -221,18 +183,10 @@ class Block:
 
 
 class BlockGrad:
-    """A dataset model's block gradient over one Block, its operands bound once.
-
-    The model's bind(block, width) makes it on the block's first gradient call
-    and keeps it there (Block.buffers). It holds an input buffer w and an
-    output buffer g, each (R, d) for the block's R rows of models, and per run
-    the views of w, g and the model's work buffers that the run's products
-    read and write. Its rows of width parameters hold sides = width / d models
-    side by side: row j is the models of the block's rows j sides to
-    j sides + sides - 1. A call copies the rows in (or gathers them in a given
-    order), runs the model's work on those views and returns a new array: the
-    gradient never aliases w, g, a work buffer or another gradient.
-    """
+    """A dataset model's block gradient over one Block, its operands bound once
+    (see the module docstring). w and g are (R, d) for the block's R rows of
+    models; a row of width parameters holds sides = width / d models side by
+    side, the block's rows j sides to j sides + sides - 1."""
 
     def __init__(self, block: Block, dim: int, width: int):
         rows = len(block.row_counts)
@@ -252,36 +206,21 @@ class BlockGrad:
         np.take(w, order, axis=0, out=self.w_rows, mode="clip")
         return self.run()[inverse]
 
+    def refill(self) -> None:
+        """Rewrite what the gradient derived from the block's samples, after Block.refill."""
+
     def run(self) -> np.ndarray:
         """The gradient at the parameters in w, as a new (R / sides, width) array."""
         raise NotImplementedError
 
 
-def _row_max(z: np.ndarray, out: np.ndarray) -> None:
-    """The max of each row of the (M, m) array z, into the (M, 1) array out.
-
-    It is taken column by column, which beats NumPy's short-axis reduction
-    max(axis=1) on many rows. Both are exact (a row holding NaN has a NaN max
-    either way); they can differ only in the sign of a max where +0 and -0
-    tie, and such a row's exp-sum in a log-softmax is at least 2, so every
-    log-probability comes out the same.
-    """
-    c = out[:, 0]
-    np.copyto(c, z[:, 0])
-    for j in range(1, z.shape[1]):
-        np.maximum(c, z[:, j], out=c)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))  # stable for large |z|
-
-
-def _sigmoid_in_place(z: np.ndarray) -> None:
-    """z = _sigmoid(z), by the same operations in the same order, in z's buffer."""
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """z = 0.5 (1 + tanh(z / 2)), stable for large |z|, in z's buffer; returns z."""
     z *= 0.5
     np.tanh(z, out=z)
     z += 1.0
     z *= 0.5
+    return z
 
 
 class QuadraticModel:
@@ -335,18 +274,20 @@ class _BlockGradModel:
         """The gradient over the batch: the block gradient of its one-row Block."""
         return self.block_grad(w[None], batch.block)[0]
 
+    def loss(self, w: np.ndarray, batch: Batch) -> float:
+        return float(np.mean(self.evaluate(w, batch).losses))
+
 
 class _GLMGrad(BlockGrad):
-    """Rows x_j^T (link(x_j w_j) - y_j) / n_j of a linear model's block.
-
-    The model's link applies the link function in place (None: identity);
-    margins and residuals live in an (M,) buffer z, the gradient in the final
-    division's new array.
-    """
+    """Rows x_j^T (link(x_j w_j) - y_j) / n_j of a linear model's block. The
+    model's link applies the link function in place (None: identity); margins
+    and residuals live in an (M,) buffer z."""
 
     def __init__(self, block: Block, model, width: int):
         super().__init__(block, model.dim, width)
-        self.link, self.targets = model.link, block.targets
+        self.link, self.y = model.link, block.y
+        self.targets = block.empty("targets", self.y.shape)
+        self.refill()
         # each parameter's divisor, its row's batch length, laid out as the result
         self.row_n = np.repeat(block.row_n, self.w.shape[1], axis=1).reshape(self.shape)
         self.z = block.empty("z", (len(block.x),))
@@ -369,31 +310,35 @@ class _GLMGrad(BlockGrad):
             np.matmul(xt, rs, out=g)
         return np.divide(self.g_rows, self.row_n)
 
+    def refill(self) -> None:
+        np.copyto(self.targets, self.y)  # as floats: they subtract as the int ones do
 
-class LinearRegression(_BlockGradModel):
+
+class _GLM(_BlockGradModel):
+    """A linear model x . w without intercept, trained through _GLMGrad with the subclass's link."""
+
+    _bound = _GLMGrad
+
+    def __init__(self, n_features: int):
+        self.n_features = self.dim = n_features
+
+    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        return np.zeros(self.dim)
+
+
+class LinearRegression(_GLM):
     """f(w) = 0.5 * mean_j (x_j . w - y_j)^2, no intercept."""
 
     kind = "linear-regression"
-    _bound, link = _GLMGrad, None
-
-    def __init__(self, n_features: int):
-        self.n_features = n_features
-        self.dim = n_features
-
-    def loss(self, w: np.ndarray, batch: Batch) -> float:
-        r = batch.x @ w - batch.y
-        return 0.5 * float(np.mean(r * r))
+    link = None
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         r = batch.x @ w - batch.y
         grad = None if weights is None else batch.x.T @ (weights * r)
         return Evaluation(0.5 * r * r, grad, None)
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        return np.zeros(self.dim)
 
-
-class LogisticRegression(_BlockGradModel):
+class LogisticRegression(_GLM):
     """Binary logistic regression with labels in {0, 1}, no intercept.
 
     Loss is the balanced form: at w = 0 every sample contributes ln 2 and the
@@ -401,38 +346,25 @@ class LogisticRegression(_BlockGradModel):
     """
 
     kind = "logistic-regression"
-    _bound, link = _GLMGrad, staticmethod(_sigmoid_in_place)
-
-    def __init__(self, n_features: int):
-        self.n_features = n_features
-        self.dim = n_features
-
-    def loss(self, w: np.ndarray, batch: Batch) -> float:
-        return float(np.mean(self.evaluate(w, batch).losses))
+    link = staticmethod(_sigmoid_in_place)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         z = batch.x @ w
         # log(1 + e^-|z|) + max(z, 0) - z*y is the overflow-safe cross entropy
         losses = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - z * batch.y
-        grad = None if weights is None else batch.x.T @ (weights * (_sigmoid(z) - batch.y))
+        grad = None if weights is None else batch.x.T @ (weights * (_sigmoid_in_place(z.copy()) - batch.y))
         return Evaluation(losses, grad, (z >= 0.0).astype(np.int64))
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (x @ w >= 0.0).astype(np.int64)
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        return np.zeros(self.dim)
-
 
 class _MLPGrad(BlockGrad):
-    """An MLP's block gradient over one Block (see BlockGrad), and the work
-    buffers its evaluation runs in: hidden activations a1 and their
-    back-propagated errors dz (M, hidden), logits (then log-probabilities) and
-    softmax errors dl (M, classes), and one (M, 1) column for the row max,
-    then the log of the row sum. Per run, the stacks that each layer's
-    products read and write, views of those buffers and of w and g, are made
-    once; a bias is added as a per-sample array (each row's bias repeated over
-    its samples), the same additions as one add per row."""
+    """An MLP's block gradient over one Block, and the buffers its evaluation
+    runs in: hidden activations a1 and their back-propagated errors dz
+    (M, hidden), logits (then log-probabilities) and softmax errors dl
+    (M, classes), an (M, 1) column for the row max, then the log of the row
+    sum, and the flat index of each sample's label in the logits."""
 
     def __init__(self, block: Block, model: MLPClassifier, width: int):
         super().__init__(block, model.dim, width)
@@ -440,7 +372,14 @@ class _MLPGrad(BlockGrad):
         self.a1, self.dz = block.empty("a1", (m, hidden)), block.empty("dz", (m, hidden))
         self.logits, self.dl = block.empty("logits", (m, n_classes)), block.empty("dl", (m, n_classes))
         self.col = block.empty("col", (m, 1))
-        self.labels, self.dl_flat = block.labels(n_classes), self.dl.reshape(-1)
+        self.base = block.shared(("labels", n_classes, m), lambda: np.arange(m) * n_classes)
+        self.labels, self.y = block.empty("labels", (m,), np.int64), block.y
+        self.refill()
+        self.dl_flat = self.dl.reshape(-1)
+        # the row max's column, the first logit column and the others as the rows of one
+        # view: a list of their views, kept, would cost more memory than it saves time
+        self.max_views = block.shared(("columns", n_classes, m), lambda: (
+            self.col[:, 0], self.logits[:, 0], self.logits.T[1:]))
         self.counts, self.sample_n = block.row_counts, block.sample_n
         w1, self.b1, w2, self.b2 = model.unpack(self.w)
         dw1, db1, dw2, db2 = model.unpack(self.g)
@@ -455,6 +394,9 @@ class _MLPGrad(BlockGrad):
             self.back2.append((dl, w2_r, dz, dl.transpose(0, 2, 1), a, dw2_r, db2_r))
             self.back1.append((dz.transpose(0, 2, 1), xs, dw1_r, dz, db1_r))
 
+    def refill(self) -> None:
+        np.add(self.base, self.y, out=self.labels)
+
     def forward(self) -> None:
         """The hidden activations and logits of the models in w."""
         for xs, w1t, a in self.layer1:
@@ -464,6 +406,26 @@ class _MLPGrad(BlockGrad):
         for a, w2t, z in self.layer2:
             np.matmul(a, w2t, out=z)
         self.logits += self.b2.repeat(self.counts, axis=0)
+
+    def log_softmax(self) -> None:
+        """Logits to log-probabilities, in the logits buffer.
+
+        The row max is taken column by column, which beats NumPy's short-axis
+        reduction max(axis=1) on many rows. Both are exact (a row holding NaN
+        has a NaN max either way); they can differ only in the sign of a max
+        where +0 and -0 tie, and such a row's exp-sum is at least 2, so every
+        log-probability comes out the same.
+        """
+        z, col = self.logits, self.col
+        c, first, rest = self.max_views
+        np.copyto(c, first)
+        for zj in rest:
+            np.maximum(c, zj, out=c)
+        z -= col
+        np.exp(z, out=self.dl)
+        self.dl.sum(axis=1, keepdims=True, out=col)
+        np.log(col, out=col)
+        z -= col
 
     def dlogits(self) -> None:
         """Softmax minus one-hot labels, per sample, from the log-probabilities, in dl."""
@@ -487,7 +449,7 @@ class _MLPGrad(BlockGrad):
 
     def run(self) -> np.ndarray:
         self.forward()
-        MLPClassifier._log_softmax(self)
+        self.log_softmax()
         self.dlogits()
         self.dl /= self.sample_n
         self.backward()
@@ -525,20 +487,6 @@ class MLPClassifier(_BlockGradModel):
         b2 = w[..., o:o + m]
         return w1, b1, w2, b2
 
-    @staticmethod
-    def _log_softmax(buf: _MLPGrad) -> None:
-        """Logits to log-probabilities, in the logits buffer."""
-        z, col = buf.logits, buf.col
-        _row_max(z, col)
-        z -= col
-        np.exp(z, out=buf.dl)
-        buf.dl.sum(axis=1, keepdims=True, out=col)
-        np.log(col, out=col)
-        z -= col
-
-    def loss(self, w: np.ndarray, batch: Batch) -> float:
-        return float(np.mean(self.evaluate(w, batch).losses))
-
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
         """Per-sample losses, predictions and (with weights) the gradient, as new arrays;
         the work runs in the buffers of the batch's Block."""
@@ -546,7 +494,7 @@ class MLPClassifier(_BlockGradModel):
         np.copyto(buf.w, w)
         buf.forward()
         pred = buf.logits.argmax(axis=1).astype(np.int64, copy=False)
-        self._log_softmax(buf)
+        buf.log_softmax()
         losses = -buf.logits.take(buf.labels)
         grad = None
         if weights is not None:

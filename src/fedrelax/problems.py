@@ -20,14 +20,9 @@ Two concrete kinds:
   client's mini-batches are a stream of pooled row indices, drawn without
   replacement within an epoch and reshuffled each epoch from the client's own
   random stream; batch_size None (or >= shard) means full batch and consumes
-  no randomness.  A local step gathers the participants' batches, its rows
-  grouped by batch length, with one fancy index into the pooled buffer (a
-  pass of full batches gathers once; one over every client trains on the
-  pooled buffer itself, gathering nothing), into a Block the problem keeps
-  for that run layout, and its function is the model's gradient bound to
-  that Block (models.BlockGrad), whose views are made once per Block, not
-  per call; so a step's gradient is valid until the next step of any of the
-  problem's passes is drawn. Each call returns a new array.  For
+  no randomness.  A local step's function is the model's gradient bound to a
+  Block of the participants' gathered batches (models.BlockGrad; which Blocks
+  are kept and how long a step's function is valid: _GatheredGrads).  For
   evaluation the pooled samples carry weights 1/(C n_i) for a sample of
   client i, so that the weighted sum of per-sample losses is the unweighted
   mean of client means.  One forward and one backward pass over the pooled
@@ -36,9 +31,8 @@ Two concrete kinds:
   accuracy.
 
 A problem's sides is the number of models side by side in each row: 1, or 2
-for the pair that DatasetProblem.side_by_side builds for a paired stability
-run. It is read only by FedSAM's per-model ascent radius. A pair trains but
-does not evaluate: its evaluation methods raise ValueError.
+for DatasetProblem.side_by_side's pair; only FedSAM's per-model ascent radius
+reads it.
 """
 from __future__ import annotations
 
@@ -141,9 +135,7 @@ def _index_batches(starts: np.ndarray, n: int, rng, batch_size):
             yield perm[:, s:s + batch_size].ravel()
 
 
-# Blocks and row-length sorts a problem keeps; on mlp-noniid a job meets 100-130
-# run layouts and 100-180 tuples of row lengths, and a kept Block's views, length
-# columns and bound gradient's views take ~19 KB, its samples and buffers none (see Arena)
+# Blocks and row-length sorts a problem keeps (see _GatheredGrads)
 _BLOCKS = 128
 _PLANS = 1024
 
@@ -160,17 +152,19 @@ class _GatheredGrads:
     batches (pooled row indices), the gradient whose row j is that of the
     samples x[batches[j]].
 
-    A step's samples are gathered once into a Block with the rows ordered by
-    batch length (a stable sort), so each distinct length is one run; the
-    step's function is the Block's bound gradient (models.BlockGrad), which
-    takes the rows in that order with one gather and returns the gradient in
-    row order. The sort of each tuple of row lengths is kept, and so is one
-    Block per run layout for the first _BLOCKS layouts met: a later step of a
-    kept layout refills its Block's samples in place, and its bound gradient
-    stays. Past that, a step builds a new Block; evicting the least recently
-    used instead would thrash, as a run meets its layouts in cycles. Every
-    Block draws its samples and its bound gradient's buffers from one Arena,
-    so a step's gradient is valid only until the next step is gathered.
+    A step's samples are gathered once, with one fancy index into the pooled
+    buffer, into a Block with the rows ordered by batch length (a stable sort),
+    so each distinct length is one run; the step's function is the Block's
+    bound gradient, which takes the rows in that order with one gather and
+    returns the gradient in row order. The sort of each tuple of row lengths is
+    kept (the first _PLANS, then all are dropped), and so is one Block per run
+    layout for the first _BLOCKS layouts met: a later step of a kept layout
+    refills its Block in place (Block.refill), and its bound gradient stays.
+    Past that, a step builds a new Block; evicting the least recently used
+    instead would thrash, as a run meets its layouts in cycles. Every Block
+    draws its samples and its bound gradients' buffers from one Arena, so a
+    step's gradient is valid only until the next step of any of the problem's
+    passes is gathered.
     """
 
     def __init__(self, model, x: np.ndarray, y: np.ndarray, sides: int):
@@ -214,12 +208,9 @@ class _GatheredGrads:
 
 
 class DatasetProblem:
-    """A dataset model over per-client shards (see the module docstring).
-
-    The pooled shards and the test set are each one Batch, built on first use
-    and kept, so the model's work buffers over them (models.Block) are
-    allocated by the first evaluation and reused by every round after it.
-    """
+    """A dataset model over per-client shards (see the module docstring). The
+    pooled shards and the test set are each one Batch, kept with the buffers
+    of its Block, so every round after the first evaluates without allocating them."""
 
     def __init__(self, model, shards: list[Dataset], test: Dataset | None = None):
         if not shards:
@@ -246,7 +237,9 @@ class DatasetProblem:
         pooled buffer interleaves the shards per client (a_0, b_0, a_1, ...).
         Both sides of a client hold n_i samples and would draw from identically
         seeded generators, so one batch stream per client, over side a, serves
-        side b n_i pooled rows on. The pair trains; it does not evaluate.
+        side b n_i pooled rows on. The pair trains; it does not evaluate. The
+        problems must agree on model kind and shape, client count and every
+        shard size (ValueError otherwise).
         """
         if _model_shape(problem_a.model) != _model_shape(problem_b.model):
             raise ValueError("paired problems must have models of one kind and shape")
@@ -281,15 +274,10 @@ class DatasetProblem:
 
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
         """Block gradients of the clients ids (distinct, ascending), one function
-        per local step; row j takes its batches from client ids[j]'s shard and
-        generator (rngs maps an id to it).
-
-        Each step gathers its batches from the pooled shards once; a pass whose
-        rows are all full-batch gathers once for all its steps, and a full-batch
-        pass over every client uses the pooled buffer itself, gathering nothing.
-        A step's function is valid until the next step of any pass over this
-        problem is drawn, as the kept Blocks share their buffers (see
-        _GatheredGrads).
+        per local step (valid as _GatheredGrads says); row j takes its batches
+        from client ids[j]'s shard and generator (rngs maps an id to it). A pass
+        whose rows are all full-batch gathers once for all its steps, and one
+        over every client trains on the pooled buffer itself, gathering nothing.
         """
         full = all(_full_batch(len(self.shards[i]), batch_size) for i in ids)
         if full and len(ids) == self.n_clients:
@@ -315,14 +303,12 @@ class DatasetProblem:
     @cached_property
     def _pooled(self) -> tuple[Batch, np.ndarray]:
         """All shards as one batch, in client order (every side's in turn), built on
-        first use, with sample weights.
-
-        Sample j of client i weighs 1/(C n_i), so the weighted sum over the
-        pooled set is the unweighted mean over clients of client means.
-        """
+        first use, with the sample weights 1/(C n_i) of the module docstring."""
         c = len(self.shards)
         shards = [s for per_client in zip(*self._side_shards) for s in per_client]
         batch = Batch(np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards]))
+        if not np.isfinite(batch.x).all():
+            raise ValueError("shard features must be finite (lower the scale of the data or its biases)")
         weights = np.concatenate([np.full(len(s), 1.0 / (c * len(s))) for s in shards])
         return batch, weights
 

@@ -13,10 +13,9 @@ d x d product instead of a pass over the C clients. The quadratic is kept in
 gap form rather than expanded into w^T A_bar w - 2 ..., which would cancel away
 the small loss gaps near w* that the convergence checks look at.
 
-Drawing a family costs a QR factorization per client. make_quadratic_family
-factors the clients in stacks of STACK_BYTES of matrices, one QR and one
-product call per stack, with the draw order and every byte of a per-client
-loop; A_i = Q E Q^T needs no sign fix of Q (see its docstring).
+Drawing a family costs a QR factorization per client; make_quadratic_family
+factors the clients in stacks, with every byte of a per-client loop (see its
+docstring).
 """
 from __future__ import annotations
 

@@ -16,10 +16,6 @@ under the schedule eta_t = c/(t+1); the beta-dependence works out to an
 improvement factor of (1/(1+2 beta))^{1/(1+cKL)} at the optimal observation
 round t0.  U = sup f is reported as the max loss seen on the probe set plus a
 10% margin, never asserted.
-
-A pair trains as one simulation of a DatasetProblem.side_by_side pair, in one
-block per local step, and each side's rows round exactly as that side's run
-alone.
 """
 from __future__ import annotations
 
@@ -80,6 +76,7 @@ def replace_sample(dataset: Dataset, index: int, x_new: np.ndarray, y_new: int) 
     return Dataset(x, y)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as make_blobs
 def make_paired_blob_problems(
     *,
     n_clients: int,
@@ -169,16 +166,12 @@ def paired_run(
     hp: HyperParams,
     seed: int,
 ) -> StabilityTrace:
-    """Run the two problems in lockstep on shared random streams, as one simulation.
-
-    The pair trains as one DatasetProblem.side_by_side: its model is (w_a,
-    w_b), and each local step takes one block gradient over both sides' rows,
-    each row rounding exactly as that side's run alone. The problems must
-    agree on client count, model kind and shape, and every shard size
-    (ValueError otherwise). The trace reads only the models, so the simulation neither
-    evaluates nor records its rounds. A non-finite model, paired distance or
-    final test loss stops the run with DivergedError, which reports the
-    overflow, so NumPy's warnings about it are silenced.
+    """Run the two problems in lockstep on shared random streams, as one
+    simulation of their DatasetProblem.side_by_side pair, which neither
+    evaluates nor records its rounds: the trace reads only the models. A
+    non-finite model, paired distance or final test loss stops the run with
+    DivergedError, which reports the overflow, so NumPy's warnings about it
+    are silenced.
     """
     if hp.lr_schedule != "inverse_t":
         raise ValueError(
@@ -231,7 +224,6 @@ def stability_experiment(
 ) -> list[StabilityTrace]:
     """Paired runs for every (beta, seed), beta-major; factory(seed) -> (problem_a, problem_b, ...).
 
-    Each paired run is one simulation of a DatasetProblem.side_by_side pair.
     One pair per seed serves every beta (a run never changes its problems), and
     every beta composes RI onto the base spec, overriding its beta; beta = 0
     starts every client at w exactly, which is plain averaging bit for bit.

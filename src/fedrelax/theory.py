@@ -160,13 +160,15 @@ def estimate_problem_constants(
 
 
 def check_assumptions(theorem: int, problem, spec: StrategySpec, hp: HyperParams) -> None:
-    """Refuse a run the theorem cannot be checked on: a problem without exact
-    constants, K not uniform or below 2, more than one learning rate, noisy
-    gradients under theorems 3-4, eta above the cap, or a beta at which a
-    constant the theorem reads is undefined. Theorem 1 reads kappa_beta
-    (141 beta^2 < 1), theorem 2 also c_beta (48 beta^2 kappa_beta < 1), and
-    theorems 3-4 read gamma_beta (39 beta^2 < 1).
+    """Refuse a run the theorem cannot be checked on: invalid hyperparameters, a
+    problem without exact constants, K not uniform or below 2, more than one
+    learning rate, noisy gradients under theorems 3-4, eta above the cap or too
+    small for a finite bound, or a beta at which a constant the theorem reads
+    is undefined. Theorem 1 reads kappa_beta (141 beta^2 < 1), theorem 2 also
+    c_beta (48 beta^2 kappa_beta < 1), and theorems 3-4 read gamma_beta
+    (39 beta^2 < 1).
     """
+    hp.validate(problem.n_clients)
     if theorem not in THEOREM_LABELS:
         raise ValueError(f"theorem must be one of {sorted(THEOREM_LABELS)}, got {theorem}")
     if not isinstance(problem, QuadraticProblem):
@@ -207,6 +209,10 @@ def check_assumptions(theorem: int, problem, spec: StrategySpec, hp: HyperParams
         eta_cap, rule = 1.0 / (k * big_l), "1/(aKL)"
     if hp.eta > eta_cap * (1.0 + 1e-12):  # lr_at(0) == eta, the one learning rate
         raise TheoryAssumptionError(f"eta={hp.eta} violates the admissibility eta <= {rule} = {eta_cap:.6g}")
+    span = LAMBDA_GRID[0] * hp.eta * k * hp.rounds  # the smallest divisor of the bound's terms
+    if span == 0.0 or math.isinf(1.0 / span):
+        raise TheoryAssumptionError(f"lr={hp.eta} is too small: the bound divides by lam*eta*K*T = "
+                                    f"{span:.6g} at lam={LAMBDA_GRID[0]}, which has no finite reciprocal")
 
 
 def verify_convergence_bound(

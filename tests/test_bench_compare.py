@@ -32,6 +32,8 @@ def test_one_tiny_pair_on_this_tree(tmp_path):
     assert report["order"] == ["parent", "change"]
     lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sorted((ROOT / "src").rglob("*.py")))
     assert report["src_lines"] == {"parent": lines, "change": lines}
+    kinds = _tool().line_kinds(ROOT / "src" / "fedrelax")
+    assert report["src_line_kinds"] == {"parent": kinds, "change": kinds} and sum(kinds.values()) == lines
     assert {"nproc", "python", "numpy", "blas", "blas_threads"} <= set(report["environment"])
     assert list(report["metrics"]) == [m["name"] for m in CONTRACT["end_to_end"]]
     for metric in CONTRACT["end_to_end"]:
@@ -66,3 +68,24 @@ def test_a_failed_run_exits_1_and_writes_nothing(tmp_path):
     assert proc.returncode == 1
     assert "pair 0: the parent run failed" in proc.stderr
     assert not out.exists()
+
+
+def test_line_kinds_split_a_fixed_package(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text('''"""Module docstring,
+on two lines."""
+
+# a comment
+x = 1  # a trailing comment is code
+
+
+def f():
+    """One line."""
+    s = """not a docstring:
+    a string on two lines"""
+    return s
+''', encoding="utf-8")
+    (package / "b.py").write_text("class C:\n    '''Doc.'''\n\n    y = 2\n", encoding="utf-8")
+    (package / "skipped.txt").write_text("# not Python\n", encoding="utf-8")
+    assert _tool().line_kinds(package) == {"docstring": 4, "comment": 1, "blank": 4, "code": 7}

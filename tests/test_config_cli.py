@@ -1,12 +1,20 @@
 """Config schema validation, hashing, builders, and the CLI end to end."""
+import contextlib
 import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrelax.cli import _effective_jobs, _effective_out, build_parser, main
 from fedrelax.config import (
@@ -700,6 +708,56 @@ def test_cli_refuses_configs_that_would_change_nothing(tmp_path, mode, key, cfg)
     assert r.returncode == 2, r.stdout
     assert key in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+# configs that once ended in a traceback (exit 1): each is refused by the keys at fault
+CRASH_CASES = [
+    *(pytest.param(mode, {"problem": "blobs", "n_samples": 3, "n_clients": 4},
+                   ("n_samples", "n_clients", "concentration"), id=f"{mode}-partition")
+      for mode in ("run", "stability", "partition-report")),
+    pytest.param("verify-bounds", {**_QUAD_SMALL, "n_active": 0}, ("n_active",), id="n_active-0"),
+    pytest.param("verify-bounds", {**_QUAD_SMALL, "lr_decay": 1e308}, ("lr_decay",), id="lr_decay-1e308"),
+    *(pytest.param("verify-bounds", {**_QUAD_SMALL, "lr": lr}, ("lr",), id=f"lr-{lr}")
+      for lr in (5e-324, 1e-320, 1e-310)),
+]
+
+
+@pytest.mark.parametrize("mode,cfg,keys", CRASH_CASES)
+def test_config_reachable_failures_exit_2_naming_the_keys(tmp_path, capsys, mode, cfg, keys):
+    out = tmp_path / "o"
+    assert main([mode, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and all(re.search(rf"\b{k}\b", line) for k in keys), line
+    assert not out.exists()
+
+
+_TINY_BLOBS = {"problem": "blobs", "n_clients": 3, "n_samples": 40, "n_features": 2, "n_test": 10,
+               "hidden": 2, "rounds": 2, "local_iters": 2}
+FUZZ_BASES = [("run", _QUAD_SMALL), ("run", _TINY_BLOBS), ("run", {**_TINY_BLOBS, "model": "mlp", "batch_size": 4}),
+              ("verify-bounds", {**_QUAD_SMALL, "lr": 0.05}), ("stability", {**_TINY_BLOBS, "stability_seeds": 1}),
+              ("partition-report", _TINY_BLOBS)]
+# no huge integers: a huge rounds runs for ever and a huge size allocates without bound
+FUZZ_VALUES = (0, -1, 1, 0.0, -1.0, 1e308, 1e-320, 5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(FUZZ_BASES), keys=st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1, max_size=2,
+                                                       unique=True),
+       values=st.lists(st.sampled_from(FUZZ_VALUES), min_size=2, max_size=2))
+def test_config_fuzz_exits_with_a_code_and_at_most_an_error_line(base, keys, values):
+    # one or two keys set to edge values: the CLI succeeds (0; 3 where a checked bound
+    # fails), refuses (2, writing nothing) or reports divergence (4), and prints nothing
+    # to stderr but its error line: no traceback, no NumPy warning
+    mode, cfg = base[0], {**base[1], **dict(zip(keys, values))}
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err, out = io.StringIO(), os.path.join(d, "o")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([mode, "--config", write_cfg(Path(d), cfg), "--out", out])
+        assert code in ((0, 2, 3, 4) if mode == "verify-bounds" else (0, 2, 4)), cfg
+        assert all(line.startswith("error: ") for line in err.getvalue().splitlines()), err.getvalue()
+        assert not [str(w.message) for w in caught], cfg
+        assert code != 2 or not os.path.exists(out), cfg
 
 
 @pytest.mark.parametrize("mode,problem", [("run", "quadratic"), ("sweep", "quadratic"),

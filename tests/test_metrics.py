@@ -173,4 +173,4 @@ def test_rounds_csv_deterministic():
 
 def test_round_record_round_trips_via_dict():
     rec = _record(2)
-    assert RoundRecord.from_dict(rec.to_dict()) == rec
+    assert RoundRecord(**rec.to_dict()) == rec

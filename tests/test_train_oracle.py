@@ -482,6 +482,26 @@ def test_refilled_block_matches_a_fresh_one(model, in_arena):
     assert same_as_fresh(second)
 
 
+@settings(max_examples=50, deadline=None)
+@given(p=st.integers(1, 4), hidden=st.integers(1, 5), seed=st.integers(0, 2**16),
+       runs=st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 5, 8])), min_size=1, max_size=3))
+def test_refill_reaches_every_bound_gradient_of_a_block(p, hidden, seed, runs):
+    # one arena Block bound by two models, refilled with new labels: the MLP's label
+    # index and the logistic model's float targets must both follow
+    rng = np.random.default_rng(seed)
+    models = [MLPClassifier(p, hidden, 2), LogisticRegression(p)]
+    m, rows = sum(k * n for k, n in runs), sum(k for k, _ in runs)
+    x, y, take = rng.normal(size=(40, p)), rng.integers(2, size=40), rng.integers(40, size=m)
+    arena = Arena()
+    kept = Block(arena.empty("x", (m, p)), arena.empty("y", (m,), y.dtype), runs, arena)
+    ws = [rng.normal(size=(rows, model.dim)) for model in models]
+    for labels in (y, 1 - y):  # the second refill changes every label
+        kept.refill(x, labels, take)
+        fresh = Block(x[take], labels[take], runs)
+        for model, w in zip(models, ws):
+            assert model.block_grad(w, kept).tobytes() == model.block_grad(w, fresh).tobytes()
+
+
 @st.composite
 def bound_gradient_steps(draw):
     """A model, models per row (sides), a run layout and steps over one kept Block: per

@@ -14,13 +14,17 @@ It writes ``BENCH_<workload>.json`` in the working directory, or the file
 ``BENCHMARK.json`` it holds each side's runs, median and interquartile range,
 the change of the median in percent, and the pairs the change won: better in
 the direction that ``BENCHMARK.json`` gives, ties not counted. It also holds
-the run order, the environment ``bench/run.py`` reports and the ``src/`` line
-count of both roots. A run that exits non-zero or reports a failed job stops
-the tool with exit code 1 and writes no file.
+the run order, the environment ``bench/run.py`` reports, and for both roots
+the ``src/`` line count and the split of ``src/fedrelax/*.py`` into
+docstring, comment, blank and code lines (``line_kinds``), so that a change
+that deletes code reads apart from one that deletes comments. A run that
+exits non-zero or reports a failed job stops the tool with exit code 1 and
+writes no file.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -52,6 +56,25 @@ def run_once(root: Path, args) -> tuple[dict | None, dict, str]:
     report = root / ".bench-out" / f"{args.workload}.trace0.json"
     environment = json.loads(report.read_text(encoding="utf-8"))["environment"]
     return {name: m["value"] for name, m in result["metrics"].items()}, environment, proc.stderr
+
+
+def line_kinds(package: Path) -> dict:
+    """Docstring, comment, blank and code lines of package/*.py: a docstring spans
+    its string's lines (ast), a comment line holds only a comment, and a code
+    line is any other line that is not blank."""
+    counts = dict.fromkeys(("docstring", "comment", "blank", "code"), 0)
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for i, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            kind = "docstring" if i in docs else "blank" if not line else "comment" if line[0] == "#" else "code"
+            counts[kind] += 1
+    return counts
 
 
 def side_summary(values: list[float]) -> dict:
@@ -113,6 +136,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds, "pairs": args.pairs, "order": order,
         "environment": {k: v for k, v in environments["change"].items() if k != "src_lines"},
         "src_lines": {side: environments[side]["src_lines"] for side in SIDES},
+        "src_line_kinds": {side: line_kinds(roots[side] / "src" / "fedrelax") for side in SIDES},
         "metrics": table,
     }
     out = args.out or Path(f"BENCH_{args.workload}.json")
