@@ -211,6 +211,9 @@ def cmd_stability(args, cfg: dict, h: str, out_dir: str) -> int:
 
 
 def cmd_partition_report(args, cfg: dict, h: str, out_dir: str) -> int:
+    # refuse what no run of this config could start (--allow-negative-beta aside)
+    build_strategy(cfg, allow_negative_beta=True)
+    build_hp(cfg)
     _, plan = build_problem(cfg)
     stats = partition_statistics(plan)
     path = _write_report(out_dir, "partition_report.json", cfg, h, stats)

@@ -205,6 +205,9 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
         raise ConfigError("logistic-regression needs n_classes=2; use model='mlp' for more classes")
     if cfg["concentration"] <= 0.0:
         raise ConfigError(f"concentration must be positive, got {cfg['concentration']}")
+    for k in ("n_test", "client_bias_sigma", "category_bias_sigma"):
+        if cfg[k] < 0:
+            raise ConfigError(f"config key {k!r} must be >= 0, got {cfg[k]}")
     if cfg["jobs"] is not None and cfg["jobs"] < 1:
         raise ConfigError(f"config key 'jobs' must be >= 1, got {cfg['jobs']}")
     if cfg["checkpoint_every"] < 0:
@@ -268,7 +271,8 @@ def build_strategy(cfg: dict, *, allow_negative_beta: bool = False):
 
 
 def build_hp(cfg: dict) -> HyperParams:
-    return HyperParams(
+    """The run's HyperParams, validated as Simulation validates them."""
+    hp = HyperParams(
         eta=cfg["lr"],
         rounds=cfg["rounds"],
         n_active=cfg["n_active"],
@@ -279,6 +283,8 @@ def build_hp(cfg: dict) -> HyperParams:
         lr_decay=cfg["lr_decay"],
         weighted_aggregation=cfg["weighted_aggregation"],
     )
+    hp.validate(cfg["n_clients"])
+    return hp
 
 
 def _build_model(cfg: dict, n_features: int, n_classes: int):

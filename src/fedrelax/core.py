@@ -1,25 +1,28 @@
 """The federated round engine.
 
-One round: sample N of C clients and train them together as one (N, d)
-block. Each participant starts at w + beta * (w - last_local) (beta = 0
-without relaxed init), every local step updates all rows at once with the
-strategy's rule, and the block's end models and strategy state are written
-back into the participants' rows of the population matrices (last_local,
-client_aux); non-participants' rows stay as they were. Under local_epochs the
-participants are trained in one block per step count. The server then
+One round: sample N of C clients and train them in (n, d) blocks of
+participants: one group under local_iters, one per step count under
+local_epochs, each group's ascending ids cut into near-equal consecutive
+blocks of at most problem.block_rows rows (None: no cut). A block runs all its
+local steps before the next block starts. Each participant starts at
+w + beta * (w - last_local) (beta = 0 without relaxed init), every local step
+updates all rows of the block at once with the strategy's rule, and the
+block's end models and strategy state are written back into the
+participants' rows of the population matrices (last_local, client_aux);
+non-participants' rows stay as they were. After the last block the server
 averages the participants' last_local rows, summed row by row in ascending
 client id, and applies the strategy's server rule to that mean and to the
 participants' aux change.
 
-Determinism contract: all arithmetic is float64 and row-wise, so a row of the
-block rounds exactly as that client trained alone; every client owns a
-private generator seeded from (seed, client id) that only advances when that
-client trains. The generator is created the first time the client's row
-draws from it; until then the stream sits at its seeded start, so creating it
-later changes no draw. Client sampling uses its own server stream, which
-feeds nothing else, and a round with N == C draws nothing from it (see
-sample_clients). Aggregation order is always ascending id, so reruns are
-bit-for-bit reproducible.
+Determinism contract: all arithmetic is float64 and row-wise, so a row of a
+block rounds exactly as that client trained alone, whatever else the block
+holds; every client owns a private generator seeded from (seed, client id)
+that only advances when that client trains. The generator is created the
+first time the client's row draws from it; until then the stream sits at its
+seeded start, so creating it later changes no draw. Client sampling uses its
+own server stream, which feeds nothing else, and a round with N == C draws
+nothing from it (see sample_clients). Aggregation order is always ascending
+id, so reruns are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -64,9 +67,9 @@ class HyperParams:
 
     def validate(self, n_clients: int) -> None:
         if self.eta <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.eta}")
+            raise ValueError(f"learning rate lr must be positive, got {self.eta}")
         if self.rounds < 1:
-            raise ValueError("need at least one round")
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 1 <= self.n_active <= n_clients:
             raise ValueError(
                 f"active clients must satisfy 1 <= N <= C, got n_active={self.n_active}, n_clients={n_clients}"
@@ -74,7 +77,7 @@ class HyperParams:
         if (self.k_local is None) == (self.local_epochs is None):
             raise ValueError("set exactly one of k_local (local_iters) and local_epochs")
         if self.k_local is not None and self.k_local < 1:
-            raise ValueError("k_local must be >= 1")
+            raise ValueError(f"k_local (config key local_iters) must be >= 1, got {self.k_local}")
         if self.local_epochs is not None and self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -106,7 +109,9 @@ def relaxed_init(global_w: np.ndarray, last_local: np.ndarray, beta: float) -> n
     beta = 0 returns w exactly, in a new array of last_local's shape.
     """
     if beta == 0.0:
-        return np.broadcast_to(global_w, last_local.shape).copy()
+        out = np.empty(last_local.shape, global_w.dtype)
+        out[...] = global_w  # a copy of every bit: -0, NaN and inf entries stay as they are
+        return out
     return global_w + beta * (global_w - last_local)
 
 
@@ -259,14 +264,21 @@ class Simulation:
     # -- the round ----------------------------------------------------------
 
     def _step_groups(self, active: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """(step count, ids) per block: one block under k_local, else one per step count."""
+        """(step count, ids) per block, in training order (see the module docstring):
+        one group under k_local, else one per step count, each group's ascending ids
+        split into ceil(n / problem.block_rows) near-equal consecutive slices."""
         if self.hp.k_local is not None:
-            return [(self.hp.k_local, active)]
-        steps = np.array([self.steps_for(i) for i in active])
-        return [(int(k), active[steps == k]) for k in np.unique(steps)]
+            groups = [(self.hp.k_local, active)]
+        else:
+            steps = np.array([self.steps_for(i) for i in active])
+            groups = [(int(k), active[steps == k]) for k in np.unique(steps)]
+        rows = self.problem.block_rows
+        if rows is None:
+            return groups
+        return [(k, part) for k, ids in groups for part in np.array_split(ids, math.ceil(len(ids) / rows))]
 
     def _train(self, ids: np.ndarray, k_steps: int, eta: float) -> None:
-        """Train the participants ids as one block from their relaxed starts; write their rows."""
+        """Train the block ids of _step_groups from their relaxed starts; write their rows."""
         ctx = LocalCtx(
             anchor=self.server.global_params,
             start=relaxed_init(self.server.global_params, self.last_local[ids], self.spec.beta),

@@ -32,7 +32,8 @@ Two concrete kinds:
 
 A problem's sides is the number of models side by side in each row: 1, or 2
 for DatasetProblem.side_by_side's pair; only FedSAM's per-model ascent radius
-reads it.
+reads it. Its block_rows is the most participants one local pass trains (None:
+all of a round's, see core).
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import quadratics
 from .datasets import Dataset
 from .models import Arena, Batch, Block
 from .quadratics import QuadraticFamily, block_grad
@@ -63,6 +65,11 @@ class QuadraticProblem:
     @property
     def dim(self) -> int:
         return self.family.dim
+
+    @property
+    def block_rows(self) -> int:
+        """The most clients whose (d, d) curvatures fit in quadratics.BLOCK_BYTES (at least 1)."""
+        return max(1, quadratics.BLOCK_BYTES // (8 * self.dim ** 2))
 
     @property
     def w_star(self) -> np.ndarray:
@@ -211,6 +218,8 @@ class DatasetProblem:
     """A dataset model over per-client shards (see the module docstring). The
     pooled shards and the test set are each one Batch, kept with the buffers
     of its Block, so every round after the first evaluates without allocating them."""
+
+    block_rows = None  # one pass per step count: a gathered Block wants every participant's rows
 
     def __init__(self, model, shards: list[Dataset], test: Dataset | None = None):
         if not shards:

@@ -117,6 +117,10 @@ class QuadraticFamily:
 # matrices allocates (C, d, d) arrays and runs slower than a loop per client.
 STACK_BYTES = 256 * 1024
 
+# bytes of gathered (d, d) curvatures per training block (QuadraticProblem.block_rows):
+# every local step rereads them, so they should stay in a core's private cache
+BLOCK_BYTES = 1024 * 1024
+
 
 def block_grad(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows A_j (w_j - b_j) for stacked (n, d, d) curvatures, (n, d) targets and

@@ -719,6 +719,14 @@ CRASH_CASES = [
     pytest.param("verify-bounds", {**_QUAD_SMALL, "lr_decay": 1e308}, ("lr_decay",), id="lr_decay-1e308"),
     *(pytest.param("verify-bounds", {**_QUAD_SMALL, "lr": lr}, ("lr",), id=f"lr-{lr}")
       for lr in (5e-324, 1e-320, 1e-310)),
+    # HyperParams names the config keys it refuses
+    *(pytest.param("run", {**_QUAD_SMALL, key: 0}, (key,), id=f"{key}-0") for key in ("local_iters", "rounds")),
+    # a negative value once ran as 0 or as "no test split"
+    *(pytest.param("run", {**_BLOBS_SMALL, key: -1}, (key,), id=f"{key}--1")
+      for key in ("category_bias_sigma", "client_bias_sigma", "n_test")),
+    # partition-report refuses the training keys that run refuses
+    *(pytest.param("partition-report", {**_BLOBS_SMALL, key: value}, (key,), id=f"partition-{key}-{value}")
+      for key, value in (("lr", -1), ("n_active", -1), ("batch_size", 0))),
 ]
 
 

@@ -94,6 +94,13 @@ def test_relaxed_init_formula_and_copy():
     np.testing.assert_array_equal(out, [w, w])
     out[0, 0] = 99.0
     assert w[0] == 1.0 and out[1, 0] == 1.0  # beta = 0 returns independent rows
+    # beta = 0 copies every bit of w, whatever last holds: -0, NaN payloads, +-inf
+    nan = np.frombuffer((0x7FF8_0000_0000_0123).to_bytes(8, "little"), dtype=np.float64)[0]
+    w = np.array([-0.0, nan, np.inf, -np.inf, 5e-324])
+    last = np.array([[np.inf, 0.0, np.inf, -1.0, np.nan], [-0.0, -np.inf, np.nan, np.inf, 1.0]])
+    out = relaxed_init(w, last, 0.0)
+    assert out.shape == last.shape and out.dtype == w.dtype
+    assert out.tobytes() == np.stack([w, w]).tobytes()
 
 
 def test_sample_clients_properties():

@@ -23,8 +23,9 @@ def test_digests_cover_the_grid_and_repeat(capsys):
     assert tool.main([src]) == 0
     first = capsys.readouterr().out.splitlines()
     # strategies x problems, the family-stacks line, the paired runs, then one line per CLI grid run
-    assert len(first) == 9 * 8 + 1 + len(tool.PAIRED) + len(tool.CLI_GRID)
-    assert first[9 * 8].split()[:2] == ["quadratic", "family-stacks"]
+    grid = 9 * 9
+    assert len(first) == grid + 1 + len(tool.PAIRED) + len(tool.CLI_GRID)
+    assert first[grid].split()[:2] == ["quadratic", "family-stacks"]
     assert [line.split()[1] for line in first[-len(tool.CLI_GRID):]] == list(tool.CLI_GRID)
     assert len({line.split()[-1] for line in first}) == len(first)
     assert tool.main([src]) == 0

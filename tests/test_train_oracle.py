@@ -3,10 +3,10 @@
 The loop below is the definition of a round's local training: each sampled
 client, in ascending id, starts at w + beta * (w - last_local), takes its K
 steps alone on 1-D vectors with its own sampler, and writes its rows. The
-program trains the participants as one (N, d) block instead (one block per
-step count under local_epochs). Every operation is row-wise, so the two must
-agree bit for bit: in the population matrices, the server state, rounds.csv
-and every client stream.
+program trains the participants in (n, d) blocks instead (one per step count
+under local_epochs, each cut to at most problem.block_rows rows). Every
+operation is row-wise, so the two must agree bit for bit: in the population
+matrices, the server state, rounds.csv and every client stream.
 
 For dataset problems the loop's gradients come from the reference per-row
 gradients below, written out here rather than taken from the package: the
@@ -14,14 +14,18 @@ program computes every dataset gradient as a block over gathered samples,
 and must round each row exactly as these one-sample-set formulas do.
 """
 import itertools
+import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedrelax import quadratics
 from fedrelax import strategies as strat
+from fedrelax.artifacts import load_checkpoint, restore_simulation
 from fedrelax.core import HyperParams, Simulation, aggregate, relaxed_init, sample_clients
 from fedrelax.datasets import Dataset, make_blobs
 from fedrelax.metrics import FLOAT_BYTES, RoundRecord, rounds_csv_text
@@ -246,6 +250,51 @@ def test_fedsam_zero_gradient_row_matches_loop():
     assert not np.array_equal(block.last_local[1], [0.0, 0.0])
 
 
+# -- rounds trained in several blocks of at most block_rows rows ---------------------
+
+SPLIT_RUN = dict(n_clients=9, dim=4, cond=5.0, family_seed=11, eta=0.05, rounds=4, n_active=7, k=3, seed=2)
+
+
+def split_problem(monkeypatch, rows, grad_noise):
+    """SPLIT_RUN's quadratic problem, with BLOCK_BYTES set so that block_rows is rows."""
+    run, d = SPLIT_RUN, SPLIT_RUN["dim"]
+    monkeypatch.setattr(quadratics, "BLOCK_BYTES", rows * 8 * d * d)
+    fam = make_quadratic_family(run["n_clients"], d, spread=1.0, cond=run["cond"], seed=run["family_seed"])
+    problem = QuadraticProblem(fam, grad_noise=grad_noise)
+    assert problem.block_rows == rows
+    return problem
+
+
+def split_hp(rounds=SPLIT_RUN["rounds"]):
+    run = SPLIT_RUN
+    return HyperParams(eta=run["eta"], rounds=rounds, n_active=run["n_active"], k_local=run["k"])
+
+
+@pytest.mark.parametrize("grad_noise", [0.0, 0.2])
+@pytest.mark.parametrize("rows", [1, 2, 3, SPLIT_RUN["n_active"] - 1])
+@pytest.mark.parametrize("ri", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_blocks_match_per_client_loop(monkeypatch, kind, ri, rows, grad_noise):
+    problem = split_problem(monkeypatch, rows, grad_noise)
+    block, loop = run_both(problem, spec_for(kind, ri), split_hp(), SPLIT_RUN["seed"])
+    active = np.arange(SPLIT_RUN["n_active"])
+    assert len(block._step_groups(active)) == math.ceil(SPLIT_RUN["n_active"] / rows) > 1
+    assert_bitwise_same(block, loop)
+
+
+@pytest.mark.parametrize("kind", ["scaffold", "fedcm"])
+def test_run_resumed_under_split_blocks_equals_the_straight_run(monkeypatch, tmp_path, kind):
+    spec, seed = spec_for(kind, True), SPLIT_RUN["seed"]
+    straight = Simulation(split_problem(monkeypatch, SPLIT_RUN["n_active"], 0.2), spec, split_hp(), seed)
+    straight.run()
+    problem = split_problem(monkeypatch, 2, 0.2)
+    first = Simulation(problem, spec, split_hp(rounds=2), seed)
+    first.run(checkpoint_every=2, checkpoint_path=tmp_path / "ck.json")
+    resumed = restore_simulation(problem, spec, split_hp(), load_checkpoint(tmp_path / "ck.json"))
+    resumed.run()
+    assert_bitwise_same(resumed, straight)
+
+
 # -- dataset models: mini-batches, short last batches, uneven local epochs ----------
 
 MODELS = ("linear-regression", "logistic-regression", "mlp")
@@ -332,6 +381,37 @@ def test_uneven_epochs_example_has_several_step_groups():
     sim = Simulation(dataset_problem("mlp", run["sizes"], run["data_seed"]),
                      make_strategy("fedavg"), hp, 0)
     assert sorted(sim.steps_for(i) for i in range(4)) == [2, 4, 6, 10]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12), epochs=st.booleans(),
+       rows=st.integers(1, 13), data=st.data())
+def test_step_groups_are_ascending_disjoint_blocks_covering_active(sizes, epochs, rows, data):
+    problem = dataset_problem("linear-regression", sizes, 0)
+    hp = HyperParams(eta=0.1, rounds=1, n_active=len(sizes), k_local=None if epochs else 2,
+                     local_epochs=1 if epochs else None, batch_size=8)
+    sim = Simulation(problem, make_strategy("fedavg"), hp, 0)
+    active = np.array(sorted(data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))))
+    steps = {i: sim.steps_for(i) for i in active.tolist()}
+    # a DatasetProblem trains one block per step count
+    assert problem.block_rows is None
+    assert [(k, ids.tolist()) for k, ids in sim._step_groups(active)] == [
+        (k, [i for i in steps if steps[i] == k]) for k in sorted(set(steps.values()))]
+    with mock.patch.object(problem, "block_rows", rows):
+        groups = sim._step_groups(active)
+    assert sorted(i for _, ids in groups for i in ids.tolist()) == active.tolist()
+    for k in set(steps.values()):
+        # a step count's ids, in ascending order, cut into near-equal consecutive blocks
+        parts = [ids.tolist() for kk, ids in groups if kk == k]
+        assert sum(parts, []) == [i for i in steps if steps[i] == k]
+        assert len(parts) == math.ceil(len(sum(parts, [])) / rows)
+        assert max(map(len, parts)) <= rows and max(map(len, parts)) - min(map(len, parts)) <= 1
+
+
+def test_quadratic_block_rows_fill_the_budget():
+    for d, rows in ((1, quadratics.BLOCK_BYTES // 8), (50, 52), (128, 8), (362, 1), (400, 1)):
+        fam = QuadraticFamily(np.zeros((1, d, d)), np.zeros((1, d)))
+        assert QuadraticProblem(fam).block_rows == rows
 
 
 # -- the block gradient itself -------------------------------------------------------

@@ -82,6 +82,9 @@ def _problems(fr):
         "quad-d4": lambda: (quadratic(8, 4, 0.0, 0), hp(eta=0.1, rounds=ROUNDS, n_active=4, k_local=3)),
         "quad-noisy": lambda: (quadratic(8, 3, 0.2, 1), hp(eta=0.1, rounds=ROUNDS, n_active=3, k_local=3)),
         "quad-d1-n18": lambda: (quadratic(20, 1, 0.1, 2), hp(eta=0.1, rounds=ROUNDS, n_active=18, k_local=2)),
+        # 8 rows per block at d = 128 (QuadraticProblem.block_rows): each round trains two blocks of 5
+        "quad-d128-split": lambda: (quadratic(12, 128, 0.1, 4), hp(eta=0.05, rounds=ROUNDS, n_active=10,
+                                                                   k_local=3)),
         "mlp-minibatch": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=4, k_local=3, batch_size=8)),
         "mlp-epochs-weighted": lambda: (blobs(), hp(eta=0.2, rounds=ROUNDS, n_active=4, local_epochs=1,
                                                     batch_size=16, weighted_aggregation=True)),
