@@ -1,10 +1,11 @@
 """Experiment configuration: a flat JSON document with a typed schema.
 
-Every key is top-level (except the optional ``sweep`` block).  Unknown keys
-are rejected by name, and so is a key set away from its default that the
-config's problem kind or subcommand does not read (SCHEMA names each key's
-readers).  Every defaulted value is echoed back into the resolved config so
-runs are self-describing, and the sha256 of the resolved config
+Every key is top-level (except the optional ``sweep`` block).  SCHEMA holds
+each key's type, default, valid values and readers.  Unknown keys are
+rejected by name, and so are a key set away from its default that the
+config's problem kind or subcommand does not read and a value outside its
+key's valid values.  Every defaulted value is echoed back into the resolved
+config so runs are self-describing, and the sha256 of the resolved config
 (minus the purely operational keys: output directory, job count, checkpoint
 cadence) stamps every artifact.  Only the output directory and job count may
 come from the environment (cli.py).
@@ -35,67 +36,69 @@ _BOOL, _INT, _FLOAT, _STR = "bool", "int", "float", "str"
 _DATA = ("blobs", "csv")
 _NOT_STABILITY = ("run", "sweep", "verify-bounds", "partition-report")
 
-# key -> (type, default, allowed/None[, readers]).  None default + not required = optional.
+# key -> (type, default, valid values[, readers]).  None default + not required = optional.
+# valid values: a number's interval as text ("[1, inf)", "(0, 1]"), a tuple of
+# allowed values, or None.
 # readers names the problem kinds and/or subcommands that read the key; a key set
 # away from its default must be read by the config's kind and by its subcommand.
 SCHEMA: dict[str, tuple] = {
     # problem
     "problem": (_STR, "quadratic", ("quadratic", "blobs", "csv")),
-    "n_clients": (_INT, 10, None),
-    "seed": (_INT, 0, None),
+    "n_clients": (_INT, 10, "[1, inf)"),
+    "seed": (_INT, 0, "[0, inf)"),
     # quadratic family
-    "dim": (_INT, 10, None, ("quadratic",)),
-    "spread": (_FLOAT, 1.0, None, ("quadratic",)),
-    "cond": (_FLOAT, 1.0, None, ("quadratic",)),
-    "grad_noise": (_FLOAT, 0.0, None, ("quadratic",)),
+    "dim": (_INT, 10, "[1, inf)", ("quadratic",)),
+    "spread": (_FLOAT, 1.0, "[0, inf)", ("quadratic",)),
+    "cond": (_FLOAT, 1.0, "[1, inf)", ("quadratic",)),
+    "grad_noise": (_FLOAT, 0.0, "[0, inf)", ("quadratic",)),
     # dataset problems
-    "n_samples": (_INT, 1000, None, ("blobs",)),
-    "n_features": (_INT, 10, None, ("blobs",)),
-    "n_classes": (_INT, 2, None, ("blobs",)),
-    "separation": (_FLOAT, 4.0, None, ("blobs",)),
-    "cluster_std": (_FLOAT, 1.0, None, ("blobs",)),
-    "n_test": (_INT, 200, None, ("blobs",)),
+    "n_samples": (_INT, 1000, "[1, inf)", ("blobs",)),
+    "n_features": (_INT, 10, "[1, inf)", ("blobs",)),
+    "n_classes": (_INT, 2, "[2, inf)", ("blobs",)),
+    "separation": (_FLOAT, 4.0, "[0, inf)", ("blobs",)),
+    "cluster_std": (_FLOAT, 1.0, "[0, inf)", ("blobs",)),
+    "n_test": (_INT, 200, "[0, inf)", ("blobs",)),
     "model": (_STR, "logistic-regression", ("linear-regression", "logistic-regression", "mlp"), _DATA),
-    "hidden": (_INT, 16, None, _DATA),
-    "concentration": (_FLOAT, 1.0, None, _DATA),
+    "hidden": (_INT, 16, "[1, inf)", _DATA),
+    "concentration": (_FLOAT, 1.0, "(0, inf)", _DATA),
     "with_replacement": (_BOOL, False, None, _DATA),
     # a stability pair redraws one sample from the unbiased blob process, so
     # biased shards would not be neighbors
-    "client_bias_sigma": (_FLOAT, 0.0, None, _DATA + _NOT_STABILITY),
-    "category_bias_sigma": (_FLOAT, 0.0, None, _DATA + _NOT_STABILITY),
+    "client_bias_sigma": (_FLOAT, 0.0, "[0, inf)", _DATA + _NOT_STABILITY),
+    "category_bias_sigma": (_FLOAT, 0.0, "[0, inf)", _DATA + _NOT_STABILITY),
     "csv_path": (_STR, None, None, ("csv",)),
     "csv_test_path": (_STR, None, None, ("csv",)),
     # strategy
     "strategy": (_STR, "fedavg", STRATEGY_NAMES),
-    "beta": (_FLOAT, None, None, _NOT_STABILITY),  # stability takes beta from betas
-    "rho": (_FLOAT, 0.05, None),
-    "dyn_alpha": (_FLOAT, 0.1, None),
-    "cm_alpha": (_FLOAT, 0.1, None),
-    "server_lr": (_FLOAT, None, None),
-    "adam_beta1": (_FLOAT, 0.9, None),
-    "adam_beta2": (_FLOAT, 0.99, None),
-    "adam_tau": (_FLOAT, 1e-3, None),
+    "beta": (_FLOAT, None, "(-inf, inf)", _NOT_STABILITY),  # stability takes beta from betas
+    "rho": (_FLOAT, 0.05, "[0, inf)"),
+    "dyn_alpha": (_FLOAT, 0.1, "[0, inf)"),
+    "cm_alpha": (_FLOAT, 0.1, "[0, 1]"),
+    "server_lr": (_FLOAT, None, "(0, inf)"),
+    "adam_beta1": (_FLOAT, 0.9, "[0, 1)"),
+    "adam_beta2": (_FLOAT, 0.99, "[0, 1)"),
+    "adam_tau": (_FLOAT, 1e-3, "(0, inf)"),
     # optimization schedule; quadratics are full-objective: no epochs, no batches
-    "lr": (_FLOAT, 0.1, None),
-    "rounds": (_INT, 100, None),
-    "n_active": (_INT, None, None),
-    "local_iters": (_INT, None, None),
-    "local_epochs": (_INT, None, None, _DATA),
-    "batch_size": (_INT, None, None, _DATA),
+    "lr": (_FLOAT, 0.1, "(0, inf)"),
+    "rounds": (_INT, 100, "[1, inf)"),
+    "n_active": (_INT, None, "[1, inf)"),
+    "local_iters": (_INT, None, "[1, inf)"),
+    "local_epochs": (_INT, None, "[1, inf)", _DATA),
+    "batch_size": (_INT, None, "[1, inf)", _DATA),
     "lr_schedule": (_STR, "constant", ("constant", "inverse_t")),
-    "lr_decay": (_FLOAT, None, None),
+    "lr_decay": (_FLOAT, None, "(0, 1]"),
     "weighted_aggregation": (_BOOL, False, None, _DATA),
     # runner
     "out": (_STR, None, None),
-    "checkpoint_every": (_INT, 0, None, ("run",)),  # no other subcommand checkpoints
-    "jobs": (_INT, None, None),
+    "checkpoint_every": (_INT, 0, "[0, inf)", ("run",)),  # no other subcommand checkpoints
+    "jobs": (_INT, None, "[1, inf)"),
     # verify-bounds
     "theorem": (_INT, 1, (1, 2, 3, 4), ("verify-bounds",)),
     # stability
     "betas": ("list", None, None, ("stability",)),
-    "stability_seeds": (_INT, 20, None, ("stability",)),
-    "perturb_client": (_INT, 0, None, ("stability",)),
-    "perturb_index": (_INT, 0, None, ("stability",)),
+    "stability_seeds": (_INT, 20, "[1, inf)", ("stability",)),
+    "perturb_client": (_INT, 0, "[0, inf)", ("stability",)),
+    "perturb_index": (_INT, 0, "[0, inf)", ("stability",)),
     # sweep block (validated separately)
     "sweep": ("dict", None, None, ("sweep",)),
 }
@@ -154,7 +157,7 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
                 v = float(v)
                 if not math.isfinite(v):
                     raise ConfigError(f"config key {k!r} must be finite, got {v}")
-            if allowed is not None and v not in allowed:
+            if isinstance(allowed, tuple) and v not in allowed:
                 raise ConfigError(
                     f"config key {k!r} must be one of {list(allowed)}, got {v!r}"
                 )
@@ -195,25 +198,19 @@ def resolve_config(raw: dict, overrides: dict | None = None, *, mode: str = "run
         if names - kinds and mode not in names:
             raise ConfigError(f"config key {k!r} is not honored in {mode} mode")
     # each value below is at its default unless the problem kind or mode reads it
-    if cfg["cond"] < 1.0:
-        raise ConfigError(f"cond must be >= 1, got {cfg['cond']}")
-    if cfg["spread"] < 0.0 or cfg["grad_noise"] < 0.0:
-        raise ConfigError("spread and grad_noise must be >= 0")
+    for k, (_, _, interval, *_) in SCHEMA.items():
+        v = cfg[k]
+        if not isinstance(interval, str) or v is None:
+            continue
+        lo, hi = interval[1:-1].split(", ")
+        if not ((float(lo) <= v if interval[0] == "[" else float(lo) < v)
+                and (v <= float(hi) if interval[-1] == "]" else v < float(hi))):
+            rule = f"lie in {interval}" if hi != "inf" else f"be {'>=' if interval[0] == '[' else '>'} {lo}"
+            raise ConfigError(f"config key {k!r} must {rule}, got {v}")
     if cfg["problem"] == "csv" and not cfg["csv_path"]:
         raise ConfigError("problem 'csv' needs csv_path")
     if cfg["model"] == "logistic-regression" and cfg["n_classes"] != 2:
         raise ConfigError("logistic-regression needs n_classes=2; use model='mlp' for more classes")
-    if cfg["concentration"] <= 0.0:
-        raise ConfigError(f"concentration must be positive, got {cfg['concentration']}")
-    for k in ("n_test", "client_bias_sigma", "category_bias_sigma"):
-        if cfg[k] < 0:
-            raise ConfigError(f"config key {k!r} must be >= 0, got {cfg[k]}")
-    if cfg["jobs"] is not None and cfg["jobs"] < 1:
-        raise ConfigError(f"config key 'jobs' must be >= 1, got {cfg['jobs']}")
-    if cfg["checkpoint_every"] < 0:
-        raise ConfigError(f"config key 'checkpoint_every' must be >= 0, got {cfg['checkpoint_every']}")
-    if cfg["stability_seeds"] < 1:
-        raise ConfigError(f"config key 'stability_seeds' must be >= 1, got {cfg['stability_seeds']}")
     if cfg["betas"] is not None:
         if not all(isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
                    for b in cfg["betas"]):
@@ -293,7 +290,7 @@ def _build_model(cfg: dict, n_features: int, n_classes: int):
         return LinearRegression(n_features)
     if kind == "logistic-regression":
         if n_classes != 2:
-            raise ConfigError(f"logistic-regression needs 2 classes, data has {n_classes}")
+            raise ConfigError(f"model 'logistic-regression' needs 2 classes, data has {n_classes}; use 'mlp'")
         return LogisticRegression(n_features)
     return MLPClassifier(n_features, cfg["hidden"], n_classes)
 

@@ -101,7 +101,7 @@ def make_paired_blob_problems(
     """
     i_star, j_star = perturb
     if not 0 <= i_star < n_clients:
-        raise ValueError(f"perturb client {i_star} out of range [0, {n_clients})")
+        raise ValueError(f"perturb_client {i_star} out of range [0, {n_clients})")
     made = make_blobs(
         n_samples, n_features, n_classes,
         separation=separation, cluster_std=cluster_std, seed=seed, n_test=n_test,
@@ -114,7 +114,7 @@ def make_paired_blob_problems(
     size = len(shards_a[i_star])
     if not 0 <= j_star < size:
         raise ValueError(
-            f"perturb sample index {j_star} out of range [0, {size}) for client {i_star}"
+            f"perturb_index {j_star} out of range [0, {size}) for client {i_star}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_KEY_PERTURB,)))
     centers = blob_centers(n_classes, n_features, separation, seed)

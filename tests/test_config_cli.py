@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -681,6 +682,86 @@ def test_off_default_key_refused_exactly_where_unread(key, mode, kind):
         resolve_config({**base, key: SCHEMA[key][1]}, mode=mode)
 
 
+# each number's valid values: an interval declared in SCHEMA (README's table)
+NUMERIC = [k for k, (typ, *_) in SCHEMA.items() if typ in ("int", "float")]
+INTERVALS = {k: SCHEMA[k][2] for k in NUMERIC if isinstance(SCHEMA[k][2], str)}
+
+
+def test_every_numeric_key_declares_its_valid_values():
+    assert [k for k in NUMERIC if k not in INTERVALS] == ["theorem"]  # a tuple of theorems
+    for k, interval in INTERVALS.items():
+        assert re.fullmatch(r"[\[(](-inf|-?\d+), (inf|-?\d+)[\])]", interval), k
+
+
+def _edges(key):
+    """(nearest value outside, boundary value inside) at each finite end of key's interval."""
+    typ, interval = SCHEMA[key][0], INTERVALS[key]
+    lo, hi = (float(b) for b in interval[1:-1].split(", "))
+
+    def step(x, toward):  # the next value of key's type past x
+        return int(x) + (1 if toward > x else -1) if typ == "int" else math.nextafter(x, toward)
+
+    cast = int if typ == "int" else float
+    edges = []
+    if math.isfinite(lo):
+        edges.append((step(lo, -math.inf), cast(lo)) if interval[0] == "[" else (cast(lo), step(lo, math.inf)))
+    if math.isfinite(hi):
+        edges.append((step(hi, math.inf), cast(hi)) if interval[-1] == "]" else (cast(hi), step(hi, -math.inf)))
+    return edges
+
+
+@pytest.mark.parametrize("key", sorted(INTERVALS))
+def test_interval_edges_refused_outside_and_resolved_inside(key):
+    # under the first subcommand and problem kind that read the key
+    readers = SCHEMA[key][3] if len(SCHEMA[key]) == 4 else ()
+    mode = next((r for r in readers if r in MODES and r != "sweep"), "run")
+    base = {"problem": next(k for k in readers + KINDS if k in MODE_PROBLEMS.get(mode, KINDS))}
+    edges = _edges(key)
+    assert edges or INTERVALS[key] == "(-inf, inf)"
+    for outside, inside in edges:
+        with pytest.raises(ConfigError, match=f"^config key {key!r} must ") as e:
+            resolve_config({**base, key: outside}, mode=mode)
+        assert str(e.value).endswith(f", got {outside}")
+        assert resolve_config({**base, key: inside}, mode=mode)[key] == inside
+
+
+def test_interval_refusals_read_one_or_two_sided():
+    for cfg, msg in [({"adam_tau": 0}, "config key 'adam_tau' must be > 0, got 0.0"),
+                     ({"adam_beta1": 1.5}, "config key 'adam_beta1' must lie in [0, 1), got 1.5"),
+                     # a key the config does not read is refused as unread, whatever its value
+                     ({"cond": 0.5, "problem": "blobs"}, "config key 'cond' is not read by 'blobs' problems")]:
+        with pytest.raises(ConfigError) as e:
+            resolve_config(cfg)
+        assert str(e.value) == msg
+
+
+def _readme_valid_values() -> dict:
+    """key -> its "valid values" cell in README's readers table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| keys | read by | valid values |")[1].split("\n\n")[0]
+    cells = {}
+    for row in table.splitlines()[2:]:
+        keys, _, values = (c.strip() for c in row.strip("|").split("|"))
+        for k in re.findall(r"`(\w+)`", keys):
+            assert k not in cells, k
+            cells[k] = values
+    return cells
+
+
+def test_readme_table_states_each_keys_valid_values():
+    cells = _readme_valid_values()
+    assert set(cells) == set(SCHEMA)
+    for k, (_, _, valid, *_) in SCHEMA.items():
+        if isinstance(valid, str):
+            assert cells[k].split(";")[0] == f"`{valid}`", k
+        elif isinstance(valid, tuple):
+            assert re.findall(r"`([^`]+)`", cells[k]) == [str(v) for v in valid], k
+    # and back: an interval in the table is its key's SCHEMA interval
+    for k, cell in cells.items():
+        for stated in re.findall(r"`([\[(][^`]*[\])])`", cell):
+            assert stated == SCHEMA[k][2], k
+
+
 _QUAD_SMALL = {"problem": "quadratic", "n_clients": 4, "dim": 3, "rounds": 3, "local_iters": 2}
 _BLOBS_SMALL = {"problem": "blobs", "n_clients": 4, "n_samples": 160, "n_features": 3, "rounds": 2,
                 "local_iters": 2}
@@ -727,11 +808,30 @@ CRASH_CASES = [
     # partition-report refuses the training keys that run refuses
     *(pytest.param("partition-report", {**_BLOBS_SMALL, key: value}, (key,), id=f"partition-{key}-{value}")
       for key, value in (("lr", -1), ("n_active", -1), ("batch_size", 0))),
+    # values outside their key's interval once ran to results, diverged, or were refused unnamed
+    *(pytest.param("run", {**base, key: value}, (key,), id=f"interval-{key}-{value}")
+      for base, key, value in (
+          (_QUAD_SMALL, "server_lr", 0), (_QUAD_SMALL, "server_lr", -1),
+          ({**_QUAD_SMALL, "strategy": "feddyn"}, "dyn_alpha", -1),
+          ({**_QUAD_SMALL, "strategy": "fedadam"}, "adam_beta1", 1.5),
+          ({**_QUAD_SMALL, "strategy": "fedadam"}, "adam_beta2", 1.0),
+          ({**_QUAD_SMALL, "strategy": "fedadam"}, "adam_tau", 0),
+          ({**_QUAD_SMALL, "strategy": "fedadam"}, "adam_tau", -1),
+          (_BLOBS_SMALL, "cluster_std", -1), (_QUAD_SMALL, "seed", -1),
+          ({**_BLOBS_SMALL, "model": "mlp"}, "n_classes", 1), (_BLOBS_SMALL, "n_features", 0),
+          (_BLOBS_SMALL, "n_clients", 0), (_BLOBS_SMALL, "n_samples", 0))),
+    # refusals that need the data: past the client count or shard size, or too many classes
+    pytest.param("stability", {**_STABILITY_SMALL, "perturb_client": 7}, ("perturb_client",), id="perturb_client-7"),
+    pytest.param("stability", {**_STABILITY_SMALL, "perturb_index": 999}, ("perturb_index",), id="perturb_index-999"),
+    pytest.param("run", {"problem": "csv", "csv_path": "three_classes.csv", "n_clients": 4, "rounds": 2},
+                 ("model",), id="csv-logistic-3-classes"),
 ]
 
 
 @pytest.mark.parametrize("mode,cfg,keys", CRASH_CASES)
-def test_config_reachable_failures_exit_2_naming_the_keys(tmp_path, capsys, mode, cfg, keys):
+def test_config_reachable_failures_exit_2_naming_the_keys(tmp_path, monkeypatch, capsys, mode, cfg, keys):
+    monkeypatch.chdir(tmp_path)  # csv_path is relative
+    (tmp_path / "three_classes.csv").write_text("x,label\n" + "".join(f"{i},{i % 3}\n" for i in range(60)))
     out = tmp_path / "o"
     assert main([mode, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
