@@ -26,7 +26,7 @@ from .datasets import (
     shard_dataset,
 )
 from .metrics import SCHEMA_VERSION
-from .models import LinearRegression, LogisticRegression, MLPClassifier
+from .models import make_model
 from .problems import DatasetProblem, QuadraticProblem
 from .quadratics import make_quadratic_family
 from .strategies import STRATEGY_NAMES, make_strategy
@@ -284,17 +284,6 @@ def build_hp(cfg: dict) -> HyperParams:
     return hp
 
 
-def _build_model(cfg: dict, n_features: int, n_classes: int):
-    kind = cfg["model"]
-    if kind == "linear-regression":
-        return LinearRegression(n_features)
-    if kind == "logistic-regression":
-        if n_classes != 2:
-            raise ConfigError(f"model 'logistic-regression' needs 2 classes, data has {n_classes}; use 'mlp'")
-        return LogisticRegression(n_features)
-    return MLPClassifier(n_features, cfg["hidden"], n_classes)
-
-
 def build_problem(cfg: dict):
     """Returns (problem, partition_plan_or_None)."""
     seed = cfg["seed"]
@@ -315,6 +304,8 @@ def build_problem(cfg: dict):
     else:
         train = load_csv(cfg["csv_path"])
         test = load_csv(cfg["csv_test_path"]) if cfg["csv_test_path"] else None
+        if test is not None and test.n_features != train.n_features:
+            raise ConfigError(f"csv_test_path has {test.n_features} features, csv_path has {train.n_features}")
     if cfg["category_bias_sigma"] > 0.0:
         train = apply_category_bias(train, cfg["category_bias_sigma"], seed)
     plan = dirichlet_partition(
@@ -325,5 +316,5 @@ def build_problem(cfg: dict):
     if cfg["client_bias_sigma"] > 0.0:
         shards = apply_client_bias(shards, cfg["client_bias_sigma"], seed)
     n_classes = max(int(train.y.max()) + 1, test.n_classes if test is not None else 0)
-    model = _build_model(cfg, train.n_features, n_classes)
+    model = make_model(cfg["model"], train.n_features, n_classes, cfg["hidden"])
     return DatasetProblem(model, shards, test), plan

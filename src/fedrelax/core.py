@@ -44,7 +44,7 @@ _KEY_INIT = 0x141
 
 
 class DivergedError(ArithmeticError):
-    """A run reached a non-finite train loss, divergence or model; the message names the round."""
+    """A run reached a non-finite train loss, divergence, model or final metric; names the round."""
 
 
 def _check_finite(t: int, values: dict) -> None:
@@ -366,13 +366,13 @@ class Simulation:
     @np.errstate(all="ignore")  # as in step
     def build_summary(self) -> dict:
         final_metrics, div = self._checked_metrics()
+        final = {"round": self.server.round, "divergence": div, **final_metrics}
+        bad = [f"{k}={v}" for k, v in final.items() if v is not None and not math.isfinite(v)]
+        if bad:
+            raise DivergedError(f"run diverged at round {self.server.round}: {', '.join(bad)}")
         out = {
             "rounds": self.server.round,
-            "final": {
-                "round": self.server.round,
-                "divergence": div,
-                **final_metrics,
-            },
+            "final": final,
             "avg_divergence": float(np.mean([r.divergence for r in self.records]))
             if self.records else 0.0,
             "total_bytes_up": int(sum(r.bytes_up for r in self.records)),

@@ -93,7 +93,6 @@ class PartitionPlan:
     assignments: list[np.ndarray]
     proportions: np.ndarray  # (C, n_classes) Dirichlet draws, one row per client
     concentration: float
-    seed: int
     with_replacement: bool
     labels: np.ndarray  # the labels the assignments index: a reference, never a copy
 
@@ -202,7 +201,7 @@ def dirichlet_partition(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A, attempt)))
         assignments, props = _draw_partition(labels, n_clients, concentration, rng, with_replacement)
         if all(len(a) > 0 for a in assignments):
-            return PartitionPlan(assignments, props, concentration, seed, with_replacement, labels)
+            return PartitionPlan(assignments, props, concentration, with_replacement, labels)
     raise ValueError(
         f"dirichlet_partition left a client with no samples after {_PARTITION_DRAWS} attempts "
         f"(n_samples={len(labels)}, n_clients={n_clients}, concentration={concentration}); "
@@ -254,7 +253,8 @@ def apply_client_bias(shards: list[Dataset], scale_sigma: float, seed: int = 0) 
 def load_csv(path) -> Dataset:
     """Load a dataset from CSV: header row, one `label` column, float features.
 
-    Malformed cells raise with the 1-based file line number; NaN is rejected.
+    Malformed cells raise with the 1-based file line number; NaN and a
+    negative label are rejected.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -279,6 +279,8 @@ def load_csv(path) -> Dataset:
                 raise ValueError(
                     f"{path}: line {lineno}: label {row[label_col]!r} is not an integer"
                 ) from None
+            if label < 0:
+                raise ValueError(f"{path}: line {lineno}: label {label} is negative; labels are class ids")
             feats = np.empty(len(feature_cols))
             for k, j in enumerate(feature_cols):
                 try:

@@ -1,16 +1,16 @@
 """Model parameterizations over flat float64 vectors.
 
-Every model exposes ``dim`` (parameter count), ``loss(w, batch)``,
-``grad(w, batch)`` and, for classifiers, ``predict``. Dataset models also
-have ``evaluate(w, batch, weights)``: one forward pass (per-sample losses and
-predictions) and, given sample weights, one backward pass (the gradient of
-the weighted loss sum). Parameters are always 1-D ``float64`` arrays; only a
-model's own forward pass reshapes them.
+Every model exposes ``dim`` (parameter count), ``loss(w, batch)`` and
+``grad(w, batch)``. Dataset models, built by kind through ``make_model``,
+also have ``evaluate(w, batch, weights)``: one forward pass (per-sample
+losses and, for classifiers, predictions) and, given sample weights, one
+backward pass (the gradient of the weighted loss sum). Parameters are always
+1-D ``float64`` arrays; only a model's own forward pass reshapes them.
 
-Dataset models train through one gradient, ``block_grad(w, block)``: the
-(N, d) block w of models, each row with its own mini-batch, over a ``Block``
-that holds the samples of all rows gathered in one buffer, in row order;
-each stretch of consecutive rows with equal batch length is a run.
+Dataset models train through one gradient, bound to a ``Block`` by ``bind``
+(below): that of an (N, d) block of models, each row with its own mini-batch,
+over a Block that holds the samples of all rows gathered in one buffer, in
+row order; each stretch of consecutive rows with equal batch length is a run.
 Element-wise work (activations, bias adds, softmax, residuals, the division
 by each row's batch length) runs once over the whole buffer; every product
 and batch sum runs once per run, as one stacked NumPy call whose slices have
@@ -250,9 +250,6 @@ class QuadraticModel:
     def grad(self, w: np.ndarray, batch: Batch | None = None) -> np.ndarray:
         return self.a_matrix @ (w - self.b)
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        return np.zeros(self.dim)
-
 
 class _BlockGradModel:
     """A dataset model's gradients, each through its bound gradient of a Block,
@@ -263,16 +260,9 @@ class _BlockGradModel:
         models side by side), built on first use and kept."""
         return block.buffers(self._bound, self, width)
 
-    def block_grad(self, w: np.ndarray, block: Block) -> np.ndarray:
-        """The gradient of the (N, width) rows w over the block (see BlockGrad)."""
-        grad = self.bind(block, w.shape[-1])
-        if w.shape != grad.shape:
-            raise ValueError(f"expected a block of shape {grad.shape}, got {w.shape}")
-        return grad(w)
-
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
         """The gradient over the batch: the block gradient of its one-row Block."""
-        return self.block_grad(w[None], batch.block)[0]
+        return self.bind(batch.block, self.dim)(w[None])[0]
 
     def loss(self, w: np.ndarray, batch: Batch) -> float:
         return float(np.mean(self.evaluate(w, batch).losses))
@@ -354,9 +344,6 @@ class LogisticRegression(_GLM):
         losses = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - z * batch.y
         grad = None if weights is None else batch.x.T @ (weights * (_sigmoid_in_place(z.copy()) - batch.y))
         return Evaluation(losses, grad, (z >= 0.0).astype(np.int64))
-
-    def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (x @ w >= 0.0).astype(np.int64)
 
 
 class _MLPGrad(BlockGrad):
@@ -504,15 +491,25 @@ class MLPClassifier(_BlockGradModel):
             grad = buf.g[0].copy()
         return Evaluation(losses, grad, pred)
 
-    def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(w, Batch(x, np.zeros(len(x), np.int64))).pred
-
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         # per-layer 1/sqrt(fan_in) gaussian weights, zero biases
         p, h, m = self.n_features, self.hidden, self.n_classes
         w1 = rng.normal(0.0, 1.0 / np.sqrt(p), size=(h, p))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(m, h))
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(m)])
+
+
+def make_model(kind: str, n_features: int, n_classes: int, hidden: int):
+    """The dataset model of this kind over n_features features and n_classes classes."""
+    if kind == "linear-regression":
+        return LinearRegression(n_features)
+    if kind == "logistic-regression":
+        if n_classes != 2:
+            raise ValueError(f"model 'logistic-regression' needs 2 classes, data has {n_classes}; use 'mlp'")
+        return LogisticRegression(n_features)
+    if kind == "mlp":
+        return MLPClassifier(n_features, hidden, n_classes)
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-6) -> np.ndarray:
@@ -526,9 +523,3 @@ def finite_diff_grad(model, w: np.ndarray, batch: Batch | None, eps: float = 1e-
         wm = w.copy(); wm[i] -= eps
         g[i] = (model.loss(wp, batch) - model.loss(wm, batch)) / (2.0 * eps)
     return g
-
-
-def accuracy(model, w: np.ndarray, batch: Batch) -> float:
-    """Fraction of batch samples predicted correctly (classifiers only)."""
-    pred = model.predict(w, batch.x)
-    return float(np.mean(pred == batch.y.astype(np.int64)))

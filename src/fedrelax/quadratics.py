@@ -134,7 +134,6 @@ def make_quadratic_family(
     *,
     spread: float = 1.0,
     cond: float = 1.0,
-    b_center: np.ndarray | None = None,
     seed: int = 0,
 ) -> QuadraticFamily:
     """Draw a quadratic client family.
@@ -142,7 +141,7 @@ def make_quadratic_family(
     Each A_i has eigenvalues log-uniform in [1, cond] with a random rotation
     (cond == 1 short-circuits to the exact identity so homogeneous-curvature
     families are homogeneous to the last bit).  Targets are b_i = b0 + spread * u_i
-    with u_i standard normal and b0 itself drawn N(0, I) unless given.
+    with u_i standard normal and b0 itself drawn N(0, I).
 
     A_i = Q E Q^T with E client i's eigenvalues and Q the QR factor of a
     standard-normal (d, d) matrix. Client by client the generator draws the
@@ -163,7 +162,7 @@ def make_quadratic_family(
     if spread < 0.0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x51AD,)))
-    b0 = rng.normal(size=dim) if b_center is None else np.asarray(b_center, dtype=np.float64)
+    b0 = rng.normal(size=dim)
     if cond == 1.0:
         a = np.broadcast_to(np.eye(dim), (n_clients, dim, dim)).copy()
     else:

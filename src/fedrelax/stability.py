@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DivergedError, HyperParams, Simulation
 from .datasets import Dataset, blob_centers, dirichlet_partition, make_blobs, shard_dataset
-from .models import LogisticRegression, MLPClassifier
+from .models import make_model
 from .problems import DatasetProblem
 from .strategies import StrategySpec, compose_ri
 
@@ -123,18 +123,11 @@ def make_paired_blob_problems(
     shards_b = [s.subset(np.arange(len(s))) for s in shards_a]
     shards_b[i_star] = replace_sample(shards_b[i_star], j_star, x_new, y_new)
 
-    if model_kind == "logistic-regression":
-        if n_classes != 2:
-            raise ValueError("logistic regression needs exactly 2 classes")
-        model = LogisticRegression(n_features)
-        model_b = LogisticRegression(n_features)
-    elif model_kind == "mlp":
-        model = MLPClassifier(n_features, hidden, n_classes)
-        model_b = MLPClassifier(n_features, hidden, n_classes)
-    else:
+    if model_kind not in ("logistic-regression", "mlp"):
         raise ValueError(f"unsupported stability model {model_kind!r}")
+    model = make_model(model_kind, n_features, n_classes, hidden)  # stateless: both sides share it
     problem_a = DatasetProblem(model, shards_a, test)
-    problem_b = DatasetProblem(model_b, shards_b, test)
+    problem_b = DatasetProblem(model, shards_b, test)
     meta = {
         "perturb_client": i_star,
         "perturb_index": j_star,

@@ -186,6 +186,28 @@ def test_build_problem_quadratic():
     assert problem.n_clients == 3 and problem.dim == 2
 
 
+def test_problems_build_their_model_through_make_model(monkeypatch):
+    import fedrelax.config
+    import fedrelax.stability
+    from fedrelax.models import make_model
+    built = []
+
+    def spy(kind, n_features, n_classes, hidden):
+        built.append((kind, n_features, n_classes, hidden))
+        return make_model(kind, n_features, n_classes, hidden)
+
+    monkeypatch.setattr(fedrelax.config, "make_model", spy)
+    monkeypatch.setattr(fedrelax.stability, "make_model", spy)
+    data = {"n_clients": 3, "n_samples": 90, "n_features": 2, "n_classes": 2, "hidden": 5}
+    for kind in ("linear-regression", "logistic-regression", "mlp"):
+        problem, _ = build_problem(resolve_config({"problem": "blobs", "model": kind, **data}))
+        assert problem.model.kind == kind and built.pop() == (kind, 2, 2, 5)
+    for kind in ("logistic-regression", "mlp"):
+        a, b, _ = fedrelax.stability.make_paired_blob_problems(**data, model_kind=kind, perturb=(0, 0))
+        assert a.model is b.model and a.model.kind == kind and built.pop() == (kind, 2, 2, 5)
+    assert not built
+
+
 def test_build_problem_blobs():
     cfg = resolve_config({
         "problem": "blobs", "n_clients": 4, "n_samples": 200, "n_features": 3,
@@ -825,13 +847,28 @@ CRASH_CASES = [
     pytest.param("stability", {**_STABILITY_SMALL, "perturb_index": 999}, ("perturb_index",), id="perturb_index-999"),
     pytest.param("run", {"problem": "csv", "csv_path": "three_classes.csv", "n_clients": 4, "rounds": 2},
                  ("model",), id="csv-logistic-3-classes"),
+    # csv faults once ran on (dropped samples, a wrong test loss) or crashed in a product
+    pytest.param("run", {"problem": "csv", "csv_path": "signed.csv", "n_clients": 4, "rounds": 2},
+                 ("signed.csv", "line 2"), id="csv-negative-train-label"),
+    *(pytest.param("run", {"problem": "csv", "csv_path": "three_classes.csv", "csv_test_path": test,
+                           "model": "mlp", "n_clients": 4, "rounds": 2}, keys, id=f"csv-test-{test}")
+      for test, keys in (("negative_test.csv", ("negative_test.csv", "line 3")),
+                         ("two_features.csv", ("csv_test_path",)))),
 ]
+
+CSV_FILES = {
+    "three_classes.csv": "x,label\n" + "".join(f"{i},{i % 3}\n" for i in range(60)),
+    "signed.csv": "x,label\n" + "".join(f"{i},{2 * (i % 2) - 1}\n" for i in range(60)),
+    "negative_test.csv": "x,label\n0.5,0\n1.5,-1\n2.5,2\n",
+    "two_features.csv": "x,z,label\n0.5,1.0,0\n1.5,2.0,1\n",
+}
 
 
 @pytest.mark.parametrize("mode,cfg,keys", CRASH_CASES)
 def test_config_reachable_failures_exit_2_naming_the_keys(tmp_path, monkeypatch, capsys, mode, cfg, keys):
     monkeypatch.chdir(tmp_path)  # csv_path is relative
-    (tmp_path / "three_classes.csv").write_text("x,label\n" + "".join(f"{i},{i % 3}\n" for i in range(60)))
+    for name, text in CSV_FILES.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "o"
     assert main([mode, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -887,6 +924,16 @@ def test_cli_diverging_run_exits_4_and_writes_no_report(tmp_path):
     assert not (out / "rounds.csv").exists() and not (out / "summary.json").exists()
     # the checkpoint of the last finite round stays
     assert json.loads((out / "checkpoint.json").read_text())["round"] == 20
+
+
+def test_cli_final_overflow_exits_4_and_writes_no_results(tmp_path, capsys):
+    # runs to the end, where only the final grad_norm_sq overflows: once a half-written run and exit 2
+    cfg = {"problem": "quadratic", "n_clients": 2, "dim": 1, "cond": 10, "lr": 7, "rounds": 163,
+           "local_iters": 1, "lr_decay": 1}
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == ["error: run diverged at round 163: grad_norm_sq=inf"]
+    assert not (out / "rounds.csv").exists() and not (out / "summary.json").exists()
 
 
 def test_cli_diverging_run_prints_only_the_error_line(tmp_path):

@@ -356,6 +356,22 @@ def test_run_stops_at_first_non_finite_round():
         far.step()
 
 
+def test_summary_refuses_a_final_grad_norm_the_records_may_hold():
+    # on this 1-D quadratic grad_norm_sq (~A^2 w^2) overflows a round before the train loss does:
+    # a round's record keeps the inf, but a run that ends at that round has no finite summary
+    fam = QuadraticFamily(np.full((2, 1, 1), 10.0), np.array([[0.0], [1.0]]))
+    spec, hp = make_strategy("fedavg"), HyperParams(eta=1.0, rounds=400, n_active=2, k_local=1)
+    probe = Simulation(QuadraticProblem(fam), spec, hp, seed=0)
+    while np.isfinite((record := probe.step()).grad_norm_sq):
+        pass
+    assert np.isfinite(record.train_loss)
+    t = record.round
+    short = Simulation(QuadraticProblem(fam), spec, HyperParams(eta=1.0, rounds=t, n_active=2, k_local=1), 0)
+    with pytest.raises(DivergedError, match=rf"^run diverged at round {t}: grad_norm_sq=inf$"):
+        short.run()
+    assert len(short.records) == t
+
+
 def test_summary_contents():
     prob = blob_problem()
     hp = HyperParams(eta=0.2, rounds=4, n_active=3, k_local=2)

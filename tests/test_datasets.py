@@ -226,6 +226,7 @@ def test_csv_label_column_position_free(tmp_path):
         ("f0,label\n1.0,zero\n", "not an integer"),
         ("f0,label\noops,1\n", "not a number"),
         ("f0,label\nnan,1\n", "not finite"),
+        ("f0,label\n1.0,0\n2.0,-1\n", "line 3: label -1 is negative"),
         ("f0,f1\n1.0,2.0\n", "label"),
         ("", "empty file"),
         ("f0,label\n", "no data rows"),

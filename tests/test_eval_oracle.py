@@ -21,8 +21,7 @@ import fedrelax
 from fedrelax.core import HyperParams, run_experiment
 from fedrelax.datasets import Dataset, dirichlet_partition, make_blobs, shard_dataset
 from fedrelax.metrics import CSV_HEADER, rounds_csv_text
-from fedrelax.models import (Batch, Evaluation, LinearRegression, LogisticRegression, MLPClassifier,
-                             _MLPGrad, accuracy)
+from fedrelax.models import Batch, Evaluation, LinearRegression, LogisticRegression, MLPClassifier, _MLPGrad
 from fedrelax.problems import DatasetProblem, QuadraticProblem
 from fedrelax.quadratics import make_quadratic_family
 from fedrelax.strategies import make_strategy
@@ -47,6 +46,19 @@ def quad_loop_grad(fam, w):
     return g / fam.n_clients
 
 
+def loop_accuracy(model, w, data):
+    """Fraction of samples whose class the model predicts, from its parameters alone;
+    None for a regression model."""
+    if isinstance(model, MLPClassifier):
+        w1, b1, w2, b2 = model.unpack(w)
+        pred = (np.tanh(data.x @ w1.T + b1) @ w2.T + b2).argmax(axis=1)
+    elif isinstance(model, LogisticRegression):
+        pred = data.x @ w >= 0.0
+    else:
+        return None
+    return float(np.mean(pred == data.y))
+
+
 def dataset_loop_metrics(problem, w):
     """Round evaluation as one loss and one gradient call per client shard."""
     model, shards = problem.model, problem.shards
@@ -59,17 +71,13 @@ def dataset_loop_metrics(problem, w):
         "train_loss": sum(model.loss(w, Batch(s.x, s.y)) for s in shards) / c,
         "grad_norm_sq": float(g @ g),
         "test_loss": None,
-        "train_acc": None,
+        "train_acc": loop_accuracy(model, w, Batch(np.concatenate([s.x for s in shards]),
+                                                   np.concatenate([s.y for s in shards]))),
         "test_acc": None,
     }
-    if hasattr(model, "predict"):
-        pooled = Batch(np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards]))
-        out["train_acc"] = accuracy(model, w, pooled)
     if problem.test is not None:
-        test = Batch(problem.test.x, problem.test.y)
-        out["test_loss"] = model.loss(w, test)
-        if hasattr(model, "predict"):
-            out["test_acc"] = accuracy(model, w, test)
+        out["test_loss"] = model.loss(w, Batch(problem.test.x, problem.test.y))
+        out["test_acc"] = loop_accuracy(model, w, problem.test)
     return out, g
 
 

@@ -13,10 +13,10 @@ from fedrelax.models import (
     LogisticRegression,
     MLPClassifier,
     QuadraticModel,
-    accuracy,
     as_params,
     Block,
     finite_diff_grad,
+    make_model,
 )
 
 
@@ -202,13 +202,37 @@ def test_mlp_unpack_rejects_wrong_length():
         model.unpack(np.zeros(model.dim + 1))
 
 
-def test_predict_and_accuracy():
+def test_logistic_evaluation_predicts_the_margin_sign():
     model = LogisticRegression(2)
     batch = Batch(np.array([[2.0, 0.0], [-2.0, 0.0], [3.0, 1.0], [-1.0, -1.0]]),
                   np.array([1, 0, 1, 1]))
     w = np.array([1.0, 0.0])  # predicts sign of first feature
-    np.testing.assert_array_equal(model.predict(w, batch.x), [1, 0, 1, 0])
-    assert accuracy(model, w, batch) == pytest.approx(0.75)
+    np.testing.assert_array_equal(model.evaluate(w, batch).pred, [1, 0, 1, 0])
+    assert LinearRegression(2).evaluate(w, batch).pred is None
+
+
+def test_mlp_evaluation_predicts_the_largest_logit():
+    model = MLPClassifier(2, 3, 4)
+    rng = np.random.default_rng(6)
+    w, batch = rng.normal(size=model.dim), random_batch(rng, 9, 2, n_classes=4)
+    w1, b1, w2, b2 = model.unpack(w)
+    logits = np.tanh(batch.x @ w1.T + b1) @ w2.T + b2
+    np.testing.assert_array_equal(model.evaluate(w, batch).pred, logits.argmax(axis=1))
+
+
+@pytest.mark.parametrize("kind,cls", [("linear-regression", LinearRegression),
+                                      ("logistic-regression", LogisticRegression), ("mlp", MLPClassifier)])
+def test_make_model_makes_each_kind(kind, cls):
+    model = make_model(kind, 3, 2, 4)
+    assert type(model) is cls and model.n_features == 3
+    assert model.dim == (4 * 3 + 4 + 2 * 4 + 2 if kind == "mlp" else 3)
+
+
+def test_make_model_refuses_logistic_past_2_classes_and_unknown_kinds():
+    with pytest.raises(ValueError, match="model 'logistic-regression' needs 2 classes, data has 3; use 'mlp'"):
+        make_model("logistic-regression", 3, 3, 4)
+    with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+        make_model("svm", 3, 2, 4)
 
 
 def test_as_params_validates():

@@ -114,12 +114,6 @@ def test_same_seed_reproducible_distinct_seeds_differ():
     assert not np.array_equal(f1.b_vectors, f3.b_vectors)
 
 
-def test_b_center_is_respected():
-    center = np.array([10.0, -10.0])
-    fam = make_quadratic_family(3, 2, spread=0.0, cond=1.0, b_center=center, seed=0)
-    np.testing.assert_array_equal(fam.w_star, center)
-
-
 def test_constructor_validation():
     with pytest.raises(ValueError, match="n_clients"):
         make_quadratic_family(0, 3)

@@ -114,7 +114,7 @@ def test_paired_blobs_range_errors():
 def test_paired_blobs_mlp_models():
     prob_a, prob_b, _ = small_pair(n_classes=3, model_kind="mlp", hidden=4)
     assert prob_a.dim == prob_b.dim
-    assert prob_a.model is not prob_b.model  # separate mutable model objects
+    assert prob_a.model is prob_b.model  # a model holds no state: bound gradients live on each side's Blocks
 
 
 def test_zero_perturbation_gap_identically_zero():

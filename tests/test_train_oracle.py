@@ -442,7 +442,7 @@ def test_block_gradient_rows_match_reference_bit_for_bit(case):
     # the rows' samples in row order; each stretch of consecutive rows of one length is a run
     runs = tuple((len(list(rows)), n) for n, rows in itertools.groupby(len(x) for x, _ in samples))
     block = Block(np.concatenate([x for x, _ in samples]), np.concatenate([y for _, y in samples]), runs)
-    got = model.block_grad(w, block)
+    got = model.bind(block, model.dim)(w)
     for j, (x, y) in enumerate(samples):
         want = REFERENCE_GRADS[model.kind](model, w[j], x, y)
         assert got[j].tobytes() == want.tobytes()
@@ -467,15 +467,15 @@ def test_block_gradient_returns_fresh_arrays(model):
     x, y = rng.normal(size=(26, 3)), rng.integers(2, size=26)
     w1, w2 = rng.normal(size=(2, 4, model.dim))
     block = Block(x, y, runs)
-    first = model.block_grad(w1, block)
+    first = model.bind(block, model.dim)(w1)
     kept, buffers = first.copy(), block_buffers(block)
-    second = model.block_grad(w2, block)
+    second = model.bind(block, model.dim)(w2)
     assert buffers and all(a is b for a, b in zip(block_buffers(block), buffers, strict=True))
     assert not np.shares_memory(first, second)
     assert not any(np.shares_memory(g, b) for g in (first, second) for b in buffers)
     assert first.tobytes() == kept.tobytes()  # the second call left the first gradient as it was
-    assert first.tobytes() == model.block_grad(w1, Block(x, y, runs)).tobytes()
-    assert second.tobytes() == model.block_grad(w2, Block(x, y, runs)).tobytes()
+    assert first.tobytes() == model.bind(Block(x, y, runs), model.dim)(w1).tobytes()
+    assert second.tobytes() == model.bind(Block(x, y, runs), model.dim)(w2).tobytes()
 
 
 # -- gathered steps: rows grouped by batch length, Blocks kept and refilled ----------
@@ -555,7 +555,7 @@ def test_refilled_block_matches_a_fresh_one(model, in_arena):
 
     def same_as_fresh(take):
         fresh = Block(x[take], y[take], runs)
-        return model.block_grad(w, kept).tobytes() == model.block_grad(w, fresh).tobytes()
+        return model.bind(kept, model.dim)(w).tobytes() == model.bind(fresh, model.dim)(w).tobytes()
 
     assert same_as_fresh(first)  # the label index or float targets now hold y[first]'s
     kept.refill(x, y, second)
@@ -579,7 +579,7 @@ def test_refill_reaches_every_bound_gradient_of_a_block(p, hidden, seed, runs):
         kept.refill(x, labels, take)
         fresh = Block(x[take], labels[take], runs)
         for model, w in zip(models, ws):
-            assert model.block_grad(w, kept).tobytes() == model.block_grad(w, fresh).tobytes()
+            assert model.bind(kept, model.dim)(w).tobytes() == model.bind(fresh, model.dim)(w).tobytes()
 
 
 @st.composite
@@ -634,7 +634,7 @@ def test_bound_gradient_calls_match_a_fresh_block(case):
         w = rng.normal(size=(rows, width))
         for _ in range(points):
             got = grad.taken(order, inverse, w) if unsorted else grad(w)
-            want = model.block_grad(w[order].reshape(-1, model.dim), fresh).reshape(w.shape)[inverse]
+            want = model.bind(fresh, model.dim)(w[order].reshape(-1, model.dim)).reshape(w.shape)[inverse]
             assert got.tobytes() == want.tobytes()
             results.append((got, want))
             w = w + 0.5 * got

@@ -195,6 +195,8 @@ _QUAD = {"problem": "quadratic", "n_clients": 6, "dim": 3, "rounds": 6, "n_activ
 _BLOBS = {"problem": "blobs", "n_clients": 5, "n_samples": 200, "n_features": 3, "n_test": 40,
           "rounds": 5, "n_active": 3, "local_iters": 2, "batch_size": 16, "lr": 0.3}
 _MLP = {**_BLOBS, "n_classes": 3, "model": "mlp", "hidden": 4}
+_STABILITY = {**_BLOBS, "strategy": "fedinit", "rounds": 4, "betas": [0.0, 0.1], "stability_seeds": 2,
+              "perturb_client": 1, "perturb_index": 2}
 
 # name -> (one argv per call, config); every config is one the CLI accepts
 CLI_GRID = {
@@ -205,6 +207,7 @@ CLI_GRID = {
                                  "client_bias_sigma": 0.3, "category_bias_sigma": 0.3}),
     "run-resume": ([["run"], ["run", "--resume"]], {**_QUAD, "strategy": "fedcm",
                                                     "checkpoint_every": 3}),
+    "run-linear": ([["run"]], {**_BLOBS, "model": "linear-regression", "lr": 0.05}),
     "sweep-beta": ([["sweep", "--jobs", "1"]], {**_QUAD, "strategy": "fedinit",
                    "sweep": {"axis": "beta", "values": [0.0, 0.1], "seeds": [0, 1]}}),
     "sweep-strategy": ([["sweep", "--jobs", "2"]], {**_BLOBS, "sweep": {
@@ -213,8 +216,8 @@ CLI_GRID = {
                     "strategy": "fedinit", "beta": 0.05, "lr": 0.05, "rounds": 60, "theorem": 1}),
     "bounds-thm4": ([["verify-bounds"]], {**_QUAD, "n_clients": 5, "n_active": 5, "dim": 4,
                     "spread": 2.0, "cond": 5.0, "lr": 0.05, "rounds": 800, "theorem": 4}),
-    "stability": ([["stability"]], {**_BLOBS, "strategy": "fedinit", "rounds": 4, "betas": [0.0, 0.1],
-                  "stability_seeds": 2, "perturb_client": 1, "perturb_index": 2}),
+    "stability": ([["stability"]], _STABILITY),
+    "stability-mlp": ([["stability"]], {**_STABILITY, "model": "mlp", "n_classes": 3, "hidden": 4}),
     "partition-blobs": ([["partition-report"]], {**_MLP, "n_clients": 6, "concentration": 0.3,
                         "with_replacement": True, "category_bias_sigma": 0.5}),
     "partition-csv": ([["partition-report", "--seed", "1"]], {
