@@ -37,7 +37,6 @@ from .metrics import (
     RoundRecord,
     comm_storage_accounting,
     divergence,
-    moving_average,
     smoothed_max_last,
 )
 from .models import (
@@ -120,7 +119,6 @@ __all__ = [
     "make_paired_blob_problems",
     "make_quadratic_family",
     "make_strategy",
-    "moving_average",
     "paired_run",
     "partition_statistics",
     "relaxed_init",

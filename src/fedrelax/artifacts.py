@@ -86,7 +86,7 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def decode_array(d, field: str = "array") -> np.ndarray:
+def decode_array(d, field: str) -> np.ndarray:
     """The float64 array of a checkpoint entry; ValueError naming field if it is malformed."""
     if not isinstance(d, dict):
         raise ValueError(f"checkpoint {field} must be an array object, got {type(d).__name__}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -142,6 +141,9 @@ def cmd_sweep(args, cfg: dict, h: str, out_dir: str) -> int:
         for v in values for s in seeds
     ]
     if jobs > 1:
+        # imported only here: it loads multiprocessing and subprocess, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, points))
     else:

@@ -34,7 +34,8 @@ from functools import reduce
 import numpy as np
 
 from . import strategies as strat
-from .metrics import FINITE_COLUMNS, FLOAT_BYTES, RoundRecord, divergence, smoothed_max_last
+from .metrics import (FINITE_COLUMNS, FLOAT_BYTES, SMOOTHING_WIDTH, SMOOTHING_WINDOW, RoundRecord, divergence,
+                      smoothed_max_last)
 from .strategies import LocalCtx, StrategySpec
 
 # spawn keys namespacing the per-run random streams
@@ -381,9 +382,9 @@ class Simulation:
         accs = [r.test_acc for r in self.records]
         if self.records and all(a is not None for a in accs):
             out["smoothed_max_test_acc"] = {
-                "value": smoothed_max_last(accs, window=50, width=5),
-                "window": 50,
-                "kernel_width": 5,
+                "value": smoothed_max_last(accs),
+                "window": SMOOTHING_WINDOW,
+                "kernel_width": SMOOTHING_WIDTH,
             }
         return out
 

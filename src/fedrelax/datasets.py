@@ -42,7 +42,7 @@ def blob_centers(n_classes: int, n_features: int, separation: float, seed: int) 
 
 
 def sample_blobs(centers: np.ndarray, n_samples: int, rng: np.random.Generator,
-                 cluster_std: float = 1.0) -> Dataset:
+                 cluster_std: float) -> Dataset:
     """Balanced gaussian blobs around given class centers, shuffled."""
     k = len(centers)
     counts = np.full(k, n_samples // k)
@@ -88,10 +88,9 @@ def make_blobs(
 
 @dataclass
 class PartitionPlan:
-    """Assignment of sample indices to clients plus the drawn label proportions."""
+    """Assignment of sample indices to clients, and how it was drawn."""
 
     assignments: list[np.ndarray]
-    proportions: np.ndarray  # (C, n_classes) Dirichlet draws, one row per client
     concentration: float
     with_replacement: bool
     labels: np.ndarray  # the labels the assignments index: a reference, never a copy
@@ -169,7 +168,7 @@ def _draw_partition(labels, n_clients, concentration, rng, with_replacement):
                 assignments[i].extend(pool[start:stop])
                 start = stop
             assignments[-1].extend(pool[start:])
-    return [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments], props
+    return [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments]
 
 
 _PARTITION_DRAWS = 8  # plans drawn before an empty client is an error
@@ -199,9 +198,9 @@ def dirichlet_partition(
         raise ValueError(f"Dirichlet concentration must be positive, got {concentration}")
     for attempt in range(_PARTITION_DRAWS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A, attempt)))
-        assignments, props = _draw_partition(labels, n_clients, concentration, rng, with_replacement)
+        assignments = _draw_partition(labels, n_clients, concentration, rng, with_replacement)
         if all(len(a) > 0 for a in assignments):
-            return PartitionPlan(assignments, props, concentration, with_replacement, labels)
+            return PartitionPlan(assignments, concentration, with_replacement, labels)
     raise ValueError(
         f"dirichlet_partition left a client with no samples after {_PARTITION_DRAWS} attempts "
         f"(n_samples={len(labels)}, n_clients={n_clients}, concentration={concentration}); "
@@ -215,7 +214,7 @@ def shard_dataset(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def apply_category_bias(dataset: Dataset, shift_sigma: float, seed: int = 0) -> Dataset:
+def apply_category_bias(dataset: Dataset, shift_sigma: float, seed: int) -> Dataset:
     """Add a per-class scalar shift ~ N(0, shift_sigma^2) to all features of that class.
 
     Two samples of the same class always receive the same shift, wherever they
@@ -232,7 +231,7 @@ def apply_category_bias(dataset: Dataset, shift_sigma: float, seed: int = 0) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def apply_client_bias(shards: list[Dataset], scale_sigma: float, seed: int = 0) -> list[Dataset]:
+def apply_client_bias(shards: list[Dataset], scale_sigma: float, seed: int) -> list[Dataset]:
     """Multiply each client's features by a per-client scale vector ~ N(1, scale_sigma^2).
 
     Operates on the materialized per-client copies, so a sample duplicated

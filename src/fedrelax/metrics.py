@@ -58,40 +58,27 @@ def divergence(global_w: np.ndarray, last_locals: np.ndarray) -> float:
     return float(np.mean(np.einsum("cd,cd->c", diff, diff)))
 
 
-def moving_average(series, width: int = 5) -> np.ndarray:
-    """Centered moving average with edge truncation (window shrinks at the ends)."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    s = np.asarray(series, dtype=np.float64)
-    half = width // 2
-    out = np.empty_like(s)
-    for i in range(len(s)):
-        lo = max(0, i - half)
-        hi = min(len(s), i + half + 1)
-        out[i] = s[lo:hi].mean()
-    return out
+SMOOTHING_WINDOW = 50  # the final rounds smoothed_max_last reads
+SMOOTHING_WIDTH = 5    # the points of each of its centred means
 
 
-def smoothed_max_last(series, window: int = 50, width: int = 5) -> float:
-    """Max of the width-point moving average over the final `window` entries."""
+def smoothed_max_last(series) -> float:
+    """Max over the final SMOOTHING_WINDOW entries of the centred SMOOTHING_WIDTH-point
+    moving average, whose window is truncated at the series' ends; ValueError when empty."""
     s = np.asarray(series, dtype=np.float64)
-    if len(s) == 0:
-        raise ValueError("empty series")
-    smoothed = moving_average(s, width)
-    return float(smoothed[-min(window, len(s)):].max())
+    half = SMOOTHING_WIDTH // 2
+    tail = range(max(0, len(s) - SMOOTHING_WINDOW), len(s))
+    return float(np.array([s[max(0, i - half):i + half + 1].mean() for i in tail]).max())
 
 
 @dataclass(frozen=True)
 class AccountingRecord:
     """Per-round communication and client-side storage, in parameter-vector units."""
 
-    strategy: str
     comm_floats: int           # table-convention entry: N * d * max(down, up) payloads
     comm_ratio: float          # relative to plain averaging (N * d)
     storage_floats: int        # persistent client-side floats across the population
     storage_ratio: float       # relative to plain averaging (C * d)
-    payloads_down: int         # parameter vectors server -> each active client
-    payloads_up: int           # parameter vectors each active client -> server
     bytes_down_per_round: int
     bytes_up_per_round: int
 
@@ -107,16 +94,11 @@ def comm_storage_accounting(spec: StrategySpec, n_clients: int, n_active: int, d
     """
     down, up = PAYLOADS[spec.kind]
     storage_vectors = STORAGE_VECTORS[spec.kind]
-    comm = n_active * dim * max(down, up)
-    storage = n_clients * dim * storage_vectors
     return AccountingRecord(
-        strategy=spec.name,
-        comm_floats=comm,
+        comm_floats=n_active * dim * max(down, up),
         comm_ratio=float(max(down, up)),
-        storage_floats=storage,
+        storage_floats=n_clients * dim * storage_vectors,
         storage_ratio=float(storage_vectors),
-        payloads_down=down,
-        payloads_up=up,
         bytes_down_per_round=n_active * dim * FLOAT_BYTES * down,
         bytes_up_per_round=n_active * dim * FLOAT_BYTES * up,
     )

@@ -230,8 +230,6 @@ class QuadraticModel:
     apply, but the model itself only requires symmetry.
     """
 
-    kind = "quadratic"
-
     def __init__(self, a_matrix: np.ndarray, b: np.ndarray):
         a_matrix = np.asarray(a_matrix, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
@@ -312,14 +310,13 @@ class _GLM(_BlockGradModel):
     def __init__(self, n_features: int):
         self.n_features = self.dim = n_features
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
 
 class LinearRegression(_GLM):
     """f(w) = 0.5 * mean_j (x_j . w - y_j)^2, no intercept."""
 
-    kind = "linear-regression"
     link = None
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
@@ -335,7 +332,6 @@ class LogisticRegression(_GLM):
     gradient is mean_j (1/2 - y_j) x_j.
     """
 
-    kind = "logistic-regression"
     link = staticmethod(_sigmoid_in_place)
 
     def evaluate(self, w: np.ndarray, batch: Batch, weights: np.ndarray | None = None) -> Evaluation:
@@ -450,7 +446,6 @@ class MLPClassifier(_BlockGradModel):
     [W1 (hidden x features), b1 (hidden), W2 (classes x hidden), b2 (classes)].
     """
 
-    kind = "mlp"
     _bound = _MLPGrad
 
     def __init__(self, n_features: int, hidden: int, n_classes: int):

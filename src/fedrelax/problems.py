@@ -107,14 +107,11 @@ class QuadraticProblem:
     def steps_per_epoch(self, i: int, batch_size) -> int:
         raise ValueError("quadratic problems have no epochs; use local_iters")
 
-    def global_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.family.global_grad(w)
-
     def global_loss(self, w: np.ndarray) -> float:
         return self.family.global_loss(w)
 
     def eval_metrics(self, w: np.ndarray) -> dict:
-        g = self.global_grad(w)
+        g = self.family.global_grad(w)
         return {
             "train_loss": self.global_loss(w),
             "grad_norm_sq": float(g @ g),
@@ -339,14 +336,6 @@ class DatasetProblem:
             raise ValueError("a side-by-side pair trains but does not evaluate; "
                              "evaluate each side's own problem")
         return self._pooled
-
-    def global_grad(self, w: np.ndarray) -> np.ndarray:
-        batch, weights = self._evaluated()
-        return self.model.evaluate(w, batch, weights).grad
-
-    def global_loss(self, w: np.ndarray) -> float:
-        batch, weights = self._evaluated()
-        return float(weights @ self.model.evaluate(w, batch).losses)
 
     @cached_property
     def _test_batch(self) -> Batch | None:

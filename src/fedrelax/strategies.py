@@ -73,9 +73,9 @@ def make_strategy(name: str, *, beta: float | None = None,
     return StrategySpec(kind=kind, ri=ri, beta=beta, **overrides)
 
 
-def compose_ri(spec: StrategySpec, beta: float, *, allow_negative_beta: bool = False) -> StrategySpec:
+def compose_ri(spec: StrategySpec, beta: float) -> StrategySpec:
     """Enable relaxed initialization on an existing strategy; nothing else changes."""
-    _check_beta_sign(float(beta), allow_negative_beta)
+    _check_beta_sign(float(beta), allow_negative_beta=False)
     return replace(spec, ri=True, beta=float(beta))
 
 
@@ -180,7 +180,7 @@ def server_step(
     mean_k: float,
     round_idx: int,
     n_clients: int,
-    aux_change: dict[str, np.ndarray] | None = None,
+    aux_change: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Produce w^{t+1} from the aggregated client mean; mutates server_aux in place.
 

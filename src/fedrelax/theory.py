@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from functools import reduce
 
 import numpy as np
@@ -30,6 +30,7 @@ from .quadratics import QuadraticFamily, block_grad
 from .strategies import StrategySpec
 
 LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 10))
+PROBES = 200  # probe points of estimate_problem_constants
 
 THEOREM_LABELS = {
     1: "smooth-nonconvex-rate",
@@ -52,27 +53,19 @@ class BoundConstants:
     gamma_beta = 1/(1 - 39 beta^2)           (needs 39 beta^2 < 1)
     c_beta     = kappa_beta/(1 - 48 beta^2 kappa_beta)   (needs the denominator > 0)
     j_beta     = c_beta (132 + 804 kappa/(lam N))        (needs lam and N)
-    r_beta     = 228 mu gamma_beta beta^2 a^2 b^2; the appendix variant squares gamma_beta
+    r_beta     = 228 mu gamma_beta beta^2 b^2 (a = 1: full-batch quadratic gradients
+                 are exact); the appendix variant squares gamma_beta
 
     A constant whose condition fails, or that is built from one, is None.
     """
 
-    beta: float
     kappa_beta: float | None
     kappa: float | None
     gamma_beta: float | None
     c_beta: float | None
-    lam: float | None = None
-    n_active: int | None = None
-    j_beta: float | None = None
-    mu: float | None = None
-    a: float | None = None
-    b: float | None = None
-    r_beta: float | None = None
-    r_beta_appendix: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    j_beta: float | None
+    r_beta: float | None
+    r_beta_appendix: float | None
 
 
 def compute_constants(
@@ -81,7 +74,6 @@ def compute_constants(
     lam: float | None = None,
     n_active: int | None = None,
     mu: float | None = None,
-    a: float = 1.0,
     b: float = 1.0,
 ) -> BoundConstants:
     """Evaluate the bound constants at a given beta; undefined ones are None."""
@@ -101,48 +93,28 @@ def compute_constants(
         if c_beta is not None:
             j_beta = c_beta * (132.0 + 804.0 * kappa / (lam * n_active))
     if mu is not None and gamma_beta is not None:
-        r_beta = 228.0 * mu * gamma_beta * b2 * a * a * b * b
-        r_beta_appendix = 228.0 * mu * gamma_beta * gamma_beta * b2 * a * a * b * b
-    return BoundConstants(
-        beta=beta, kappa_beta=kappa_beta, kappa=kappa, gamma_beta=gamma_beta,
-        c_beta=c_beta, lam=lam, n_active=n_active, j_beta=j_beta,
-        mu=mu, a=a, b=b, r_beta=r_beta, r_beta_appendix=r_beta_appendix,
-    )
+        r_beta = 228.0 * mu * gamma_beta * b2 * b * b
+        r_beta_appendix = 228.0 * mu * gamma_beta * gamma_beta * b2 * b * b
+    return BoundConstants(kappa_beta, kappa, gamma_beta, c_beta, j_beta, r_beta, r_beta_appendix)
 
 
-def estimate_problem_constants(
-    family: QuadraticFamily,
-    w0: np.ndarray,
-    *,
-    grad_noise: float = 0.0,
-    probe_budget: int = 1000,
-) -> dict:
-    """Problem-side constants for a quadratic family.
+def estimate_problem_constants(problem: QuadraticProblem) -> dict:
+    """Problem-side constants for a quadratic problem.
 
     L is the local smoothness max_i lambda_max(A_i); mu the PL modulus of the
-    mean curvature; D = f(w0) - f(w*) exactly.  The heterogeneity level sigma_g
-    is exact when all clients share a curvature matrix and otherwise the max of
-    ||grad f_i - grad f|| over probe points (flagged as an estimate).  The
-    interpolation ratios a and b are empirical sups over the same probes.
+    mean curvature; sigma_l = grad_noise sqrt(d), exact.  The heterogeneity
+    level sigma_g is exact when all clients share a curvature matrix and
+    otherwise the max of ||grad f_i - grad f|| over PROBES points w* + s u, u
+    standard normal, log s uniform on [log 1e-3, 0] (flagged as an estimate).
+    The interpolation ratio b is an empirical sup over the same probes.
     """
+    family = problem.family
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0x7E0,)))
-    w_star = family.w_star
-    sigma_g = family.heterogeneity_bound()
-    out = {
-        "L": family.smoothness,
-        "mu": family.pl_constant,
-        "D": family.global_loss(np.asarray(w0, dtype=np.float64)) - family.f_star,
-        "f_star": family.f_star,
-        "sigma_l": float(grad_noise) * math.sqrt(family.dim),  # E||noise|| scale, exact
-        "sigma_g": sigma_g,
-        "sigma_g_exact": sigma_g is not None,
-    }
-    radius = max(float(np.linalg.norm(np.asarray(w0) - w_star)), 1.0)
     sup_gap = 0.0
     sup_ratio = 1.0
-    for _ in range(probe_budget):
-        scale = radius * math.exp(rng.uniform(math.log(1e-3), 0.0))
-        w = w_star + scale * rng.normal(size=family.dim)
+    for _ in range(PROBES):
+        scale = math.exp(rng.uniform(math.log(1e-3), 0.0))
+        w = family.w_star + scale * rng.normal(size=family.dim)
         g = family.global_grad(w)
         g_norm = float(np.linalg.norm(g))
         # every client's gradient at once; sqrt(vecdot) is each row's 1-D norm bit
@@ -152,11 +124,15 @@ def estimate_problem_constants(
         sup_gap = max(sup_gap, float(np.sqrt(np.vecdot(gaps, gaps)).max()))
         if g_norm > 1e-12:
             sup_ratio = max(sup_ratio, float((np.sqrt(np.vecdot(grads, grads)) / g_norm).max()))
-    if out["sigma_g"] is None:
-        out["sigma_g"] = sup_gap
-    out["a"] = 1.0 if grad_noise == 0.0 else None  # full-batch local gradients are exact
-    out["b"] = sup_ratio
-    return out
+    sigma_g = family.heterogeneity_bound()
+    return {
+        "L": family.smoothness,
+        "mu": family.pl_constant,
+        "sigma_l": problem.grad_noise * math.sqrt(family.dim),  # E||noise|| scale
+        "sigma_g": sup_gap if sigma_g is None else sigma_g,
+        "sigma_g_exact": sigma_g is not None,
+        "b": sup_ratio,
+    }
 
 
 def check_assumptions(theorem: int, problem, spec: StrategySpec, hp: HyperParams) -> None:
@@ -234,15 +210,11 @@ def verify_convergence_bound(
     f0 = result.records[0].train_loss
     f_star = problem.f_star
     d_gap = f0 - f_star
-    family = problem.family
-    est = estimate_problem_constants(
-        family, family.w_star, grad_noise=problem.grad_noise, probe_budget=200
-    )
+    est = estimate_problem_constants(problem)
     big_l, mu, sigma_l, sigma_g = est["L"], est["mu"], est["sigma_l"], est["sigma_g"]
     notes = []
     if not est["sigma_g_exact"]:
         notes.append("sigma_g estimated from probe points (heterogeneous curvature)")
-    a_ratio = 1.0  # full-batch quadratic gradients are exact
     b_ratio = est["b"]
 
     if n == c_clients:
@@ -257,7 +229,7 @@ def verify_convergence_bound(
 
     grid_report = []
     for lam in LAMBDA_GRID:
-        consts = compute_constants(beta, lam=lam, n_active=n, mu=mu, a=a_ratio, b=b_ratio)
+        consts = compute_constants(beta, lam=lam, n_active=n, mu=mu, b=b_ratio)
         ekt = eta * k * t_rounds
         if theorem == 1:
             neg = 13.0 * beta * beta * consts.kappa_beta * big_l * big_l * delta_final / (lam * eta * n * k * t_rounds)
@@ -320,7 +292,7 @@ def verify_convergence_bound(
         "sigma_l": sigma_l,
         "sigma_g": sigma_g,
         "sigma": sigma,
-        "a": a_ratio,
+        "a": 1.0,  # full-batch quadratic gradients are exact
         "b": b_ratio,
         "beta": beta,
         "eta": eta,

@@ -63,15 +63,15 @@ def test_encode_decode_array_bitwise():
     for shape in [(3,), (2, 4), (1,), (5, 1, 2)]:
         a = rng.normal(size=shape)
         d = encode_array(a)
-        back = decode_array(json.loads(json.dumps(d)))  # survives JSON transport
+        back = decode_array(json.loads(json.dumps(d)), "global_params")  # survives JSON transport
         assert back.shape == a.shape
         assert np.array_equal(back, a)
         assert back.dtype == np.float64
 
 
 def test_decode_rejects_foreign_dtype():
-    with pytest.raises(ValueError, match="dtype"):
-        decode_array({"dtype": "float32", "shape": [1], "data": ""})
+    with pytest.raises(ValueError, match="checkpoint last_local has unsupported array dtype 'float32'"):
+        decode_array({"dtype": "float32", "shape": [1], "data": ""}, "last_local")
 
 
 def test_rng_state_round_trip_continues_stream():

@@ -41,8 +41,14 @@ def test_one_tiny_pair_on_this_tree(tmp_path):
         assert (row["unit"], row["better"], row["bound"]) == (metric["unit"], metric["better"], metric["bound"])
         (before,), (after,) = row["parent"]["runs"], row["change"]["runs"]
         assert (row["parent"]["median"], row["change"]["median"]) == (before, after)
+        assert (row["parent"]["min"], row["parent"]["max"]) == (before, before)
+        assert (row["change"]["min"], row["change"]["max"]) == (after, after)
         assert row["parent"]["iqr"] == row["change"]["iqr"] == 0.0
         assert row["pairs_won"] == int(after < before if metric["better"] == "lower" else after > before)
+    printed = {line.split()[0]: line for line in proc.stdout.splitlines() if line.split()[0] in report["metrics"]}
+    for name, row in report["metrics"].items():
+        assert f"parent [{row['parent']['min']:.6g}, {row['parent']['max']:.6g}]" in printed[name]
+        assert f"change [{row['change']['min']:.6g}, {row['change']['max']:.6g}]" in printed[name]
 
 
 def test_table_reads_the_direction_and_counts_pairs():
@@ -57,6 +63,19 @@ def test_table_reads_the_direction_and_counts_pairs():
     assert table["run_s"]["parent"]["median"] == 2.5 and table["run_s"]["change"]["median"] == 1.75
     assert table["run_s"]["delta_pct"] == -30.0
     assert table["run_s"]["parent"]["iqr"] == 3.25 - 1.75
+    assert (table["run_s"]["parent"]["min"], table["run_s"]["parent"]["max"]) == (1.0, 4.0)
+    assert (table["rate"]["change"]["min"], table["rate"]["change"]["max"]) == (0.5, 8.0)
+
+
+def test_two_modes_show_in_the_extremes_not_only_the_median():
+    # peak RSS of one tree that lands near 80.7 or near 99.7 MB from run to run
+    contract = {"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+    runs = {"parent": [{"peak_rss_mb": v} for v in (99.7, 99.6, 99.8, 80.7)],
+            "change": [{"peak_rss_mb": v} for v in (80.6, 99.7, 80.8, 80.7)]}
+    row = _tool().compare(runs, contract)["peak_rss_mb"]
+    assert row["delta_pct"] < -10.0  # the medians alone read as a 19% drop
+    assert (row["parent"]["min"], row["parent"]["max"]) == (80.7, 99.8)
+    assert (row["change"]["min"], row["change"]["max"]) == (80.6, 99.7)  # both modes on both sides
 
 
 def test_a_failed_run_exits_1_and_writes_nothing(tmp_path):

@@ -193,18 +193,19 @@ def test_problems_build_their_model_through_make_model(monkeypatch):
     built = []
 
     def spy(kind, n_features, n_classes, hidden):
-        built.append((kind, n_features, n_classes, hidden))
-        return make_model(kind, n_features, n_classes, hidden)
+        model = make_model(kind, n_features, n_classes, hidden)
+        built.append(((kind, n_features, n_classes, hidden), model))
+        return model
 
     monkeypatch.setattr(fedrelax.config, "make_model", spy)
     monkeypatch.setattr(fedrelax.stability, "make_model", spy)
     data = {"n_clients": 3, "n_samples": 90, "n_features": 2, "n_classes": 2, "hidden": 5}
     for kind in ("linear-regression", "logistic-regression", "mlp"):
         problem, _ = build_problem(resolve_config({"problem": "blobs", "model": kind, **data}))
-        assert problem.model.kind == kind and built.pop() == (kind, 2, 2, 5)
+        assert built.pop() == ((kind, 2, 2, 5), problem.model)
     for kind in ("logistic-regression", "mlp"):
         a, b, _ = fedrelax.stability.make_paired_blob_problems(**data, model_kind=kind, perturb=(0, 0))
-        assert a.model is b.model and a.model.kind == kind and built.pop() == (kind, 2, 2, 5)
+        assert a.model is b.model and built.pop() == ((kind, 2, 2, 5), a.model)
     assert not built
 
 
@@ -255,6 +256,14 @@ def cli(*argv, env_extra=None, cwd=None):
     return subprocess.run(
         CLI + list(argv), capture_output=True, text=True, env=env, cwd=cwd,
     )
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with jobs > 1 imports the pool, and with it multiprocessing and subprocess
+    code = "import sys, fedrelax.cli; print('concurrent.futures.process' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):

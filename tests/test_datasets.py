@@ -84,11 +84,19 @@ def test_partition_impossible_split_raises():
         dirichlet_partition(np.array([0, 1]), 5, 1.0, seed=0)
 
 
-def test_partition_proportions_shape():
+def test_partition_splits_each_class_by_the_drawn_proportions():
+    # client i's share of class c is its Dirichlet weight p_ic over the class's total
+    # weight, rounded cumulatively; the weights are the first draw of the seeded stream
     y = make_blobs(200, 2, 4, seed=1).y
     plan = dirichlet_partition(y, 6, 0.2, seed=2)
-    assert plan.proportions.shape == (6, 4)
-    np.testing.assert_allclose(plan.proportions.sum(axis=1), 1.0, atol=1e-12)
+    props = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(0xD1A, 0))).dirichlet(
+        np.full(4, 0.2), size=6)
+    for c in range(4):
+        n = int(np.sum(y == c))
+        cuts = np.floor(np.cumsum(props[:, c] / props[:, c].sum()) * n + 0.5).astype(int)
+        want = np.diff(cuts, prepend=0)
+        want[-1] += n - cuts[-1]
+        assert [int(np.sum(y[a] == c)) for a in plan.assignments] == want.tolist()
 
 
 def test_concentration_controls_skew():
@@ -195,9 +203,9 @@ def test_client_bias_per_client_scales():
 
 def test_client_bias_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        apply_client_bias([make_blobs(10, 2, 2, seed=0)], -0.1)
+        apply_client_bias([make_blobs(10, 2, 2, seed=0)], -0.1, seed=0)
     with pytest.raises(ValueError):
-        apply_category_bias(make_blobs(10, 2, 2, seed=0), -0.1)
+        apply_category_bias(make_blobs(10, 2, 2, seed=0), -0.1, seed=0)
 
 
 # -- csv -------------------------------------------------------------------------

@@ -1,19 +1,28 @@
 """Metric oracles: brute-force divergence, cost table, smoothing, CSV text."""
+import dataclasses
+import functools
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrelax.core import HyperParams, Simulation
+from fedrelax.datasets import make_blobs
 from fedrelax.metrics import (
     CSV_HEADER,
+    SMOOTHING_WIDTH,
+    SMOOTHING_WINDOW,
     RoundRecord,
     comm_storage_accounting,
     divergence,
-    moving_average,
     rounds_csv_text,
     smoothed_max_last,
 )
-from fedrelax.strategies import make_strategy
+from fedrelax.models import LogisticRegression
+from fedrelax.problems import DatasetProblem
+from fedrelax.strategies import PAYLOADS, make_strategy
 
 
 def brute_force_divergence(global_w, last_locals):
@@ -78,13 +87,15 @@ TABLE = {
 def test_cost_table_rows(name, expected):
     comm_mult, storage_mult = expected
     c, n, d = 100, 10, 50
-    rec = comm_storage_accounting(make_strategy(name), c, n, d)
+    spec = make_strategy(name)
+    rec = comm_storage_accounting(spec, c, n, d)
     assert rec.comm_floats == comm_mult * n * d
     assert rec.comm_ratio == comm_mult
     assert rec.storage_floats == storage_mult * c * d
     assert rec.storage_ratio == storage_mult
-    assert rec.bytes_down_per_round == rec.payloads_down * n * d * 8
-    assert rec.bytes_up_per_round == rec.payloads_up * n * d * 8
+    down, up = PAYLOADS[spec.kind]
+    assert rec.bytes_down_per_round == down * n * d * 8
+    assert rec.bytes_up_per_round == up * n * d * 8
 
 
 def test_ri_composition_does_not_change_costs():
@@ -92,38 +103,89 @@ def test_ri_composition_does_not_change_costs():
         plain = comm_storage_accounting(make_strategy(name), 20, 5, 7)
         ri = comm_storage_accounting(make_strategy(name, beta=0.1), 20, 5, 7)
         assert (plain.comm_floats, plain.storage_floats) == (ri.comm_floats, ri.storage_floats)
-        assert (plain.payloads_down, plain.payloads_up) == (ri.payloads_down, ri.payloads_up)
+        assert (plain.bytes_down_per_round, plain.bytes_up_per_round) == (ri.bytes_down_per_round,
+                                                                          ri.bytes_up_per_round)
 
 
 # -- smoothing --------------------------------------------------------------------
 
-def test_moving_average_hand_values():
-    out = moving_average([1.0, 2.0, 3.0, 4.0, 5.0], width=3)
-    # edges truncate: [mean(1,2), mean(1,2,3), ..., mean(4,5)]
-    np.testing.assert_allclose(out, [1.5, 2.0, 3.0, 4.0, 4.5])
+def reference_smoothed_max(series):
+    """The summary's smoothed accuracy as a plain loop: 5-point centred means, each
+    over the entries that exist, then the largest of the last 50 of them."""
+    means = []
+    for i in range(len(series)):
+        window = series[max(0, i - 2):i + 3]
+        total = 0.0
+        for v in window:
+            total += v
+        means.append(total / len(window))
+    return max(means[-50:])
 
 
-def test_moving_average_width_one_is_identity():
-    s = [3.0, 1.0, 2.0]
-    np.testing.assert_array_equal(moving_average(s, width=1), s)
+@functools.cache
+def _simulation():
+    train, test = make_blobs(8, 2, 2, seed=0, n_test=4)
+    return Simulation(DatasetProblem(LogisticRegression(2), [train], test), make_strategy("fedavg"),
+                      HyperParams(eta=0.1, rounds=1, n_active=1, k_local=1), seed=0)
 
 
-def test_moving_average_rejects_bad_width():
-    with pytest.raises(ValueError):
-        moving_average([1.0], width=0)
+def summarized(series) -> dict:
+    """The smoothed_max_test_acc entry of a summary whose records hold series as test accuracies."""
+    sim = _simulation()
+    sim.records = [dataclasses.replace(_record(t), test_acc=a) for t, a in enumerate(series)]
+    return sim.build_summary()["smoothed_max_test_acc"]
 
 
-def test_smoothed_max_last_window():
-    # spike at the start must be invisible to a window covering only the tail
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=130))
+def test_summary_value_is_the_reference_loop_bit_for_bit(series):
+    want = bits(reference_smoothed_max(series))
+    assert bits(smoothed_max_last(series)) == want
+    assert bits(summarized(series)["value"]) == want
+
+
+def test_summary_echoes_the_window_and_width_it_computed_with():
+    assert (SMOOTHING_WINDOW, SMOOTHING_WIDTH) == (50, 5)  # the reference loop's 50 and 5
+    entry = summarized([0.5] * 60)
+    assert (entry["window"], entry["kernel_width"]) == (SMOOTHING_WINDOW, SMOOTHING_WIDTH)
+
+
+def test_smoothed_max_truncates_the_window_at_the_ends():
+    # the last means are over (0, 0, 10), (0, 0, 0, 10) and (0, 0, 0, 0, 10)
+    assert smoothed_max_last([0.0, 0.0, 0.0, 0.0, 10.0]) == 10.0 / 3.0
+
+
+def test_smoothed_max_of_a_constant_series_is_the_constant():
+    for n in (1, 4, 49, 50, 51, 120):
+        assert smoothed_max_last([0.75] * n) == 0.75
+
+
+def test_smoothed_max_reads_only_the_last_50_rounds():
+    # the spike's means sit in the first 14 of 64 rounds, outside the window
     series = [100.0] + [0.0] * 60 + [1.0, 2.0, 3.0]
-    got = smoothed_max_last(series, window=50, width=1)
-    assert got == 3.0
-    assert smoothed_max_last(series, window=len(series), width=1) == 100.0
+    assert smoothed_max_last(series) == 2.0  # mean(1, 2, 3)
+
+
+def test_smoothed_max_reads_every_round_of_a_run_shorter_than_50():
+    for n in (1, 3, 49, 50):
+        series = [100.0] + [0.0] * (n - 1)
+        assert smoothed_max_last(series) == 100.0 / min(n, 3)
+    assert smoothed_max_last([100.0] + [0.0] * 50) == 25.0  # round 0 is out; round 1 reads mean(100, 0, 0, 0)
 
 
 def test_smoothed_max_smooths_single_spikes():
     series = [0.0] * 30 + [10.0] + [0.0] * 30
-    assert smoothed_max_last(series, window=61, width=5) == pytest.approx(2.0)
+    assert smoothed_max_last(series) == pytest.approx(2.0)
+
+
+def test_smoothed_max_takes_no_window_or_width():
+    for knob in ({"window": 0}, {"window": -2}, {"width": 4}):
+        with pytest.raises(TypeError):
+            smoothed_max_last([1.0, 2.0], **knob)
 
 
 def test_smoothed_max_empty_series_rejected():
@@ -132,11 +194,10 @@ def test_smoothed_max_empty_series_rejected():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=80), st.integers(1, 9))
-def test_moving_average_bounded_by_extremes(series, width):
-    out = moving_average(series, width)
-    assert out.min() >= min(series) - 1e-9
-    assert out.max() <= max(series) + 1e-9
+@given(st.lists(st.floats(-100, 100), min_size=1, max_size=80))
+def test_smoothed_max_bounded_by_extremes(series):
+    out = smoothed_max_last(series)
+    assert min(series) - 1e-9 <= out <= max(series) + 1e-9
 
 
 # -- csv text ----------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_side_by_side_pair_refuses_to_evaluate(model_kind, n_classes):
     prob_a, prob_b, _ = small_pair(model_kind=model_kind, n_classes=n_classes)
     pair = DatasetProblem.side_by_side(prob_a, prob_b)
     w = np.zeros(pair.dim)
-    for evaluate in (pair.eval_metrics, pair.global_grad, pair.global_loss, pair.per_sample_test_losses):
+    for evaluate in (pair.eval_metrics, pair.per_sample_test_losses):
         with pytest.raises(ValueError, match="side-by-side pair trains but does not evaluate"):
             evaluate(w)
     # each side still evaluates
@@ -375,8 +375,7 @@ def test_paired_run_equals_recording_loop(name, monkeypatch):
     real_step = Simulation.step
     monkeypatch.setattr(Simulation, "step", lambda sim: steps.append(sim) or real_step(sim))
     with monkeypatch.context() as m:  # a paired run must not evaluate, the fused pair included
-        for attr in ("eval_metrics", "global_grad", "global_loss"):
-            m.setattr(DatasetProblem, attr, None)
+        m.setattr(DatasetProblem, "eval_metrics", None)
         tr = paired_run(problem_a, problem_b, spec, hp, seed=2)
 
     got = {k: getattr(tr, k) for k in want}

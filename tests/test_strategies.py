@@ -137,7 +137,7 @@ def test_fedcm_server_momentum_update():
     w = np.array([1.0])
     agg = np.array([0.4])
     new = server_step(spec, w, agg, aux, eta=0.1, mean_k=3.0, round_idx=0,
-                      n_clients=4)
+                      aux_change={}, n_clients=4)
     assert np.array_equal(new, agg)
     # m = (w - w') / (eta * K) = 0.6 / 0.3
     assert aux["momentum"] == pytest.approx([2.0])
@@ -150,7 +150,7 @@ def test_fedadam_server_step_by_hand():
     w = np.array([1.0])
     agg = np.array([0.0])  # pseudo-gradient = 1
     new = server_step(spec, w, agg, aux, eta=0.1, mean_k=5.0, round_idx=0,
-                      n_clients=4)
+                      aux_change={}, n_clients=4)
     # bias-corrected first step: m_hat = pseudo, v_hat = pseudo^2
     expected = 1.0 - 0.1 * 1.0 / (1.0 + spec.adam_tau)
     assert new == pytest.approx([expected])
@@ -163,7 +163,7 @@ def test_fedadam_zero_pseudo_gradient_is_noop():
     aux = init_server_aux(spec, 2)
     w = np.array([1.0, -1.0])
     new = server_step(spec, w, w.copy(), aux, eta=0.1, mean_k=5.0, round_idx=0,
-                      n_clients=4)
+                      aux_change={}, n_clients=4)
     np.testing.assert_array_equal(new, w)
 
 
@@ -181,14 +181,14 @@ def test_scaffold_server_control_update():
 def test_plain_server_step_is_aggregate():
     spec = make_strategy("fedavg")
     new = server_step(spec, np.array([5.0]), np.array([2.0]), {}, eta=0.1,
-                      mean_k=1.0, round_idx=0, n_clients=2)
+                      mean_k=1.0, round_idx=0, aux_change={}, n_clients=2)
     assert np.array_equal(new, [2.0])
 
 
 def test_partial_server_lr_interpolates():
     spec = make_strategy("fedavg", server_lr=0.5)
     new = server_step(spec, np.array([4.0]), np.array([2.0]), {}, eta=0.1,
-                      mean_k=1.0, round_idx=0, n_clients=2)
+                      mean_k=1.0, round_idx=0, aux_change={}, n_clients=2)
     assert new == pytest.approx([3.0])
 
 
@@ -318,6 +318,8 @@ def test_negative_beta_needs_flag():
         make_strategy("fedinit", beta=-0.1)
     spec = make_strategy("fedinit", beta=-0.1, allow_negative_beta=True)
     assert spec.beta == -0.1
+    with pytest.raises(ValueError, match="negative beta"):
+        compose_ri(make_strategy("fedavg"), -0.1)
 
 
 def test_beta_without_ri_rejected():

@@ -1,4 +1,5 @@
 """Bound constants against exact rational oracles; guarantee checks and refusals."""
+import dataclasses
 import math
 from dataclasses import replace as dc_replace
 from fractions import Fraction
@@ -53,15 +54,14 @@ def test_constants_beta_005_literals():
 
 
 def test_j_beta_and_r_beta_against_rational_oracle():
-    beta, lam, n, mu, a, b = Fraction(1, 20), Fraction(1, 10), 10, Fraction(2), Fraction(3, 2), Fraction(2)
+    # a = 1: the checked runs take exact full-batch gradients
+    beta, lam, n, mu, b = Fraction(1, 20), Fraction(1, 10), 10, Fraction(2), Fraction(2)
     kb, kappa, gb, _cb = rational_constants(beta)
     cb = kb / (1 - 48 * beta * beta * kb)
     j = cb * (132 + 804 * kappa / (lam * n))
-    r = 228 * mu * gb * beta * beta * a * a * b * b
-    r_app = 228 * mu * gb * gb * beta * beta * a * a * b * b
-    got = compute_constants(
-        float(beta), lam=float(lam), n_active=n, mu=float(mu), a=float(a), b=float(b)
-    )
+    r = 228 * mu * gb * beta * beta * b * b
+    r_app = 228 * mu * gb * gb * beta * beta * b * b
+    got = compute_constants(float(beta), lam=float(lam), n_active=n, mu=float(mu), b=float(b))
     assert got.j_beta == pytest.approx(float(j), rel=1e-12)
     assert got.r_beta == pytest.approx(float(r), rel=1e-12)
     assert got.r_beta_appendix == pytest.approx(float(r_app), rel=1e-12)
@@ -106,11 +106,12 @@ def test_constants_region_errors():
         compute_constants(0.05, lam=0.0, n_active=10)
 
 
-def test_constants_to_dict():
-    d = compute_constants(0.05, lam=0.1, n_active=4, mu=1.0).to_dict()
-    assert d["beta"] == 0.05
-    assert d["kappa_beta"] == pytest.approx(400 / 259)
-    assert set(d) >= {"kappa", "gamma_beta", "c_beta", "j_beta", "r_beta"}
+def test_constants_hold_only_the_derived_constants():
+    got = compute_constants(0.05, lam=0.1, n_active=4, mu=1.0)
+    assert dataclasses.astuple(got) == (got.kappa_beta, got.kappa, got.gamma_beta, got.c_beta,
+                                        got.j_beta, got.r_beta, got.r_beta_appendix)
+    assert got.kappa_beta == pytest.approx(400 / 259)
+    assert None not in dataclasses.astuple(got)
 
 
 def test_lambda_grid_shape():
@@ -129,30 +130,31 @@ def scalar_family(b_vals, a_vals=None):
 
 def test_estimate_problem_constants_shared_curvature():
     fam = scalar_family([0.0, 1.0])
-    est = estimate_problem_constants(fam, np.array([2.0]))
+    est = estimate_problem_constants(QuadraticProblem(fam))
     assert est["L"] == pytest.approx(1.0)
     assert est["mu"] == pytest.approx(1.0)
-    # f(2) = 0.5 * mean(4, 1) = 1.25; f* = f(0.5) = 0.125
-    assert est["f_star"] == pytest.approx(0.125, abs=1e-15)
-    assert est["D"] == pytest.approx(1.125, abs=1e-14)
     # shared curvature: sup_i ||grad_i - grad|| = max_i |mean(b) - b_i| exactly
     assert est["sigma_g"] == pytest.approx(0.5, abs=1e-15)
     assert est["sigma_g_exact"] is True
     assert est["sigma_l"] == 0.0
-    assert est["a"] == 1.0
+    # the bound's D = f(w0) - f* comes from the trace: f(2) = 0.5 * mean(4, 1) = 1.25; f* = f(0.5) = 0.125
+    assert fam.f_star == pytest.approx(0.125, abs=1e-15)
+    prob, hp = QuadraticProblem(fam), HyperParams(eta=0.1, rounds=3, n_active=2, k_local=2)
+    res = run_experiment(prob, make_strategy("fedinit", beta=0.05), hp, 0, w0=np.array([2.0]))
+    assert verify_convergence_bound(1, res, prob)["D"] == pytest.approx(1.125, abs=1e-14)
 
 
 def test_estimate_problem_constants_common_minimizer():
     fam = scalar_family([1.0, 1.0])
-    est = estimate_problem_constants(fam, np.array([3.0]))
+    est = estimate_problem_constants(QuadraticProblem(fam))
     assert est["sigma_g"] == 0.0
-    assert est["D"] == pytest.approx(2.0, abs=1e-14)
+    assert fam.global_loss(np.array([3.0])) - fam.f_star == pytest.approx(2.0, abs=1e-14)
     assert est["b"] == pytest.approx(1.0, abs=1e-12)  # grad_i == grad everywhere
 
 
 def test_estimate_problem_constants_mixed_curvature_estimates():
     fam = scalar_family([0.0, 0.0], a_vals=[1.0, 2.0])
-    est = estimate_problem_constants(fam, np.array([1.0]), probe_budget=100)
+    est = estimate_problem_constants(QuadraticProblem(fam))
     assert est["sigma_g_exact"] is False
     assert 0.0 < est["sigma_g"] < 1.0  # |A_i - mean A| * |w| <= 0.5 * probe radius
     assert est["b"] >= 1.0
@@ -160,9 +162,8 @@ def test_estimate_problem_constants_mixed_curvature_estimates():
 
 def test_estimate_noise_scaling():
     fam = make_quadratic_family(3, 4, spread=1.0, cond=2.0, seed=0)
-    est = estimate_problem_constants(fam, np.zeros(4), grad_noise=0.5)
+    est = estimate_problem_constants(QuadraticProblem(fam, grad_noise=0.5))
     assert est["sigma_l"] == pytest.approx(0.5 * math.sqrt(4))
-    assert est["a"] is None  # exact-gradient ratio undefined for noisy oracles
 
 
 def admissible_setup(beta):

@@ -67,8 +67,8 @@ def ref_mlp_grad(model, w, x, y):
                            (dlogits.T @ a1).ravel(), dlogits.sum(axis=0)])
 
 
-REFERENCE_GRADS = {"linear-regression": ref_linear_grad,
-                   "logistic-regression": ref_logistic_grad, "mlp": ref_mlp_grad}
+REFERENCE_GRADS = {LinearRegression: ref_linear_grad, LogisticRegression: ref_logistic_grad,
+                   MLPClassifier: ref_mlp_grad}
 
 
 # -- the per-client oracle --------------------------------------------------------
@@ -115,7 +115,7 @@ def oracle_grad_fns(problem, i, rng, batch_size):
                 eps = rng().normal(0.0, noise, size=fam.dim)
                 yield lambda w, eps=eps: fam.client_grad(i, w) + eps
     shard, model = problem.shards[i], problem.model
-    grad = REFERENCE_GRADS[model.kind]
+    grad = REFERENCE_GRADS[type(model)]
     n = len(shard)
     if batch_size is None or batch_size >= n:
         while True:
@@ -444,7 +444,7 @@ def test_block_gradient_rows_match_reference_bit_for_bit(case):
     block = Block(np.concatenate([x for x, _ in samples]), np.concatenate([y for _, y in samples]), runs)
     got = model.bind(block, model.dim)(w)
     for j, (x, y) in enumerate(samples):
-        want = REFERENCE_GRADS[model.kind](model, w[j], x, y)
+        want = REFERENCE_GRADS[type(model)](model, w[j], x, y)
         assert got[j].tobytes() == want.tobytes()
         assert model.grad(w[j], Batch(x, y)).tobytes() == want.tobytes()
 
@@ -458,7 +458,7 @@ def block_buffers(block):
 
 
 @pytest.mark.parametrize("model", [LinearRegression(3), LogisticRegression(3), MLPClassifier(3, 4, 2)],
-                         ids=lambda m: m.kind)
+                         ids=MODELS)
 def test_block_gradient_returns_fresh_arrays(model):
     # the block keeps its work buffers for every call (FedSAM takes two per block);
     # no gradient may alias them or another gradient
@@ -524,7 +524,7 @@ def test_gathered_gradient_rows_match_one_row_gradients(case):
             got = grad(point)
             for j, b in enumerate(batches):
                 for r, idx in enumerate(b.reshape(sides, -1)):
-                    alone = partial(REFERENCE_GRADS[one.model.kind], one.model,
+                    alone = partial(REFERENCE_GRADS[type(one.model)], one.model,
                                     x=pooled.x[idx], y=pooled.y[idx])
                     cols = slice(r * d, (r + 1) * d)
                     assert got[j, cols].tobytes() == alone(w=point[j, cols]).tobytes()
@@ -533,7 +533,7 @@ def test_gathered_gradient_rows_match_one_row_gradients(case):
 
 
 @pytest.mark.parametrize("model", [LinearRegression(3), LogisticRegression(3), MLPClassifier(3, 4, 3)],
-                         ids=lambda m: m.kind)
+                         ids=MODELS)
 @pytest.mark.parametrize("in_arena", [False, True], ids=["own-buffers", "arena"])
 def test_refilled_block_matches_a_fresh_one(model, in_arena):
     # a refill must rebuild what derives from y: the label index and the float targets
@@ -541,7 +541,7 @@ def test_refilled_block_matches_a_fresh_one(model, in_arena):
     runs = [(1, 3), (2, 5), (1, 7)]
     m = sum(k * n for k, n in runs)
     x = rng.normal(size=(60, 3))
-    y = rng.normal(size=60) if model.kind == "linear-regression" else rng.integers(
+    y = rng.normal(size=60) if isinstance(model, LinearRegression) else rng.integers(
         getattr(model, "n_classes", 2), size=60)
     first, second = rng.permutation(60)[:m], rng.permutation(60)[:m]
     assert (y[first] != y[second]).sum() > m // 3

@@ -11,8 +11,10 @@ that drifts during the comparison favours neither side.
 
 It writes ``BENCH_<workload>.json`` in the working directory, or the file
 ``--out`` names. For each end-to-end metric of the change root's
-``BENCHMARK.json`` it holds each side's runs, median and interquartile range,
-the change of the median in percent, and the pairs the change won: better in
+``BENCHMARK.json`` it holds each side's runs, median, interquartile range,
+minimum and maximum (so that a metric whose runs fall into two modes shows
+both, rather than reading as a shift of the median), the change of the
+median in percent, and the pairs the change won: better in
 the direction that ``BENCHMARK.json`` gives, ties not counted. It also holds
 the run order, the environment ``bench/run.py`` reports, and for both roots
 the ``src/`` line count and the split of ``src/fedrelax/*.py`` into
@@ -79,7 +81,8 @@ def line_kinds(package: Path) -> dict:
 
 def side_summary(values: list[float]) -> dict:
     q1, q3 = np.percentile(values, [25, 75])
-    return {"median": statistics.median(values), "iqr": float(q3 - q1), "runs": values}
+    return {"median": statistics.median(values), "iqr": float(q3 - q1),
+            "min": min(values), "max": max(values), "runs": values}
 
 
 def compare(runs: dict, contract: dict) -> dict:
@@ -143,8 +146,10 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for name, row in table.items():
         delta = "n/a" if row["delta_pct"] is None else f"{row['delta_pct']:+.1f}%"
+        spread = "  ".join(f"{side} [{row[side]['min']:.6g}, {row[side]['max']:.6g}] iqr {row[side]['iqr']:.3g}"
+                           for side in SIDES)
         print(f"{name:20s} {row['parent']['median']:>12.6g} -> {row['change']['median']:<12.6g} "
-              f"{row['unit']:4s} {delta:>8s}  won {row['pairs_won']}/{args.pairs}")
+              f"{row['unit']:4s} {delta:>8s}  won {row['pairs_won']}/{args.pairs}  {spread}")
     print(f"wrote {out}")
     return 0
 
