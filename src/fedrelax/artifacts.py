@@ -25,8 +25,10 @@ JSON text is kept once encoded, and the records list is spliced in from those
 texts, so a save encodes only the records added since the one before.
 ``restore_simulation`` refuses a payload that does not fit the run with a
 ValueError naming the field: a wrong shape, type or key set, data that is not
-base64 of the shape's byte count, or a record value that is not a number where
-one belongs (or not finite in a metrics.FINITE_COLUMNS column).
+base64 of the shape's byte count, a non-finite array entry, a record value that
+is not a number where one belongs (or not finite in a metrics.FINITE_COLUMNS
+column), a record column that differs from what the run fixes for its round
+(Simulation.fixed_columns), or a metric outside its range (_METRIC_RANGES).
 """
 from __future__ import annotations
 
@@ -104,7 +106,10 @@ def decode_array(d, field: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"checkpoint {field} data holds {len(raw)} bytes, "
                          f"shape {shape} needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(a).all():
+        raise ValueError(f"checkpoint {field} holds non-finite entries")
+    return a
 
 
 def rng_state(gen: np.random.Generator) -> dict:
@@ -183,6 +188,10 @@ _PAYLOAD_FIELDS = ("seed", "round", "global_params", "server_aux", "server_rng",
 # record column -> (holds an int, may be null), read off RoundRecord's annotations
 _RECORD_COLUMNS = {f.name: (f.type == "int", "None" in f.type) for f in fields(RoundRecord)}
 
+# the closed interval no recorded metric leaves; NaN stays where the type check admits it
+_METRIC_RANGES = {**dict.fromkeys(("divergence", "grad_norm_sq", "train_loss", "test_loss"), (0.0, math.inf)),
+                  "train_acc": (0.0, 1.0), "test_acc": (0.0, 1.0)}
+
 
 def _check_type(field: str, value, kind: type) -> None:
     if not isinstance(value, kind):
@@ -215,9 +224,10 @@ def _decode_rng(field: str, state) -> np.random.Generator:
         raise ValueError(f"checkpoint {field} is not a generator state ({e})") from None
 
 
-def _decode_record(i: int, r) -> RoundRecord:
-    """Record i, refused unless it has exactly RoundRecord's columns, each of its type."""
-    field = f"records[{i}]"
+def _decode_record(r, fixed: dict) -> RoundRecord:
+    """The record of round fixed["round"], refused unless it has exactly RoundRecord's
+    columns, each of its type, the fixed columns' values and every metric in its range."""
+    field = f"records[{fixed['round']}]"
     _check_type(field, r, dict)
     if set(r) != set(_RECORD_COLUMNS):
         raise ValueError(f"checkpoint {field} keys {sorted(r)} are not the record "
@@ -231,8 +241,12 @@ def _decode_record(i: int, r) -> RoundRecord:
         want = ("an int" if integer else "a finite number" if finite else "a number") + (
             " or null" if nullable else "")
         raise ValueError(f"checkpoint {field}.{k} must be {want}, got {v!r}")
-    if r["round"] != i:
-        raise ValueError(f"checkpoint {field}.round is {r['round']}, expected {i}")
+    for k, v in fixed.items():
+        if r[k] != v:
+            raise ValueError(f"checkpoint {field}.{k} is {r[k]!r}, expected {v!r}")
+    for k, (lo, hi) in _METRIC_RANGES.items():
+        if r[k] is not None and (r[k] < lo or r[k] > hi):
+            raise ValueError(f"checkpoint {field}.{k} is {r[k]!r}, outside [{lo}, {hi}]")
     return RoundRecord(**r)
 
 
@@ -252,11 +266,10 @@ def restore_simulation(
     saved_hash = payload.get("config_hash")
     if saved_hash is not None:
         _check_type("config_hash", saved_hash, str)
-    if expect_config_hash is not None and saved_hash is not None and saved_hash != expect_config_hash:
-        raise ValueError(
-            f"checkpoint belongs to a different configuration "
-            f"(saved {saved_hash[:12]}…, expected {expect_config_hash[:12]}…)"
-        )
+    if expect_config_hash is not None and saved_hash != expect_config_hash:
+        saved = "null" if saved_hash is None else f"{saved_hash[:12]}…"
+        raise ValueError(f"checkpoint config_hash {saved} belongs to a different configuration "
+                         f"(expected {expect_config_hash[:12]}…)")
     missing = [k for k in _PAYLOAD_FIELDS if k not in payload]
     if missing:
         raise ValueError(f"checkpoint lacks the fields {missing}")
@@ -278,7 +291,8 @@ def restore_simulation(
     _check_type("records", records, list)
     if len(records) != rnd:
         raise ValueError(f"checkpoint has {len(records)} records for round {rnd}")
-    records = [_decode_record(i, r) for i, r in enumerate(records)]
+    sim = Simulation(problem, spec, hp, seed)
+    records = [_decode_record(r, sim.fixed_columns(i)) for i, r in enumerate(records)]
     server_rng = _decode_rng("server_rng", payload["server_rng"])
     _check_type("client_rngs", payload["client_rngs"], dict)
     # only the ids the writer spells, str(i): "01" or a full-width digit would
@@ -289,7 +303,6 @@ def restore_simulation(
     client_rngs = {int(k): _decode_rng(f"client_rngs[{k!r}]", state)
                    for k, state in payload["client_rngs"].items()}
 
-    sim = Simulation(problem, spec, hp, seed)
     sim.server.round = rnd
     sim.server.global_params = global_params
     sim.server.aux = server_aux

@@ -82,6 +82,8 @@ def _run_once(cfg: dict, *, allow_negative_beta: bool, out_dir: str | None,
             raise ConfigError(f"--resume: no checkpoint found at {ckpt_path}")
         payload = artifacts.load_checkpoint(ckpt_path)
         sim = artifacts.restore_simulation(problem, spec, hp, payload, expect_config_hash=h)
+        if sim.seed != cfg["seed"]:  # the hash covers the seed, so the checkpoint contradicts itself
+            raise ConfigError(f"checkpoint seed {sim.seed} is not the config's seed {cfg['seed']}")
     else:
         sim = Simulation(problem, spec, hp, cfg["seed"])
         sim.config_hash = h

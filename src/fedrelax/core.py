@@ -334,22 +334,24 @@ class Simulation:
                 raise DivergedError(f"run diverged at round {t}: non-finite model")
             return None
 
-        down, up = strat.PAYLOADS[self.spec.kind]
-        n, d = self.hp.n_active, self.problem.dim
         record = RoundRecord(
-            round=t,
+            **self.fixed_columns(t),
             divergence=div,
             grad_norm_sq=metrics["grad_norm_sq"],
             train_loss=metrics["train_loss"],
             test_loss=metrics["test_loss"],
             train_acc=metrics["train_acc"],
             test_acc=metrics["test_acc"],
-            bytes_up=n * d * FLOAT_BYTES * up,
-            bytes_down=n * d * FLOAT_BYTES * down,
-            lr=eta,
         )
         self.records.append(record)
         return record
+
+    def fixed_columns(self, t: int) -> dict:
+        """The columns of round t's record that the hyperparameters and strategy fix."""
+        down, up = strat.PAYLOADS[self.spec.kind]
+        per_vector = self.hp.n_active * self.problem.dim * FLOAT_BYTES
+        return {"round": t, "bytes_up": per_vector * up, "bytes_down": per_vector * down,
+                "lr": self.hp.lr_at(t)}
 
     def run(self, *, checkpoint_every: int = 0, checkpoint_path=None) -> RunResult:
         from . import artifacts  # local import: artifacts depends on core types

@@ -281,19 +281,15 @@ class DatasetProblem:
     def start_local_pass(self, ids: np.ndarray, rngs, batch_size=None):
         """Block gradients of the clients ids (distinct, ascending), one function
         per local step (valid as _GatheredGrads says); row j takes its batches
-        from client ids[j]'s shard and generator (rngs maps an id to it). A pass
-        whose rows are all full-batch gathers once for all its steps, and one
-        over every client trains on the pooled buffer itself, gathering nothing.
+        from client ids[j]'s shard and generator (rngs maps an id to it). A
+        full-batch pass over every client trains on the pooled buffer itself,
+        gathering nothing.
         """
-        full = all(_full_batch(len(self.shards[i]), batch_size) for i in ids)
-        if full and len(ids) == self.n_clients:
+        if len(ids) == self.n_clients and all(_full_batch(len(s), batch_size) for s in self.shards):
             return itertools.repeat(self.model.bind(self._population_block, self.dim))
-        grad = self._gathered_grads
         streams = [_index_batches(self._starts[i], len(self.shards[i]), partial(rngs, i), batch_size)
                    for i in ids]
-        if full:
-            return itertools.repeat(grad([next(s) for s in streams]))
-        return map(grad, zip(*streams))
+        return map(self._gathered_grads, zip(*streams))
 
     def steps_per_epoch(self, i: int, batch_size) -> int:
         n = len(self.shards[i])

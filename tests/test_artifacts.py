@@ -171,6 +171,13 @@ def _grow(p, field, axis):
     p[field] = encode_array(np.zeros(shape))
 
 
+def _poison(entry, value):
+    """Set the first entry of a saved array to value."""
+    a = decode_array(entry, "entry").copy()
+    a.flat[0] = value
+    entry.update(encode_array(a))
+
+
 # each edit breaks one consistency check of a valid scaffold checkpoint
 # (8 rounds, saved after round 2); an edit that is not callable replaces the
 # whole payload
@@ -198,6 +205,25 @@ BAD_PAYLOADS = {
     "client_rngs_full_width_digit": (lambda p: p["client_rngs"].update({"\uff12": p["server_rng"]}),
                                      "client_rngs"),
     "missing_field": (lambda p: p.pop("last_local"), r"lacks the fields \['last_local'\]"),
+    # no run saves a non-finite model or state: it stops when the next round evaluates it
+    "global_params_nan": (lambda p: _poison(p["global_params"], np.nan), "global_params holds non-finite"),
+    "last_local_inf": (lambda p: _poison(p["last_local"], np.inf), "last_local holds non-finite"),
+    "client_aux_inf": (lambda p: _poison(p["client_aux"]["control"], -np.inf),
+                       r"client_aux\['control'\] holds non-finite"),
+    "server_aux_nan": (lambda p: _poison(p["server_aux"]["control"], np.nan),
+                       r"server_aux\['control'\] holds non-finite"),
+    # a record's lr and traffic follow from the run; no metric leaves its range
+    "record_lr": (lambda p: p["records"][1].update(lr=123.0), r"records\[1\]\.lr is 123\.0, expected 0\.3"),
+    "record_bytes_up": (lambda p: p["records"][0].update(bytes_up=-5), r"records\[0\]\.bytes_up is -5"),
+    "record_bytes_down": (lambda p: p["records"][1].update(bytes_down=p["records"][1]["bytes_up"] + 8),
+                          r"records\[1\]\.bytes_down"),
+    "record_divergence": (lambda p: p["records"][1].update(divergence=-1.0),
+                          r"records\[1\]\.divergence is -1\.0, outside \[0\.0, inf\]"),
+    "record_test_loss": (lambda p: p["records"][0].update(test_loss=-math.inf), r"records\[0\]\.test_loss"),
+    "record_grad_norm_sq": (lambda p: p["records"][0].update(grad_norm_sq=-0.5), r"records\[0\]\.grad_norm_sq"),
+    "record_test_acc": (lambda p: p["records"][0].update(test_acc=2.0),
+                        r"records\[0\]\.test_acc is 2\.0, outside \[0\.0, 1\.0\]"),
+    "record_train_acc_inf": (lambda p: p["records"][1].update(train_acc=math.inf), r"records\[1\]\.train_acc"),
 }
 
 

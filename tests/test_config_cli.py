@@ -1,4 +1,5 @@
 """Config schema validation, hashing, builders, and the CLI end to end."""
+import base64
 import contextlib
 import importlib
 import io
@@ -378,7 +379,14 @@ def _set_data(entry, data):
     entry["data"] = data
 
 
-# each edit malforms one field of a valid mid-run checkpoint; the CLI must name the field
+def _nan_global_params(p):
+    a = np.frombuffer(base64.b64decode(p["global_params"]["data"]), dtype="<f8").copy()
+    a[0] = np.nan
+    p["global_params"]["data"] = base64.b64encode(a.tobytes()).decode("ascii")
+
+
+# each edit malforms one field of a valid mid-run checkpoint, or makes it contradict
+# the config it resumes under; the CLI must name the field
 MALFORMED_CHECKPOINTS = {
     "record_extra_key": (lambda p: p["records"][0].update(extra=1), "records[0]"),
     "record_missing_key": (lambda p: p["records"][1].pop("lr"), "records[1]"),
@@ -404,6 +412,15 @@ MALFORMED_CHECKPOINTS = {
     "round_text": (lambda p: p.update(round="3"), "round"),
     "seed_text": (lambda p: p.update(seed="1"), "seed"),
     "config_hash_int": (lambda p: p.update(config_hash=5), "config_hash"),
+    # the config's hash covers its seed, so a checkpoint of another seed contradicts its own hash
+    "seed_other": (lambda p: p.update(seed=5), "seed 5 is not the config's seed 1"),
+    # the CLI always writes a hash, so a checkpoint without one belongs to no known config
+    "config_hash_null": (lambda p: p.update(config_hash=None), "config_hash null"),
+    # once exit 4, "run diverged at round 3", for a run that never diverged
+    "global_params_nan": (_nan_global_params, "global_params holds non-finite"),
+    # once copied into rounds.csv
+    "record_lr": (lambda p: p["records"][2].update(lr=123.0), "records[2].lr"),
+    "record_test_acc": (lambda p: p["records"][0].update(test_acc=2.0), "records[0].test_acc"),
 }
 
 
@@ -437,7 +454,7 @@ def test_cli_resume_malformed_checkpoint_exit_2_naming_the_field(tmp_path, capsy
     (out / "checkpoint.json").write_text(json.dumps(payload))
     assert main(["run", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint ") and field in err, err
+    assert err.startswith("error: checkpoint ") and err.count("\n") == 1 and field in err, err
     assert not (out / "rounds.csv").exists()
 
 

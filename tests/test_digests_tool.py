@@ -58,8 +58,8 @@ def test_cli_grid_configs_re_resolve_to_themselves(name):
 
 
 def test_every_checkpoint_is_hashed_as_it_is_written(tmp_path):
-    import fedrelax as fr
-    import fedrelax.artifacts  # noqa: F401
+    tool = _tool()
+    fr = tool.load_modules(os.path.join(ROOT, "src"))
 
     class Collect:
         def __init__(self):
@@ -72,7 +72,7 @@ def test_every_checkpoint_is_hashed_as_it_is_written(tmp_path):
     hp = fr.core.HyperParams(eta=0.1, rounds=5, n_active=2, k_local=2)
     sink = Collect()
     save = fr.artifacts.save_checkpoint
-    with _tool().hashing_checkpoints(fr, sink):
+    with tool.hashing_checkpoints(fr, sink):
         fr.core.run_experiment(fr.problems.QuadraticProblem(fam), fr.strategies.make_strategy("fedavg"),
                                hp, seed=0, checkpoint_every=2, checkpoint_path=tmp_path / "ck.json")
     assert fr.artifacts.save_checkpoint is save

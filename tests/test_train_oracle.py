@@ -331,7 +331,7 @@ UNEVEN_EPOCHS_RUN = dict(sizes=[3, 17, 40, 9], data_seed=1, batch_size=8, k=None
 # short last batches of every length 1..7 beside full ones, and shards of 1 and 61
 SHORT_BATCHES_RUN = dict(sizes=[1, 9, 18, 27, 36, 45, 61], data_seed=2, batch_size=8, k=4,
                          epochs=None, n_active=7, rounds=3, weighted=False, seed=5)
-# every row full-batch: one gather serves the whole pass; equal and distinct lengths
+# every row full-batch with N < C: each step gathers the same rows; equal and distinct lengths
 FULL_BATCH_RUN = dict(sizes=[5, 12, 5, 30, 12, 1], data_seed=3, batch_size=None, k=3,
                       epochs=None, n_active=5, rounds=3, weighted=True, seed=6)
 # every client full-batch (batch_size above every shard): the pass trains on the pooled buffer

@@ -26,15 +26,27 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
 ROUNDS = 8
+
+# the fedrelax modules the grids read, each imported by name
+MODULES = ("artifacts", "cli", "core", "datasets", "metrics", "models", "problems", "quadratics",
+           "stability", "strategies")
+
+
+def load_modules(src: str) -> SimpleNamespace:
+    """The MODULES of the fedrelax package in the directory src, as attributes."""
+    sys.path.insert(0, os.path.abspath(src))
+    return SimpleNamespace(**{m: importlib.import_module(f"fedrelax.{m}") for m in MODULES})
 
 
 def _strategies(fs):
@@ -214,6 +226,10 @@ CLI_GRID = {
                        "axis": "strategy", "values": ["fedavg", "fedcm"], "seeds": [3]}}),
     "bounds-thm1": ([["verify-bounds"]], {**_QUAD, "n_clients": 4, "n_active": 4, "cond": 1.0,
                     "strategy": "fedinit", "beta": 0.05, "lr": 0.05, "rounds": 60, "theorem": 1}),
+    "bounds-thm2": ([["verify-bounds"]], {**_QUAD, "cond": 2.0, "strategy": "fedinit", "beta": 0.05,
+                    "lr": 0.05, "rounds": 80, "theorem": 2}),
+    "bounds-thm3": ([["verify-bounds"]], {**_QUAD, "n_clients": 5, "n_active": 2, "strategy": "fedinit",
+                    "beta": 0.1, "lr": 0.1, "rounds": 50, "theorem": 3}),
     "bounds-thm4": ([["verify-bounds"]], {**_QUAD, "n_clients": 5, "n_active": 5, "dim": 4,
                     "spread": 2.0, "cond": 5.0, "lr": 0.05, "rounds": 800, "theorem": 4}),
     "stability": ([["stability"]], _STABILITY),
@@ -260,10 +276,7 @@ def main(argv=None) -> int:
     if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "fedrelax")):
         print("usage: digests.py SRC_DIR  (the directory holding the fedrelax package)", file=sys.stderr)
         return 2
-    sys.path.insert(0, os.path.abspath(argv[0]))
-    import fedrelax as fr  # the package imports every module used here but the CLI
-    import fedrelax.cli  # noqa: F401
-
+    fr = load_modules(argv[0])
     problems = _problems(fr)
     with tempfile.TemporaryDirectory() as tmp:
         for sname, make in _strategies(fr.strategies).items():
